@@ -90,26 +90,16 @@ def test_bench_full_conformance_report(benchmark):
 def test_bench_component_heap_push_pop(benchmark):
     """Scheduler entry churn alone: schedule then drain 2000 callbacks.
 
-    Pure push/pop through the pooled entry fast path — no network, no
-    processes — under an active SchedulerStoragePool, matching how every
-    sharded run constructs its schedulers.
+    Pure push/pop through the handle-less entry path — no network, no
+    processes.
     """
-    from repro.sim.scheduler import (
-        Scheduler,
-        SchedulerStoragePool,
-        shared_scheduler_storage,
-    )
-
-    pool = SchedulerStoragePool()
+    from repro.sim.scheduler import Scheduler
 
     def run():
-        with shared_scheduler_storage(pool):
-            scheduler = Scheduler()
+        scheduler = Scheduler()
         for i in range(2000):
             scheduler.schedule_callback_at(float(i % 97), _noop_cb)
-        executed = scheduler.run()
-        scheduler.release_storage()
-        return executed
+        return scheduler.run()
 
     assert benchmark(run) == 2000
 

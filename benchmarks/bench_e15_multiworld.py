@@ -1,7 +1,7 @@
 """E15 — the sharded multi-world engine and the scenario fuzzer.
 
 Not a paper table; this guards the PR that added in-process multi-world
-simulation. Four properties must hold:
+simulation. Three properties must hold:
 
 1. the fuzzer sustains a healthy shard throughput (hundreds of generated
    scenarios per second on one core) and finds nothing on the default
@@ -12,9 +12,7 @@ simulation. Four properties must hold:
 3. the ``inproc`` sweep backend is bit-identical to ``serial`` and
    ``parallel`` and beats the subprocess pool on small sweeps (where
    process spawn/pickle overhead dominates) — the crossover table below
-   shows where the pool starts paying;
-4. scheduler storage pooling recycles entries across shards without
-   perturbing results.
+   shows where the pool starts paying.
 """
 
 import time
@@ -44,7 +42,6 @@ def test_bench_fuzz_shard_throughput(benchmark):
             f"digest={report.digest()[:16]}",
             f"events={report.events}",
             f"engine_events={runner.stats.events}",
-            f"entries_reused={runner.stats.entries_reused}",
         ],
     )
 
@@ -106,27 +103,3 @@ def test_bench_inproc_vs_subprocess_crossover(benchmark):
     # must dominate — inproc beats the subprocess backend outright.
     assert inproc_t < parallel_t
 
-
-def test_bench_storage_pool_recycles_without_perturbing(benchmark):
-    """Pooling on vs off: identical reports, nonzero recycling."""
-    pooled_runner = ShardedRunner(stepping="sequential", reuse_storage=True)
-    unpooled_runner = ShardedRunner(
-        stepping="sequential", reuse_storage=False
-    )
-    config_kwargs = dict(seed=2, count=40)
-
-    pooled = benchmark.pedantic(
-        lambda: run_fuzz(runner=pooled_runner, **config_kwargs),
-        rounds=1,
-        iterations=1,
-    )
-    unpooled = run_fuzz(runner=unpooled_runner, **config_kwargs)
-    assert pooled == unpooled
-    assert pooled_runner.stats.entries_recycled > 0
-    attach_rows(
-        benchmark,
-        [
-            f"entries_recycled={pooled_runner.stats.entries_recycled}",
-            f"entries_reused={pooled_runner.stats.entries_reused}",
-        ],
-    )

@@ -13,8 +13,8 @@ Commands:
   scale and print its table.
 * ``sweep EID`` — run a deterministic multi-seed sweep of one seeded
   experiment, optionally on a process pool (``--jobs``) or fully
-  in-process with recycled scheduler storage (``--backend inproc``); all
-  backends print bit-identical rows and the same content digest.
+  in-process (``--backend inproc``); all backends print bit-identical
+  rows and the same content digest.
   ``--early-stop`` aborts each case at its first streaming-monitor
   violation (supported drivers only, e.g. e14); ``--list`` prints the
   registered sweepable experiments.
@@ -522,7 +522,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 "from journal)" if restored else ""
             )
             print(f"engine: {stats.events} scheduler events, "
-                  f"{stats.entries_reused} heap entries recycled, "
                   f"peak {stats.peak_live_shards} live shards{note}")
         elif restored:
             print(f"engine: idle — all {report.count} scenarios "
@@ -687,8 +686,7 @@ def main(argv: list[str] | None = None) -> int:
         sweep,
         backend_help="execution backend (default: parallel when "
                      "--jobs > 1, else serial); inproc skips process "
-                     "spawn and recycles scheduler storage between "
-                     "cases — all three are bit-identical",
+                     "spawn — all three are bit-identical",
     )
     sweep.set_defaults(fn=_cmd_sweep)
 

@@ -30,13 +30,10 @@ static PyObject *g_failed_event;
 static PyObject *g_recover_event;
 static PyTypeObject *g_random_type;  /* random.Random, exact-type gate */
 static PyTypeObject *g_delay_types[5];  /* registered fast-path classes */
-static PyObject *g_active_pool;      /* ambient SchedulerStoragePool */
 static PyObject *g_noop;             /* parked-entry callback */
 static double g_nv_magic;            /* 4*exp(-0.5)/sqrt(2) (random.py) */
 
 /* interned strings */
-static PyObject *s_entries_reused, *s_entries, *s_max_entries;
-static PyObject *s_adopt, *s_adopt_bursts, *s_recycle, *s_discard;
 static PyObject *s_app, *s_protocol, *s_system;
 static PyObject *s_sample, *s_random, *s_deliver;
 static PyObject *s_proc, *s_msg, *s_uid, *s_target, *s_incarnation;
@@ -73,24 +70,6 @@ event_types_installed(void)
     return 1;
 }
 
-/* obj.<name> += 1 for Python-level counters on the storage pool. */
-static int
-incr_attr(PyObject *obj, PyObject *name)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL)
-        return -1;
-    PyObject *one = PyLong_FromLong(1);
-    PyObject *nv = PyNumber_Add(v, one);
-    Py_DECREF(one);
-    Py_DECREF(v);
-    if (nv == NULL)
-        return -1;
-    int r = PyObject_SetAttr(obj, name, nv);
-    Py_DECREF(nv);
-    return r;
-}
-
 /* ------------------------------------------------------------------ */
 /* _Entry                                                             */
 /* ------------------------------------------------------------------ */
@@ -103,7 +82,6 @@ typedef struct {
     char cancelled;
     char periodic;
     char finished;
-    char tracked;
 } EntryObject;
 
 static PyTypeObject Entry_Type;
@@ -121,14 +99,14 @@ static int
 Entry_init(EntryObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"time", "seq", "callback", "cancelled",
-                             "periodic", "finished", "tracked", NULL};
+                             "periodic", "finished", NULL};
     double time;
     long long seq;
     PyObject *callback;
-    int cancelled = 0, periodic = 0, finished = 0, tracked = 1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "dLO|pppp", kwlist,
+    int cancelled = 0, periodic = 0, finished = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "dLO|ppp", kwlist,
                                      &time, &seq, &callback, &cancelled,
-                                     &periodic, &finished, &tracked))
+                                     &periodic, &finished))
         return -1;
     self->time = time;
     self->seq = seq;
@@ -136,7 +114,6 @@ Entry_init(EntryObject *self, PyObject *args, PyObject *kwds)
     self->cancelled = (char)cancelled;
     self->periodic = (char)periodic;
     self->finished = (char)finished;
-    self->tracked = (char)tracked;
     return 0;
 }
 
@@ -201,7 +178,6 @@ static PyMemberDef Entry_members[] = {
     {"cancelled", T_BOOL, offsetof(EntryObject, cancelled), 0, NULL},
     {"periodic", T_BOOL, offsetof(EntryObject, periodic), 0, NULL},
     {"finished", T_BOOL, offsetof(EntryObject, finished), 0, NULL},
-    {"tracked", T_BOOL, offsetof(EntryObject, tracked), 0, NULL},
     {NULL}
 };
 
@@ -309,9 +285,6 @@ heap_heapify(PyObject *heap)
 typedef struct {
     PyObject_HEAD
     PyObject *queue;         /* list of EntryObject* (heap order) */
-    PyObject *pool;          /* SchedulerStoragePool or NULL */
-    PyObject *pool_entries;  /* pool._entries (list) or NULL */
-    Py_ssize_t pool_max;
     long long seq;
     long long last_seq;
     long long processed;
@@ -326,35 +299,11 @@ static PyTypeObject Scheduler_Type;
 
 #define Scheduler_Check(op) PyObject_TypeCheck((op), &Scheduler_Type)
 
-/* A queue-ready entry, recycled from the pool free list when possible.
- * Mirrors Scheduler._new_entry (including the entries_reused counter). */
+/* A queue-ready entry (what the pure core builds with _Entry(...)). */
 static EntryObject *
-scheduler_new_entry(SchedulerObject *self, double time, long long seq,
-                    PyObject *callback, int periodic, int tracked)
+scheduler_new_entry(double time, long long seq, PyObject *callback,
+                    int periodic)
 {
-    PyObject *free_list = self->pool_entries;
-    if (free_list != NULL && PyList_GET_SIZE(free_list) > 0) {
-        Py_ssize_t k = PyList_GET_SIZE(free_list) - 1;
-        PyObject *item = PyList_GET_ITEM(free_list, k);  /* borrowed */
-        if (Entry_CheckExact(item)) {
-            if (incr_attr(self->pool, s_entries_reused) < 0)
-                return NULL;
-            Py_INCREF(item);
-            if (PyList_SetSlice(free_list, k, k + 1, NULL) < 0) {
-                Py_DECREF(item);
-                return NULL;
-            }
-            EntryObject *e = (EntryObject *)item;
-            e->time = time;
-            e->seq = seq;
-            Py_XSETREF(e->callback, Py_NewRef(callback));
-            e->cancelled = 0;
-            e->periodic = (char)periodic;
-            e->finished = 0;
-            e->tracked = (char)tracked;
-            return e;
-        }
-    }
     EntryObject *e =
         (EntryObject *)Entry_Type.tp_alloc(&Entry_Type, 0);
     if (e == NULL)
@@ -365,7 +314,6 @@ scheduler_new_entry(SchedulerObject *self, double time, long long seq,
     e->cancelled = 0;
     e->periodic = (char)periodic;
     e->finished = 0;
-    e->tracked = (char)tracked;
     return e;
 }
 
@@ -378,46 +326,9 @@ Scheduler_init(SchedulerObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "Scheduler() takes no arguments");
         return -1;
     }
-    Py_CLEAR(self->queue);
-    Py_CLEAR(self->pool);
-    Py_CLEAR(self->pool_entries);
-    self->pool_max = 0;
-    if (g_active_pool != NULL) {
-        self->pool = Py_NewRef(g_active_pool);
-        PyObject *lst = PyObject_CallMethodObjArgs(
-            self->pool, s_adopt, (PyObject *)self, NULL);
-        if (lst == NULL)
-            return -1;
-        if (!PyList_CheckExact(lst)) {
-            Py_DECREF(lst);
-            PyErr_SetString(PyExc_TypeError,
-                            "pool.adopt() must return a list");
-            return -1;
-        }
-        self->queue = lst;
-        PyObject *entries = PyObject_GetAttr(self->pool, s_entries);
-        if (entries == NULL)
-            return -1;
-        if (!PyList_CheckExact(entries)) {
-            Py_DECREF(entries);
-            PyErr_SetString(PyExc_TypeError,
-                            "pool._entries must be a list");
-            return -1;
-        }
-        self->pool_entries = entries;
-        PyObject *maxobj = PyObject_GetAttr(self->pool, s_max_entries);
-        if (maxobj == NULL)
-            return -1;
-        self->pool_max = PyLong_AsSsize_t(maxobj);
-        Py_DECREF(maxobj);
-        if (self->pool_max == -1 && PyErr_Occurred())
-            return -1;
-    }
-    else {
-        self->queue = PyList_New(0);
-        if (self->queue == NULL)
-            return -1;
-    }
+    Py_XSETREF(self->queue, PyList_New(0));
+    if (self->queue == NULL)
+        return -1;
     self->seq = 0;
     self->now = 0.0;
     self->processed = 0;
@@ -433,8 +344,6 @@ static int
 Scheduler_traverse(SchedulerObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->queue);
-    Py_VISIT(self->pool);
-    Py_VISIT(self->pool_entries);
     return 0;
 }
 
@@ -442,8 +351,6 @@ static int
 Scheduler_clear_refs(SchedulerObject *self)
 {
     Py_CLEAR(self->queue);
-    Py_CLEAR(self->pool);
-    Py_CLEAR(self->pool_entries);
     return 0;
 }
 
@@ -499,10 +406,9 @@ scheduler_on_cancel(SchedulerObject *self, EntryObject *entry)
  * build the entry, push, bump the pending counters. */
 static int
 scheduler_push_new(SchedulerObject *self, double time, long long seq,
-                   PyObject *callback, int periodic, int tracked)
+                   PyObject *callback, int periodic)
 {
-    EntryObject *entry =
-        scheduler_new_entry(self, time, seq, callback, periodic, tracked);
+    EntryObject *entry = scheduler_new_entry(time, seq, callback, periodic);
     if (entry == NULL)
         return -1;
     int r = heap_push(self->queue, (PyObject *)entry);
@@ -685,8 +591,7 @@ Scheduler_schedule_at(SchedulerObject *self, PyObject *args, PyObject *kwds)
     long long seq = self->seq;
     self->seq = seq + 1;
     self->last_seq = seq;
-    EntryObject *entry =
-        scheduler_new_entry(self, time, seq, callback, periodic, 1);
+    EntryObject *entry = scheduler_new_entry(time, seq, callback, periodic);
     if (entry == NULL)
         return NULL;
     if (heap_push(self->queue, (PyObject *)entry) < 0) {
@@ -724,8 +629,7 @@ Scheduler_schedule(SchedulerObject *self, PyObject *args, PyObject *kwds)
     long long seq = self->seq;
     self->seq = seq + 1;
     self->last_seq = seq;
-    EntryObject *entry =
-        scheduler_new_entry(self, time, seq, callback, periodic, 1);
+    EntryObject *entry = scheduler_new_entry(time, seq, callback, periodic);
     if (entry == NULL)
         return NULL;
     if (heap_push(self->queue, (PyObject *)entry) < 0) {
@@ -762,7 +666,7 @@ Scheduler_schedule_callback_at(SchedulerObject *self, PyObject *args,
     long long seq = self->seq;
     self->seq = seq + 1;
     self->last_seq = seq;
-    if (scheduler_push_new(self, time, seq, callback, periodic, 0) < 0)
+    if (scheduler_push_new(self, time, seq, callback, periodic) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -789,7 +693,7 @@ Scheduler_reschedule_interrupted(SchedulerObject *self, PyObject *args,
         return NULL;
     }
     /* last_seq deliberately not advanced (burst-resume contract). */
-    if (scheduler_push_new(self, time, seq, callback, periodic, 0) < 0)
+    if (scheduler_push_new(self, time, seq, callback, periodic) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -807,19 +711,7 @@ scheduler_resched_c(SchedulerObject *self, double time, long long seq,
         }
         return -1;
     }
-    return scheduler_push_new(self, time, seq, callback, periodic, 0);
-}
-
-/* Pop-time recycling of a fired handle-less entry (run/step loops). */
-static int
-recycle_fired(SchedulerObject *self, EntryObject *entry)
-{
-    if (!entry->tracked && self->pool_entries != NULL &&
-        PyList_GET_SIZE(self->pool_entries) < self->pool_max) {
-        Py_XSETREF(entry->callback, Py_NewRef(g_noop));
-        return PyList_Append(self->pool_entries, (PyObject *)entry);
-    }
-    return 0;
+    return scheduler_push_new(self, time, seq, callback, periodic);
 }
 
 static PyObject *
@@ -844,15 +736,10 @@ Scheduler_step(SchedulerObject *self, PyObject *noarg)
         self->now = entry->time;
         self->processed += 1;
         PyObject *res = PyObject_CallNoArgs(entry->callback);
-        if (res == NULL) {
-            Py_DECREF(eobj);
-            goto error;
-        }
-        Py_DECREF(res);
-        int r = recycle_fired(self, entry);
         Py_DECREF(eobj);
-        if (r < 0)
+        if (res == NULL)
             goto error;
+        Py_DECREF(res);
         Py_DECREF(queue);
         Py_RETURN_TRUE;
     }
@@ -924,16 +811,11 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
         self->now = time;
         self->processed += 1;
         PyObject *res = PyObject_CallNoArgs(entry->callback);
-        if (res == NULL) {
-            Py_DECREF(eobj);
+        Py_DECREF(eobj);
+        if (res == NULL)
             goto error;
-        }
         Py_DECREF(res);
         executed += 1;
-        int r = recycle_fired(self, entry);
-        Py_DECREF(eobj);
-        if (r < 0)
-            goto error;
     }
     Py_DECREF(queue);
     return PyLong_FromLongLong(executed);
@@ -1009,16 +891,11 @@ Scheduler_run_to_quiescence(SchedulerObject *self, PyObject *args,
         self->now = entry->time;
         self->processed += 1;
         PyObject *res = PyObject_CallNoArgs(entry->callback);
-        if (res == NULL) {
-            Py_DECREF(eobj);
+        Py_DECREF(eobj);
+        if (res == NULL)
             goto error;
-        }
         Py_DECREF(res);
         executed += 1;
-        int r = recycle_fired(self, entry);
-        Py_DECREF(eobj);
-        if (r < 0)
-            goto error;
     }
     Py_DECREF(queue);
     return PyLong_FromLongLong(executed);
@@ -1085,41 +962,6 @@ Scheduler_pending_nonperiodic(SchedulerObject *self, PyObject *noarg)
 }
 
 static PyObject *
-Scheduler_release_storage(SchedulerObject *self, PyObject *noarg)
-{
-    if (self->pool == NULL)
-        return PyLong_FromLong(0);
-    PyObject *pool = self->pool;  /* release once, then detach */
-    self->pool = NULL;
-    Py_CLEAR(self->pool_entries);
-    self->pool_max = 0;
-    PyObject *residual = PyObject_CallMethodObjArgs(
-        pool, s_recycle, self->queue, NULL);
-    if (residual == NULL) {
-        Py_DECREF(pool);
-        return NULL;
-    }
-    PyObject *dr = PyObject_CallMethodObjArgs(
-        pool, s_discard, (PyObject *)self, NULL);
-    Py_DECREF(pool);
-    if (dr == NULL) {
-        Py_DECREF(residual);
-        return NULL;
-    }
-    Py_DECREF(dr);
-    PyObject *fresh = PyList_New(0);
-    if (fresh == NULL) {
-        Py_DECREF(residual);
-        return NULL;
-    }
-    Py_SETREF(self->queue, fresh);
-    self->pending = 0;
-    self->pending_nonperiodic = 0;
-    self->cancelled_in_heap = 0;
-    return residual;
-}
-
-static PyObject *
 Scheduler_clear_queue(SchedulerObject *self, PyObject *noarg)
 {
     PyObject *queue = self->queue;
@@ -1166,14 +1008,6 @@ Scheduler_get_stop_requested(SchedulerObject *self, void *closure)
     return PyBool_FromLong(self->stop_requested);
 }
 
-static PyObject *
-Scheduler_get_pool(SchedulerObject *self, void *closure)
-{
-    if (self->pool == NULL)
-        Py_RETURN_NONE;
-    return Py_NewRef(self->pool);
-}
-
 static PyMethodDef Scheduler_methods[] = {
     {"schedule", (PyCFunction)Scheduler_schedule,
      METH_VARARGS | METH_KEYWORDS,
@@ -1201,8 +1035,6 @@ static PyMethodDef Scheduler_methods[] = {
      "Re-arm a scheduler halted by request_stop."},
     {"pending_nonperiodic", (PyCFunction)Scheduler_pending_nonperiodic,
      METH_NOARGS, "Queued, uncancelled, non-periodic callbacks (O(1))."},
-    {"release_storage", (PyCFunction)Scheduler_release_storage,
-     METH_NOARGS, "Hand the heap and queued entries back to the pool."},
     {"clear_queue", (PyCFunction)Scheduler_clear_queue, METH_NOARGS,
      "Drop every queued callback (end-of-life cycle breaking)."},
     {"_peek", (PyCFunction)Scheduler__peek, METH_NOARGS, NULL},
@@ -1222,7 +1054,6 @@ static PyGetSetDef Scheduler_getset[] = {
      "Sequence number of the most recently scheduled entry.", NULL},
     {"stop_requested", (getter)Scheduler_get_stop_requested, NULL,
      "Whether a mid-run halt has been requested.", NULL},
-    {"_pool", (getter)Scheduler_get_pool, NULL, NULL, NULL},
     {NULL}
 };
 
@@ -1367,8 +1198,6 @@ typedef struct {
     long long messages_delivered;
     long long delivery_entries;
     PyObject *targets;         /* list of processes or None */
-    PyObject *burst_free;      /* list of retired _Burst */
-    long long bursts_reused;
     /* Delay fast-path cache, keyed by (model, rng) identity. A frozen
      * dataclass cannot mutate its params, so identity implies params. */
     PyObject *cached_model;
@@ -1384,14 +1213,12 @@ static PyTypeObject NetworkCore_Type;
 /* _Burst                                                             */
 /* ------------------------------------------------------------------ */
 
-#define BURST_FREE_MAX 4096
-
 typedef struct {
     PyObject_HEAD
-    PyObject *network;  /* NetworkCoreObject or None (retired) */
-    PyObject *state;    /* ChannelStateObject or None */
+    PyObject *network;  /* NetworkCoreObject */
+    PyObject *state;    /* ChannelStateObject */
     long long src, dst;
-    PyObject *msg;      /* Message or None */
+    PyObject *msg;      /* Message */
     PyObject *kind;     /* str */
     PyObject *queue;    /* overflow list of (msg, kind) or None */
     Py_ssize_t qhead;   /* popleft position into queue */
@@ -1472,7 +1299,7 @@ burst_fire(BurstObject *self)
         Py_SETREF(state->burst, Py_NewRef(Py_None));
     NetworkCoreObject *network = (NetworkCoreObject *)self->network;
     if (network == NULL || (PyObject *)network == Py_None) {
-        PyErr_SetString(ERR(), "retired delivery burst fired");
+        PyErr_SetString(ERR(), "delivery burst has no network");
         return NULL;
     }
     long long src = self->src;
@@ -1568,22 +1395,6 @@ burst_fire(BurstObject *self)
     Py_XDECREF(deliver_fn);
     Py_XDECREF(dst_obj);
     Py_DECREF(src_obj);
-    /* Fully drained: empty the overflow queue and retire to the
-     * network's free list, clearing world references first. */
-    if (queue != NULL) {
-        if (PyList_SetSlice(queue, 0, PyList_GET_SIZE(queue), NULL) < 0)
-            return NULL;
-        self->qhead = 0;
-    }
-    PyObject *free_list = network->burst_free;
-    if (free_list != NULL && PyList_CheckExact(free_list) &&
-        PyList_GET_SIZE(free_list) < BURST_FREE_MAX) {
-        Py_XSETREF(self->network, Py_NewRef(Py_None));
-        Py_XSETREF(self->state, Py_NewRef(Py_None));
-        Py_XSETREF(self->msg, Py_NewRef(Py_None));
-        if (PyList_Append(free_list, (PyObject *)self) < 0)
-            return NULL;
-    }
     Py_RETURN_NONE;
 error:
     Py_XDECREF(deliver);
@@ -1876,27 +1687,6 @@ NetworkCore_init(NetworkCoreObject *self, PyObject *args, PyObject *kwds)
     self->messages_delivered = 0;
     self->delivery_entries = 0;
     Py_XSETREF(self->targets, Py_NewRef(Py_None));
-    SchedulerObject *sched = (SchedulerObject *)scheduler;
-    PyObject *burst_free;
-    if (sched->pool != NULL) {
-        burst_free = PyObject_CallMethodObjArgs(sched->pool,
-                                                s_adopt_bursts, NULL);
-        if (burst_free == NULL)
-            return -1;
-        if (!PyList_CheckExact(burst_free)) {
-            Py_DECREF(burst_free);
-            PyErr_SetString(PyExc_TypeError,
-                            "pool.adopt_bursts() must return a list");
-            return -1;
-        }
-    }
-    else {
-        burst_free = PyList_New(0);
-        if (burst_free == NULL)
-            return -1;
-    }
-    Py_XSETREF(self->burst_free, burst_free);
-    self->bursts_reused = 0;
     Py_CLEAR(self->cached_model);
     Py_CLEAR(self->cached_rng);
     Py_CLEAR(self->rng_random);
@@ -1915,7 +1705,6 @@ NetworkCore_traverse(NetworkCoreObject *self, visitproc visit, void *arg)
     Py_VISIT(self->flat);
     Py_VISIT(self->hold_predicates);
     Py_VISIT(self->targets);
-    Py_VISIT(self->burst_free);
     Py_VISIT(self->cached_model);
     Py_VISIT(self->cached_rng);
     Py_VISIT(self->rng_random);
@@ -1933,7 +1722,6 @@ NetworkCore_clear(NetworkCoreObject *self)
     Py_CLEAR(self->flat);
     Py_CLEAR(self->hold_predicates);
     Py_CLEAR(self->targets);
-    Py_CLEAR(self->burst_free);
     Py_CLEAR(self->cached_model);
     Py_CLEAR(self->cached_rng);
     Py_CLEAR(self->rng_random);
@@ -2033,47 +1821,20 @@ network_open_delivery(NetworkCoreObject *self, ChannelStateObject *state,
 {
     SchedulerObject *sched = (SchedulerObject *)self->scheduler;
     if (self->batch) {
-        BurstObject *burst = NULL;
-        PyObject *free_list = self->burst_free;
-        if (free_list != NULL && PyList_CheckExact(free_list) &&
-            PyList_GET_SIZE(free_list) > 0) {
-            Py_ssize_t k = PyList_GET_SIZE(free_list) - 1;
-            PyObject *item = PyList_GET_ITEM(free_list, k);
-            if (Burst_CheckExact(item)) {
-                /* Reinitialise a retired burst (queue already drained). */
-                Py_INCREF(item);
-                if (PyList_SetSlice(free_list, k, k + 1, NULL) < 0) {
-                    Py_DECREF(item);
-                    return -1;
-                }
-                self->bursts_reused += 1;
-                burst = (BurstObject *)item;
-                Py_XSETREF(burst->network, Py_NewRef((PyObject *)self));
-                Py_XSETREF(burst->state, Py_NewRef((PyObject *)state));
-                burst->src = src;
-                burst->dst = dst;
-                Py_XSETREF(burst->msg, Py_NewRef(msg));
-                Py_XSETREF(burst->kind, Py_NewRef(kind));
-                burst->qhead = 0;
-                burst->due = due;
-                burst->periodic = (char)periodic;
-            }
-        }
-        if (burst == NULL) {
-            burst = (BurstObject *)Burst_Type.tp_alloc(&Burst_Type, 0);
-            if (burst == NULL)
-                return -1;
-            burst->network = Py_NewRef((PyObject *)self);
-            burst->state = Py_NewRef((PyObject *)state);
-            burst->src = src;
-            burst->dst = dst;
-            burst->msg = Py_NewRef(msg);
-            burst->kind = Py_NewRef(kind);
-            burst->queue = NULL;
-            burst->qhead = 0;
-            burst->due = due;
-            burst->periodic = (char)periodic;
-        }
+        BurstObject *burst =
+            (BurstObject *)Burst_Type.tp_alloc(&Burst_Type, 0);
+        if (burst == NULL)
+            return -1;
+        burst->network = Py_NewRef((PyObject *)self);
+        burst->state = Py_NewRef((PyObject *)state);
+        burst->src = src;
+        burst->dst = dst;
+        burst->msg = Py_NewRef(msg);
+        burst->kind = Py_NewRef(kind);
+        burst->queue = NULL;
+        burst->qhead = 0;
+        burst->due = due;
+        burst->periodic = (char)periodic;
         Py_XSETREF(state->burst, Py_NewRef((PyObject *)burst));
         self->delivery_entries += 1;
         long long seq = sched->seq;
@@ -2082,8 +1843,8 @@ network_open_delivery(NetworkCoreObject *self, ChannelStateObject *state,
         burst->seq = seq;
         /* The burst object is the callback: it is callable (tp_call ->
          * fire), saving the bound-method allocation per entry. */
-        EntryObject *entry = scheduler_new_entry(
-            sched, due, seq, (PyObject *)burst, periodic, 0);
+        EntryObject *entry =
+            scheduler_new_entry(due, seq, (PyObject *)burst, periodic);
         if (entry == NULL) {
             Py_DECREF(burst);
             return -1;
@@ -2398,14 +2159,10 @@ static PyMemberDef NetworkCore_members[] = {
     {"_hold_predicates", T_OBJECT_EX,
      offsetof(NetworkCoreObject, hold_predicates), READONLY, NULL},
     {"_targets", T_OBJECT, offsetof(NetworkCoreObject, targets), 0, NULL},
-    {"_burst_free", T_OBJECT, offsetof(NetworkCoreObject, burst_free), 0,
-     NULL},
     {"messages_delivered", T_LONGLONG,
      offsetof(NetworkCoreObject, messages_delivered), 0, NULL},
     {"delivery_entries", T_LONGLONG,
      offsetof(NetworkCoreObject, delivery_entries), 0, NULL},
-    {"bursts_reused", T_LONGLONG,
-     offsetof(NetworkCoreObject, bursts_reused), 0, NULL},
     {NULL}
 };
 
@@ -2867,24 +2624,6 @@ mod_noop(PyObject *module, PyObject *noarg)
 }
 
 static PyObject *
-mod_set_active_pool(PyObject *module, PyObject *pool)
-{
-    if (pool == Py_None)
-        Py_CLEAR(g_active_pool);
-    else
-        Py_XSETREF(g_active_pool, Py_NewRef(pool));
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-mod_get_active_pool(PyObject *module, PyObject *noarg)
-{
-    if (g_active_pool == NULL)
-        Py_RETURN_NONE;
-    return Py_NewRef(g_active_pool);
-}
-
-static PyObject *
 mod_install_error(PyObject *module, PyObject *error)
 {
     Py_XSETREF(g_sim_error, Py_NewRef(error));
@@ -3026,11 +2765,7 @@ error:
 
 static PyMethodDef module_methods[] = {
     {"_noop", (PyCFunction)mod_noop, METH_NOARGS,
-     "Callback of parked (recycled but pooled) entries."},
-    {"_set_active_pool", (PyCFunction)mod_set_active_pool, METH_O,
-     "Install (or clear, with None) the ambient storage pool."},
-    {"_get_active_pool", (PyCFunction)mod_get_active_pool, METH_NOARGS,
-     "The ambient storage pool, or None."},
+     "Callback of entries parked by clear_queue."},
     {"_install_error", (PyCFunction)mod_install_error, METH_O,
      "Install SimulationError (the exception raised by the core)."},
     {"_install_event_types", (PyCFunction)mod_install_event_types,
@@ -3063,13 +2798,6 @@ PyInit__ccore(void)
         if ((var) == NULL)                       \
             return NULL;                         \
     } while (0)
-    INTERN(s_entries_reused, "entries_reused");
-    INTERN(s_entries, "_entries");
-    INTERN(s_max_entries, "_max_entries");
-    INTERN(s_adopt, "adopt");
-    INTERN(s_adopt_bursts, "adopt_bursts");
-    INTERN(s_recycle, "recycle");
-    INTERN(s_discard, "discard");
     INTERN(s_app, "app");
     INTERN(s_protocol, "protocol");
     INTERN(s_system, "system");

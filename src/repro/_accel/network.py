@@ -22,7 +22,6 @@ DeliverFn = Callable[[int, int, Message, str], None]
 HoldPredicate = Callable[[int, int, Message], bool]
 
 KINDS = ("app", "protocol", "system")
-_BURST_FREE_MAX = 4096
 
 
 class Network(NetworkCore):

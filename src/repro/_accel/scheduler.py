@@ -1,151 +1,13 @@
 """Accelerated scheduler surface (see ``repro.sim.scheduler``).
 
 ``Scheduler``, ``TimerHandle``, and ``_Entry`` come straight from the C
-extension; the storage pool stays in Python (it is cold — touched once
-per shard) but keeps the layout the compiled scheduler caches at adopt
-time: ``_entries`` is created once and never rebound, because the C
-``Scheduler`` holds a direct reference to the list object.
-
-Unlike the pure pool, the compiled scheduler's heap holds ``_Entry``
+extension. Unlike the pure scheduler, the compiled heap holds ``_Entry``
 objects directly (no ``(time, seq, entry)`` triples — the C heap compares
-struct fields), so :meth:`SchedulerStoragePool.recycle` iterates entries,
-not triples. Everything else mirrors the pure class method for method.
+struct fields); everything else mirrors the pure class method for method.
 """
-
-from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Callable, Iterator
 
 from repro._accel._ccore import (  # noqa: F401  (re-exported surface)
     Scheduler,
     TimerHandle,
     _Entry,
-    _noop,
 )
-from repro._accel import _ccore
-
-_MIN_COMPACT_SIZE = 32
-"""Heaps smaller than this are never compacted (same bound as pure)."""
-
-
-class SchedulerStoragePool:
-    """Recycles scheduler heap storage across many short-lived runs.
-
-    Same contract as the pure ``SchedulerStoragePool`` (end-of-life-only
-    recycling, ``max_entries`` bound, reuse/recycle counters the tests
-    assert on), adapted to the compiled core's entry-list heap.
-    """
-
-    def __init__(self, max_entries: int = 65_536):
-        self._max_entries = max_entries
-        # Created once, never rebound: the C Scheduler caches this exact
-        # list object at adopt() time and pops recycled entries from it.
-        self._entries: list[_Entry] = []
-        self._lists: list[list[_Entry]] = []
-        self._burst_lists: list[list] = []
-        self._schedulers: dict[int, Scheduler] = {}
-        #: Entries handed out from the free list instead of allocated.
-        self.entries_reused = 0
-        #: Entries accepted back by :meth:`recycle`.
-        self.entries_recycled = 0
-        #: Delivery bursts reused instead of allocated.
-        self.bursts_reused = 0
-        #: Delivery bursts accepted back by :meth:`recycle_bursts`.
-        self.bursts_recycled = 0
-
-    # -- acquisition (called by the compiled Scheduler) -----------------
-
-    def adopt(self, scheduler: Scheduler) -> list[_Entry]:
-        """Register a newborn scheduler; returns its heap list to use."""
-        self._schedulers[id(scheduler)] = scheduler
-        return self._lists.pop() if self._lists else []
-
-    def adopt_bursts(self) -> list:
-        """A delivery-burst free list for a newborn network (may be empty)."""
-        return self._burst_lists.pop() if self._burst_lists else []
-
-    def recycle_bursts(self, free: list, reused: int = 0) -> int:
-        """Take back a dead network's burst free list; returns its size."""
-        del free[self._max_entries:]
-        self.bursts_recycled += len(free)
-        self.bursts_reused += reused
-        self._burst_lists.append(free)
-        return len(free)
-
-    def discard(self, scheduler: Scheduler) -> None:
-        """Forget an adopted scheduler (it released its storage itself)."""
-        self._schedulers.pop(id(scheduler), None)
-
-    def acquire_entry(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[[], None],
-        periodic: bool,
-    ) -> _Entry:
-        """A ready-to-queue entry, recycled when the free list allows."""
-        if self._entries:
-            self.entries_reused += 1
-            entry = self._entries.pop()
-            entry.time = time
-            entry.seq = seq
-            entry.callback = callback
-            entry.cancelled = False
-            entry.periodic = periodic
-            entry.finished = False
-            entry.tracked = True
-            return entry
-        return _Entry(time, seq, callback, periodic=periodic)
-
-    # -- release --------------------------------------------------------
-
-    def recycle(self, queue: list[_Entry]) -> int:
-        """Take back a dead scheduler's queue; returns entries recycled.
-
-        The compiled heap stores entries directly, so ``queue`` is a list
-        of ``_Entry`` objects. As in the pure pool, *every* entry has its
-        callback cleared (dropped entries must not keep closures alive),
-        and only up to ``max_entries`` are retained.
-        """
-        recycled = 0
-        entries = self._entries
-        capacity = self._max_entries
-        for entry in queue:
-            entry.callback = _noop  # drop closure refs (worlds, messages)
-            if len(entries) < capacity:
-                entries.append(entry)
-                recycled += 1
-        self.entries_recycled += recycled
-        queue.clear()
-        self._lists.append(queue)
-        return recycled
-
-    def reclaim(self) -> int:
-        """Release storage of every scheduler adopted since the last call."""
-        recycled = 0
-        for scheduler in list(self._schedulers.values()):
-            recycled += scheduler.release_storage()
-        self._schedulers.clear()
-        return recycled
-
-
-@contextmanager
-def shared_scheduler_storage(
-    pool: SchedulerStoragePool | None = None,
-) -> Iterator[SchedulerStoragePool]:
-    """Activate a storage pool for every Scheduler built in this block.
-
-    Same ambient-pool contract as the pure context manager; the active
-    pool lives in the extension (``_ccore``) where the compiled
-    ``Scheduler.__init__`` reads it, and nesting restores the previous
-    pool on exit.
-    """
-    if pool is None:
-        pool = SchedulerStoragePool()
-    previous = _ccore._get_active_pool()
-    _ccore._set_active_pool(pool)
-    try:
-        yield pool
-    finally:
-        _ccore._set_active_pool(previous)

@@ -8,9 +8,9 @@ combination, seed) — and each case is executed independently with all
 randomness derived from its own seed. Because cases share no state,
 execution order cannot affect results, so every backend of the unified
 execution layer (:mod:`repro.exec`) — the serial loop, the
-``multiprocessing`` pool, and the in-process ``inproc`` executor that
-recycles scheduler storage between cases — produces **bit-identical
-rows**: same cases, same per-case results, same collection order.
+``multiprocessing`` pool, and the in-process ``inproc`` executor —
+produces **bit-identical rows**: same cases, same per-case results, same
+collection order.
 
 This module is a thin *planner* over :mod:`repro.exec`: it expands the
 request into cases, converts each case to a frozen
@@ -277,11 +277,10 @@ def run_sweep(
 
     * ``"serial"`` — one case after another in this process.
     * ``"parallel"`` — a ``multiprocessing`` pool of ``jobs`` workers.
-    * ``"inproc"`` — one case after another in this process, with
-      scheduler heap storage recycled between cases via the multi-world
-      engine's pool; preferable to ``parallel`` whenever per-case cost is
-      small enough that process spawn/pickle overhead dominates (measured
-      crossover: ``benchmarks/bench_e15_multiworld.py``).
+    * ``"inproc"`` — one case after another in this process through the
+      multi-world engine; preferable to ``parallel`` whenever per-case
+      cost is small enough that process spawn/pickle overhead dominates
+      (measured crossover: ``benchmarks/bench_e15_multiworld.py``).
     * ``"remote"`` — multi-host dispatch to worker processes configured
       by ``remote_workers`` (see :mod:`repro.exec.remote`); the
       coordinator watches the fleet with the repo's own failure

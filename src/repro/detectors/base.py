@@ -48,6 +48,36 @@ class SuspicionDriver:
         raise NotImplementedError
 
 
+class PeriodicLoop:
+    """A periodic scheduler callback: ``body`` runs every ``period`` for
+    as long as it returns true.
+
+    The callable is an object, not a closure naming itself: a
+    self-referential closure is a reference cycle, which would keep the
+    process and scheduler it captured alive past
+    :meth:`~repro.sim.world.World.dispose` until the cyclic collector
+    runs.
+    """
+
+    __slots__ = ("_scheduler", "_period", "_body")
+
+    def __init__(self, scheduler, period: float, body) -> None:
+        self._scheduler = scheduler
+        self._period = period
+        self._body = body
+
+    def start(self) -> None:
+        """Arm the next firing, one ``period`` from now."""
+        scheduler = self._scheduler
+        scheduler.schedule_callback_at(
+            scheduler._now + self._period, self, True
+        )
+
+    def __call__(self) -> None:
+        if self._body():
+            self.start()
+
+
 class SuspicionLog:
     """Mixin bookkeeping: what was suspected, when, and was it erroneous.
 

@@ -17,6 +17,7 @@ from repro.detectors.base import (
     HEARTBEAT,
     ClockSource,
     PeerMonitor,
+    PeriodicLoop,
     SuspicionDriver,
     SuspicionLog,
 )
@@ -86,36 +87,32 @@ class HeartbeatDriver(SuspicionDriver, SuspicionLog):
         self.interval = interval
         self.timeout = timeout
         self.check_every = check_every if check_every is not None else interval / 2
-        self._process: "DetectionProcess | None" = None
         self._last_heard: dict[int, float] = {}
 
     def start(self, process: "DetectionProcess") -> None:
-        self._process = process
         now = process.now
         for peer in process.peers:
             self._last_heard[peer] = now
-        self._schedule_beat()
-        self._schedule_check()
+        self._schedule_beat(process)
+        self._schedule_check(process)
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
 
-    def _schedule_beat(self) -> None:
-        assert self._process is not None
-        process = self._process
+    def _schedule_beat(self, process: "DetectionProcess") -> None:
         scheduler = process.world.scheduler
         interval = self.interval
-        # One closure for the whole loop, rescheduling itself: the old
-        # form rebuilt the closure, a guard wrapper, and a TimerHandle
+        # One closure for the whole loop, re-armed by PeriodicLoop: the
+        # old form rebuilt the closure, a guard wrapper, and a TimerHandle
         # every interval. The incarnation pin replaces crash-time timer
         # cancellation — a stale loop (crash, then maybe recovery, which
         # re-arms via start()) sees the bumped incarnation and dies.
         incarnation = process.incarnation
 
-        def beat() -> None:
+        def beat() -> bool:
             if process.crashed or process.incarnation != incarnation:
-                return
+                return False
             # process.send, inlined for the n-1 sends of one beat: mint
             # and hand to the network directly (system traffic is never
             # recorded or intercepted — same shortcut send() takes).
@@ -126,13 +123,9 @@ class HeartbeatDriver(SuspicionDriver, SuspicionLog):
                 msg = Message(mint.sender, mint._next_seq, HEARTBEAT)
                 mint._next_seq += 1
                 network.send(pid, peer, msg, "system")
-            scheduler.schedule_callback_at(
-                scheduler._now + interval, beat, True
-            )
+            return True
 
-        scheduler.schedule_callback_at(
-            scheduler._now + interval, beat, True
-        )
+        PeriodicLoop(scheduler, interval, beat).start()
 
     # ------------------------------------------------------------------
     # Monitoring
@@ -142,18 +135,16 @@ class HeartbeatDriver(SuspicionDriver, SuspicionLog):
         if payload == HEARTBEAT:
             self._last_heard[src] = now
 
-    def _schedule_check(self) -> None:
-        assert self._process is not None
-        process = self._process
+    def _schedule_check(self, process: "DetectionProcess") -> None:
         scheduler = process.world.scheduler
         check_every = self.check_every
         timeout = self.timeout
         last_heard = self._last_heard
         incarnation = process.incarnation
 
-        def check() -> None:
+        def check() -> bool:
             if process.crashed or process.incarnation != incarnation:
-                return
+                return False
             now = scheduler._now
             detected = process.detected
             suspected = process.suspected
@@ -163,10 +154,6 @@ class HeartbeatDriver(SuspicionDriver, SuspicionLog):
                 if now - heard > timeout:
                     self.log_suspicion(now, process.pid, peer)
                     process.suspect(peer)
-            scheduler.schedule_callback_at(
-                scheduler._now + check_every, check, True
-            )
+            return True
 
-        scheduler.schedule_callback_at(
-            scheduler._now + check_every, check, True
-        )
+        PeriodicLoop(scheduler, check_every, check).start()

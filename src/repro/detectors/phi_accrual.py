@@ -27,6 +27,7 @@ from repro.detectors.base import (
     HEARTBEAT,
     ClockSource,
     PeerMonitor,
+    PeriodicLoop,
     SuspicionDriver,
     SuspicionLog,
 )
@@ -210,32 +211,29 @@ class PhiAccrualDriver(SuspicionDriver, SuspicionLog):
         self.window = window
         self.check_every = check_every if check_every is not None else interval / 2
         self.warmup = warmup
-        self._process: "DetectionProcess | None" = None
         self._estimators: dict[int, PhiAccrualEstimator] = {}
 
     def start(self, process: "DetectionProcess") -> None:
-        self._process = process
         for peer in process.peers:
             self._estimators[peer] = PhiAccrualEstimator(window=self.window)
-        self._schedule_beat()
-        self._schedule_check()
+        self._schedule_beat(process)
+        self._schedule_check(process)
 
     def phi(self, peer: int, now: float) -> float:
         """Current suspicion level for ``peer``."""
         return self._estimators[peer].phi(now)
 
-    def _schedule_beat(self) -> None:
-        assert self._process is not None
-        process = self._process
+    def _schedule_beat(self, process: "DetectionProcess") -> None:
         scheduler = process.world.scheduler
         interval = self.interval
-        # Single self-rescheduling closure; incarnation pin kills stale
-        # loops after a crash/recovery (see HeartbeatDriver._schedule_beat).
+        # Single closure re-armed by PeriodicLoop; incarnation pin kills
+        # stale loops after a crash/recovery (see
+        # HeartbeatDriver._schedule_beat).
         incarnation = process.incarnation
 
-        def beat() -> None:
+        def beat() -> bool:
             if process.crashed or process.incarnation != incarnation:
-                return
+                return False
             # process.send, inlined for the n-1 sends of one beat (see
             # HeartbeatDriver._schedule_beat).
             mint = process._mint
@@ -245,21 +243,15 @@ class PhiAccrualDriver(SuspicionDriver, SuspicionLog):
                 msg = Message(mint.sender, mint._next_seq, HEARTBEAT)
                 mint._next_seq += 1
                 network.send(pid, peer, msg, "system")
-            scheduler.schedule_callback_at(
-                scheduler._now + interval, beat, True
-            )
+            return True
 
-        scheduler.schedule_callback_at(
-            scheduler._now + interval, beat, True
-        )
+        PeriodicLoop(scheduler, interval, beat).start()
 
     def on_system_message(self, src: int, payload: Hashable, now: float) -> None:
         if payload == HEARTBEAT and src in self._estimators:
             self._estimators[src].heartbeat(now)
 
-    def _schedule_check(self) -> None:
-        assert self._process is not None
-        process = self._process
+    def _schedule_check(self, process: "DetectionProcess") -> None:
         scheduler = process.world.scheduler
         check_every = self.check_every
         threshold = self.threshold
@@ -267,9 +259,9 @@ class PhiAccrualDriver(SuspicionDriver, SuspicionLog):
         estimators = self._estimators
         incarnation = process.incarnation
 
-        def check() -> None:
+        def check() -> bool:
             if process.crashed or process.incarnation != incarnation:
-                return
+                return False
             now = scheduler._now
             detected = process.detected
             suspected = process.suspected
@@ -281,10 +273,6 @@ class PhiAccrualDriver(SuspicionDriver, SuspicionLog):
                 if estimator.phi(now) > threshold:
                     self.log_suspicion(now, process.pid, peer)
                     process.suspect(peer)
-            scheduler.schedule_callback_at(
-                scheduler._now + check_every, check, True
-            )
+            return True
 
-        scheduler.schedule_callback_at(
-            scheduler._now + check_every, check, True
-        )
+        PeriodicLoop(scheduler, check_every, check).start()

@@ -13,9 +13,7 @@ and fuzz subsystems, now shared by everything that fans out work:
   worker process (``python -m repro worker``), and completed results
   streamed back as journal-shaped lines while the coordinator watches
   the workers with the repo's own failure detectors.
-* :class:`InprocExecutor` — in this process, with scheduler heap storage
-  recycled between jobs via
-  :class:`~repro.sim.scheduler.SchedulerStoragePool`. Jobs that advertise
+* :class:`InprocExecutor` — in this process. Jobs that advertise
   a shard form (see :mod:`repro.exec.job`) are stepped cooperatively
   through :class:`~repro.sim.multiworld.ShardedRunner` — the multi-world
   engine is the *implementation* of this executor, not a separate code
@@ -123,9 +121,7 @@ class InprocExecutor(Executor):
     quantum, and window decide the interleaving; results are identical
     for all of them). Jobs without a shard form — experiment drivers that
     build and run worlds internally — run whole, one after another,
-    inside the same :class:`~repro.sim.scheduler.SchedulerStoragePool`,
-    which is exactly the sequential degenerate of shard stepping: the
-    pool still recycles every world's heap storage into the next.
+    which is exactly the sequential degenerate of shard stepping.
 
     Args:
         runner: the engine to step shard-form jobs with; a fresh
@@ -156,7 +152,8 @@ class InprocExecutor(Executor):
         if all(form is not None for form in forms):
             self._submit_shards(pending, forms, on_result)
         else:
-            self._submit_whole(pending, on_result)
+            for index, job in pending:
+                on_result(index, self._run(job))
 
     def _submit_shards(self, pending, forms, on_result: OnResult) -> None:
         specs = []
@@ -172,14 +169,6 @@ class InprocExecutor(Executor):
             return result
 
         self.runner.run(specs, collect=collect_and_report)
-
-    def _submit_whole(self, pending, on_result: OnResult) -> None:
-        from repro.sim.scheduler import shared_scheduler_storage
-
-        with shared_scheduler_storage() as pool:
-            for index, job in pending:
-                on_result(index, self._run(job))
-                pool.reclaim()
 
 
 def effective_backend(backend: str, n_jobs: int, workers: int) -> str:

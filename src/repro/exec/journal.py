@@ -33,8 +33,8 @@ Multi-host readiness: :func:`partition_jobs` deterministically assigns a
 case subset to ``(worker_id, n_workers)``, and :func:`merge_journals`
 reassembles per-worker journals into one full result list, checking every
 entry's job hash against the plan and refusing holes or conflicting
-duplicates — so a future remote dispatch backend only has to ship jobs
-out and journal lines back.
+duplicates — so the ``remote`` backend (:mod:`repro.exec.remote`) only
+has to ship jobs out and journal lines back.
 """
 
 from __future__ import annotations
@@ -63,7 +63,238 @@ def _decode(data: str) -> Any:
     return pickle.loads(base64.b64decode(data.encode("ascii")))
 
 
-class Journal:
+class _RecordLog:
+    """The file mechanics both journal kinds share: one line parser and
+    validator, one fsync+rename rewrite, one flushed append.
+
+    Subclasses differ only in what the header binds the file to
+    (``_BINDING``: a plan digest or a campaign digest, with the words
+    ``_REBIND``/``_SCOPE`` use for it in messages) and in whether
+    ``coverage`` checkpoint lines are part of the format.
+    """
+
+    _BINDING: str
+    _REBIND: str  # "written for a different ...; delete it or drop --resume"
+    _SCOPE: str  # "... outside the {total}<_SCOPE>"
+    _COVERAGE = False
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._fh: IO[str] | None = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # Reading
+    # ------------------------------------------------------------------
+
+    def _read(
+        self,
+        binding: str,
+        total: int,
+        jobs: Sequence[JobSpec] | None,
+    ) -> tuple[dict[int, tuple[str, str, Any]], dict[int, dict]]:
+        """Salvaged lines: ``({index: (job hash, raw data, result)},
+        {batch: coverage entry})``; empty on a missing file.
+
+        The header must bind the file to ``binding``; with ``jobs`` each
+        entry's job hash is checked against the plan's job at that index
+        (a campaign defers that check to its driver). Reads the file in
+        one shot and holds no handle afterwards.
+        """
+        if not self.path.exists():
+            return {}, {}
+        try:
+            lines = self.path.read_text().splitlines()
+        except OSError as exc:
+            raise SimulationError(
+                f"cannot read journal {self.path}: {exc}"
+            ) from exc
+        cached: dict[int, tuple[str, str, Any]] = {}
+        checkpoints: dict[int, dict] = {}
+        for lineno, line in enumerate(lines):
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                if lineno == len(lines) - 1:
+                    continue  # torn final line: the kill's half-write
+                raise SimulationError(
+                    f"journal {self.path}: corrupt line {lineno + 1} "
+                    "(only the final line may be torn)"
+                ) from None
+            # Valid JSON is not yet a valid entry: a kill (or a foreign
+            # writer) can leave a line that parses but is not an object,
+            # lacks fields or carries an undecodable payload. Surface
+            # every such case as the same friendly corrupt-line error the
+            # parse path gets.
+            if not isinstance(entry, dict):
+                raise SimulationError(
+                    f"journal {self.path}: corrupt line {lineno + 1} "
+                    "(not a JSON object)"
+                )
+            kind = entry.get("kind")
+            if lineno == 0:
+                if kind != "header":
+                    raise SimulationError(
+                        f"journal {self.path}: missing header line"
+                    )
+                if entry.get("version") != JOURNAL_VERSION:
+                    raise SimulationError(
+                        f"journal {self.path}: unsupported version "
+                        f"{entry.get('version')!r}"
+                    )
+                if entry.get(self._BINDING) != binding:
+                    raise SimulationError(
+                        f"journal {self.path} was written for a different "
+                        f"{self._REBIND}; delete it or drop --resume"
+                    )
+                continue
+            if kind == "coverage" and self._COVERAGE:
+                try:
+                    batch = entry["batch"]
+                    entry["upto"], entry["digest"]
+                except KeyError as exc:
+                    raise SimulationError(
+                        f"journal {self.path}: corrupt line {lineno + 1} "
+                        f"(coverage entry missing field {exc.args[0]!r})"
+                    ) from None
+                if not isinstance(batch, int):
+                    raise SimulationError(
+                        f"journal {self.path}: corrupt line {lineno + 1} "
+                        f"(coverage batch {batch!r} is not an integer)"
+                    )
+                checkpoints[batch] = entry
+                continue
+            if kind != "result":
+                raise SimulationError(
+                    f"journal {self.path}: unknown entry kind {kind!r} "
+                    f"on line {lineno + 1}"
+                )
+            try:
+                index = entry["index"]
+                job_hash = entry["job"]
+                data = entry["data"]
+            except KeyError as exc:
+                raise SimulationError(
+                    f"journal {self.path}: corrupt line {lineno + 1} "
+                    f"(result entry missing field {exc.args[0]!r})"
+                ) from None
+            if not isinstance(index, int) or not 0 <= index < total:
+                raise SimulationError(
+                    f"journal {self.path}: result index {index!r} outside "
+                    f"the {total}{self._SCOPE}"
+                )
+            if jobs is not None and job_hash != job_digest(jobs[index]):
+                raise SimulationError(
+                    f"journal {self.path}: job hash mismatch at index "
+                    f"{index}; the journal belongs to a different plan"
+                )
+            try:
+                result = _decode(data)
+            except Exception as exc:
+                raise SimulationError(
+                    f"journal {self.path}: corrupt line {lineno + 1} "
+                    f"(undecodable payload at index {index}: {exc})"
+                ) from None
+            if index in cached and data != cached[index][1]:
+                raise SimulationError(
+                    f"journal {self.path}: conflicting duplicate entries "
+                    f"for index {index}"
+                )
+            cached[index] = (job_hash, data, result)
+        return cached, checkpoints
+
+    # ------------------------------------------------------------------
+    # Writing
+    # ------------------------------------------------------------------
+
+    def _begin(
+        self,
+        binding: str,
+        total: int,
+        jobs: Sequence[JobSpec] | None,
+        resume: bool,
+    ) -> tuple[dict[int, tuple[str, str, Any]], dict[int, dict]]:
+        """Open the file for appending; return what :meth:`_read` salvaged.
+
+        With ``resume`` the file is first loaded and validated, then
+        rewritten cleanly from its salvageable lines — into a sibling
+        temp file that is fsynced and atomically renamed into place, so a
+        second kill at any point leaves either the old salvageable file
+        or the complete rewrite, never less — and appends never follow a
+        torn line. Entries are copied verbatim (no pickle round trip).
+        Without ``resume`` any existing file is truncated and the run
+        starts fresh.
+        """
+        cached, checkpoints = (
+            self._read(binding, total, jobs) if resume else ({}, {})
+        )
+        header = {
+            "kind": "header",
+            "version": JOURNAL_VERSION,
+            self._BINDING: binding,
+            "total": total,
+            # Informational: which event core wrote this file. Results
+            # are bit-identical across cores, so resume does not (and
+            # must not) validate it — a journal written under one core
+            # resumes under the other.
+            "core": _core.ACTIVE_IMPL,
+        }
+        tmp = self.path.with_name(self.path.name + ".rewrite")
+        try:
+            with tmp.open("w") as fh:
+                fh.write(json.dumps(header) + "\n")
+                for index in sorted(cached):
+                    job_hash, data, _ = cached[index]
+                    fh.write(_result_line(index, job_hash, data))
+                for batch in sorted(checkpoints):
+                    fh.write(json.dumps(checkpoints[batch]) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+            self._fh = self.path.open("a")
+        except OSError as exc:
+            raise SimulationError(
+                f"cannot write journal {self.path}: {exc}"
+            ) from exc
+        return cached, checkpoints
+
+    def _append(self, line: str) -> None:
+        """Append one line, flushed so a kill loses at most that line."""
+        if self._fh is None:
+            raise SimulationError(
+                f"journal {self.path} not open; call begin() first"
+            )
+        try:
+            self._fh.write(line)
+            self._fh.flush()
+        except OSError as exc:
+            raise SimulationError(
+                f"cannot write journal {self.path}: {exc}"
+            ) from exc
+
+    def record(self, index: int, job: JobSpec, result: Any) -> None:
+        """Append one completed result; flushed so a kill loses at most
+        the line being written."""
+        self._append(_result_line(index, job_digest(job), _encode(result)))
+
+    def close(self) -> None:
+        """Close the file handle (idempotent)."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+
+def _result_line(index: int, job_hash: str, data: str) -> str:
+    entry = {"kind": "result", "index": index, "job": job_hash, "data": data}
+    return json.dumps(entry) + "\n"
+
+
+class Journal(_RecordLog):
     """One run's checkpoint file; see the module docstring for format.
 
     Typical use is through :func:`repro.exec.core.run_jobs`
@@ -79,19 +310,9 @@ class Journal:
     hand.
     """
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh: IO[str] | None = None
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
+    _BINDING = "plan"
+    _REBIND = "plan (experiment, seeds, params, or config changed)"
+    _SCOPE = "-job plan"
 
     def load(self, jobs: Sequence[JobSpec]) -> dict[int, Any]:
         """Salvage completed results for this plan; ``{}`` if no file.
@@ -100,10 +321,8 @@ class Journal:
         but belongs to a different plan, or an entry's job hash does not
         match the plan's job at that index.
         """
-        return {
-            index: result
-            for index, (_, result) in self.entries(jobs).items()
-        }
+        cached, _ = self._read(plan_digest(jobs), len(jobs), jobs)
+        return {index: result for index, (_, _, result) in cached.items()}
 
     def entries(
         self, jobs: Sequence[JobSpec]
@@ -112,172 +331,25 @@ class Journal:
 
         The raw payload string is kept alongside the decoded object so
         duplicate detection (here and in :func:`merge_journals`) compares
-        the journal's actual bytes, and the resume rewrite copies entries
-        verbatim instead of pickle round-tripping every result. Reads the
-        file in one shot and holds no handle afterwards; validation is
-        exactly :meth:`load`'s (plan binding, per-entry job hashes,
-        tolerated torn final line).
+        the journal's actual bytes. Validation is exactly :meth:`load`'s
+        (plan binding, per-entry job hashes, tolerated torn final line).
         """
-        if not self.path.exists():
-            return {}
-        plan = plan_digest(jobs)
-        cached: dict[int, tuple[str, Any]] = {}
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot read journal {self.path}: {exc}"
-            ) from exc
-        if not lines:
-            return {}
-        for lineno, line in enumerate(lines):
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    continue  # torn final line: the kill's half-write
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    "(only the final line may be torn)"
-                ) from None
-            kind = entry.get("kind")
-            if lineno == 0:
-                if kind != "header":
-                    raise SimulationError(
-                        f"journal {self.path}: missing header line"
-                    )
-                if entry.get("version") != JOURNAL_VERSION:
-                    raise SimulationError(
-                        f"journal {self.path}: unsupported version "
-                        f"{entry.get('version')!r}"
-                    )
-                if entry.get("plan") != plan:
-                    raise SimulationError(
-                        f"journal {self.path} was written for a different "
-                        "plan (experiment, seeds, params, or config "
-                        "changed); delete it or drop --resume"
-                    )
-                continue
-            if kind != "result":
-                raise SimulationError(
-                    f"journal {self.path}: unknown entry kind {kind!r} "
-                    f"on line {lineno + 1}"
-                )
-            # Valid JSON is not yet a valid entry: a kill (or a foreign
-            # writer) can leave a line that parses but lacks fields or
-            # carries an undecodable payload. Surface every such case as
-            # the same friendly corrupt-line error the parse path gets.
-            try:
-                index = entry["index"]
-                job_hash = entry["job"]
-                data = entry["data"]
-            except KeyError as exc:
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    f"(result entry missing field {exc.args[0]!r})"
-                ) from None
-            if not isinstance(index, int) or not 0 <= index < len(jobs):
-                raise SimulationError(
-                    f"journal {self.path}: result index {index!r} outside "
-                    f"the {len(jobs)}-job plan"
-                )
-            if job_hash != job_digest(jobs[index]):
-                raise SimulationError(
-                    f"journal {self.path}: job hash mismatch at index "
-                    f"{index}; the journal belongs to a different plan"
-                )
-            try:
-                result = _decode(data)
-            except Exception as exc:
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    f"(undecodable payload at index {index}: {exc})"
-                ) from None
-            if index in cached and data != cached[index][0]:
-                raise SimulationError(
-                    f"journal {self.path}: conflicting duplicate entries "
-                    f"for index {index}"
-                )
-            cached[index] = (data, result)
-        return cached
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
+        cached, _ = self._read(plan_digest(jobs), len(jobs), jobs)
+        return {
+            index: (data, result)
+            for index, (_, data, result) in cached.items()
+        }
 
     def begin(
         self, jobs: Sequence[JobSpec], resume: bool = False
     ) -> dict[int, Any]:
         """Open the journal for appending; return salvaged results.
 
-        With ``resume`` the file is first loaded (validating it against
-        ``jobs``) and rewritten cleanly from its salvageable entries —
-        written to a sibling temp file and atomically renamed into
-        place, so a second kill at any point leaves either the old
-        salvageable file or the complete rewrite, never less — and
-        appends never follow a torn line. Entries are copied verbatim
-        (no pickle round trip). Without ``resume`` any existing file is
-        truncated and the run starts fresh.
+        ``resume`` validates the file against ``jobs`` first (see
+        :meth:`_RecordLog._begin`).
         """
-        cached = self.entries(jobs) if resume else {}
-        header = {
-            "kind": "header",
-            "version": JOURNAL_VERSION,
-            "plan": plan_digest(jobs),
-            "total": len(jobs),
-            # Informational: which event core wrote this file. Results
-            # are bit-identical across cores, so resume does not (and
-            # must not) validate it — a journal written under one core
-            # resumes under the other.
-            "core": _core.ACTIVE_IMPL,
-        }
-        tmp = self.path.with_name(self.path.name + ".rewrite")
-        try:
-            with tmp.open("w") as fh:
-                fh.write(json.dumps(header) + "\n")
-                for index in sorted(cached):
-                    self._write_entry(
-                        fh, index, jobs[index], cached[index][0]
-                    )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            self._fh = self.path.open("a")
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot write journal {self.path}: {exc}"
-            ) from exc
-        return {index: result for index, (_, result) in cached.items()}
-
-    def record(self, index: int, job: JobSpec, result: Any) -> None:
-        """Append one completed result; flushed so a kill loses at most
-        the line being written."""
-        if self._fh is None:
-            raise SimulationError(
-                f"journal {self.path} not open; call begin() first"
-            )
-        try:
-            self._write_entry(self._fh, index, job, _encode(result))
-            self._fh.flush()
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot write journal {self.path}: {exc}"
-            ) from exc
-
-    def _write_entry(self, fh, index: int, job: JobSpec, data: str) -> None:
-        entry = {
-            "kind": "result",
-            "index": index,
-            "job": job_digest(job),
-            "data": data,
-        }
-        fh.write(json.dumps(entry) + "\n")
-
-    def close(self) -> None:
-        """Close the file handle (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        cached, _ = self._begin(plan_digest(jobs), len(jobs), jobs, resume)
+        return {index: result for index, (_, _, result) in cached.items()}
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +357,7 @@ class Journal:
 # ----------------------------------------------------------------------
 
 
-class CampaignJournal:
+class CampaignJournal(_RecordLog):
     """Checkpoint file for runs whose job plan is not known upfront.
 
     An adaptive fuzz campaign derives batch *k*'s jobs from the coverage
@@ -309,151 +381,24 @@ class CampaignJournal:
     tolerated torn final line, and an atomic rewrite on resume.
     """
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh: IO[str] | None = None
-
-    def _load_entries(
-        self, campaign: str, total: int
-    ) -> tuple[dict[int, tuple[str, str, Any]], dict[int, dict]]:
-        """Salvaged lines: ``({index: (job hash, raw data, result)},
-        {batch: coverage entry})``; empty on a missing file."""
-        if not self.path.exists():
-            return {}, {}
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot read journal {self.path}: {exc}"
-            ) from exc
-        if not lines:
-            return {}, {}
-        cached: dict[int, tuple[str, str, Any]] = {}
-        checkpoints: dict[int, dict] = {}
-        for lineno, line in enumerate(lines):
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    continue  # torn final line: the kill's half-write
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    "(only the final line may be torn)"
-                ) from None
-            kind = entry.get("kind")
-            if lineno == 0:
-                if kind != "header":
-                    raise SimulationError(
-                        f"journal {self.path}: missing header line"
-                    )
-                if entry.get("version") != JOURNAL_VERSION:
-                    raise SimulationError(
-                        f"journal {self.path}: unsupported version "
-                        f"{entry.get('version')!r}"
-                    )
-                if entry.get("campaign") != campaign:
-                    raise SimulationError(
-                        f"journal {self.path} was written for a different "
-                        "adaptive campaign (seed, count, batch size, or "
-                        "config changed); delete it or drop --resume"
-                    )
-                continue
-            if kind == "coverage":
-                try:
-                    batch = entry["batch"]
-                    entry["upto"], entry["digest"]
-                except KeyError as exc:
-                    raise SimulationError(
-                        f"journal {self.path}: corrupt line {lineno + 1} "
-                        f"(coverage entry missing field {exc.args[0]!r})"
-                    ) from None
-                checkpoints[batch] = entry
-                continue
-            if kind != "result":
-                raise SimulationError(
-                    f"journal {self.path}: unknown entry kind {kind!r} "
-                    f"on line {lineno + 1}"
-                )
-            try:
-                index = entry["index"]
-                job_hash = entry["job"]
-                data = entry["data"]
-            except KeyError as exc:
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    f"(result entry missing field {exc.args[0]!r})"
-                ) from None
-            if not isinstance(index, int) or not 0 <= index < total:
-                raise SimulationError(
-                    f"journal {self.path}: result index {index!r} outside "
-                    f"the {total}-scenario campaign"
-                )
-            try:
-                result = _decode(data)
-            except Exception as exc:
-                raise SimulationError(
-                    f"journal {self.path}: corrupt line {lineno + 1} "
-                    f"(undecodable payload at index {index}: {exc})"
-                ) from None
-            if index in cached and data != cached[index][1]:
-                raise SimulationError(
-                    f"journal {self.path}: conflicting duplicate entries "
-                    f"for index {index}"
-                )
-            cached[index] = (job_hash, data, result)
-        return cached, checkpoints
+    _BINDING = "campaign"
+    _REBIND = (
+        "adaptive campaign (seed, count, batch size, or config changed)"
+    )
+    _SCOPE = "-scenario campaign"
+    _COVERAGE = True
 
     def begin(
         self, campaign: str, total: int, resume: bool = False
     ) -> tuple[dict[int, tuple[str, Any]], dict[int, dict]]:
         """Open for appending; return salvaged results and checkpoints.
 
-        With ``resume`` the file is loaded (validating the campaign
-        binding) and atomically rewritten from its salvageable entries,
-        exactly like :meth:`Journal.begin`. The returned results map is
-        ``{index: (job hash, result)}`` — the caller validates each job
-        hash when it reconstructs that index's job. Without ``resume``
-        any existing file is truncated.
+        ``resume`` validates the campaign binding only (see
+        :meth:`_RecordLog._begin`): the returned results map is
+        ``{index: (job hash, result)}`` and the caller validates each job
+        hash when it reconstructs that index's job.
         """
-        cached, checkpoints = (
-            self._load_entries(campaign, total) if resume else ({}, {})
-        )
-        header = {
-            "kind": "header",
-            "version": JOURNAL_VERSION,
-            "campaign": campaign,
-            "total": total,
-            # Informational only — never validated on resume (see
-            # Journal.begin).
-            "core": _core.ACTIVE_IMPL,
-        }
-        tmp = self.path.with_name(self.path.name + ".rewrite")
-        try:
-            with tmp.open("w") as fh:
-                fh.write(json.dumps(header) + "\n")
-                for index in sorted(cached):
-                    job_hash, data, _ = cached[index]
-                    fh.write(
-                        json.dumps(
-                            {
-                                "kind": "result",
-                                "index": index,
-                                "job": job_hash,
-                                "data": data,
-                            }
-                        )
-                        + "\n"
-                    )
-                for batch in sorted(checkpoints):
-                    fh.write(json.dumps(checkpoints[batch]) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            self._fh = self.path.open("a")
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot write journal {self.path}: {exc}"
-            ) from exc
+        cached, checkpoints = self._begin(campaign, total, None, resume)
         return (
             {
                 index: (job_hash, result)
@@ -462,51 +407,15 @@ class CampaignJournal:
             checkpoints,
         )
 
-    def record(self, index: int, job: JobSpec, result: Any) -> None:
-        """Append one completed result (flushed, like Journal.record)."""
-        if self._fh is None:
-            raise SimulationError(
-                f"journal {self.path} not open; call begin() first"
-            )
-        entry = {
-            "kind": "result",
-            "index": index,
-            "job": job_digest(job),
-            "data": _encode(result),
-        }
-        try:
-            self._fh.write(json.dumps(entry) + "\n")
-            self._fh.flush()
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot write journal {self.path}: {exc}"
-            ) from exc
-
     def record_coverage(self, batch: int, upto: int, digest: str) -> None:
         """Append one batch's coverage checkpoint (flushed)."""
-        if self._fh is None:
-            raise SimulationError(
-                f"journal {self.path} not open; call begin() first"
-            )
         entry = {
             "kind": "coverage",
             "batch": batch,
             "upto": upto,
             "digest": digest,
         }
-        try:
-            self._fh.write(json.dumps(entry) + "\n")
-            self._fh.flush()
-        except OSError as exc:
-            raise SimulationError(
-                f"cannot write journal {self.path}: {exc}"
-            ) from exc
-
-    def close(self) -> None:
-        """Close the file handle (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._append(json.dumps(entry) + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -48,20 +48,13 @@ from repro.sim.failures import (
 from repro.sim.multiworld import RunnerStats, ShardSpec, ShardedRunner
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
-from repro.sim.scheduler import (
-    Scheduler,
-    SchedulerStoragePool,
-    TimerHandle,
-    shared_scheduler_storage,
-)
+from repro.sim.scheduler import Scheduler, TimerHandle
 from repro.sim.storage import StableStore, StorageHub
 from repro.sim.trace import TimedEvent, TraceRecorder
 from repro.sim.world import World, build_world
 
 __all__ = [
     "Scheduler",
-    "SchedulerStoragePool",
-    "shared_scheduler_storage",
     "TimerHandle",
     "ShardSpec",
     "ShardedRunner",

@@ -5,17 +5,15 @@ One :class:`~repro.sim.world.World` is one simulated system; scaling the
 one system, and it is the axis the paper's quantification ("every
 admissible run") actually cares about. A :class:`ShardedRunner` constructs
 and steps many independent worlds — *shards* — inside a single process,
-amortising allocation across them via the scheduler storage pool
-(:class:`~repro.sim.scheduler.SchedulerStoragePool`) and skipping the
-process-spawn/pickling overhead a subprocess pool pays per task.
+skipping the process-spawn/pickling overhead a subprocess pool pays per
+task.
 
 Shards share **no mutable simulation state**: each world derives all
 nondeterminism from its own seed, so stepping policy cannot affect
 results. The runner exploits that freedom two ways:
 
-* ``stepping="sequential"`` — run each shard to completion in spec order,
-  recycling its scheduler storage into the next shard. Maximum locality,
-  minimum peak memory.
+* ``stepping="sequential"`` — run each shard to completion in spec order.
+  Maximum locality, minimum peak memory.
 * ``stepping="round_robin"`` — interleave shards in fixed event quanta
   within a bounded window of live shards. Keeps many worlds in flight,
   which is the shape an analyze-while-simulating consumer (streaming
@@ -43,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 from repro.errors import SimulationError
-from repro.sim.scheduler import SchedulerStoragePool, shared_scheduler_storage
 from repro.sim.world import World
 
 R = TypeVar("R")
@@ -59,10 +56,9 @@ class ShardSpec:
     Args:
         key: caller's identifier for the shard (a seed, a scenario, ...);
             passed through to the collect callback untouched.
-        build: zero-argument world factory. Called under the runner's
-            storage pool, so the world's scheduler draws recycled heap
-            entries; must perform all scenario wiring (fault injection,
-            adversary rules, monitor attachment) before returning.
+        build: zero-argument world factory; must perform all scenario
+            wiring (fault injection, adversary rules, monitor attachment)
+            before returning.
         horizon: run until virtual time reaches this value; ``None``
             (default) runs to quiescence instead (non-periodic queue
             empty), which is the right completion notion for
@@ -92,8 +88,6 @@ class RunnerStats:
 
     shards: int = 0
     events: int = 0
-    entries_reused: int = 0
-    entries_recycled: int = 0
     peak_live_shards: int = 0
 
 
@@ -105,11 +99,8 @@ class ShardedRunner(Generic[R]):
             docstring). Results are bit-identical either way.
         quantum: events granted to a shard per round-robin turn.
         window: maximum shards alive at once under round-robin (default:
-            all of them). Completed shards free their scheduler storage
-            into the pool before the next shard in the window starts.
-        reuse_storage: share one
-            :class:`~repro.sim.scheduler.SchedulerStoragePool` across all
-            shards (default). Disable to measure what the pooling buys.
+            all of them). Completed shards are disposed before the next
+            shard in the window starts.
     """
 
     def __init__(
@@ -117,7 +108,6 @@ class ShardedRunner(Generic[R]):
         stepping: str = "sequential",
         quantum: int = 512,
         window: int | None = None,
-        reuse_storage: bool = True,
     ):
         if stepping not in STEPPING_POLICIES:
             raise SimulationError(
@@ -131,7 +121,6 @@ class ShardedRunner(Generic[R]):
         self.stepping = stepping
         self.quantum = quantum
         self.window = window
-        self.reuse_storage = reuse_storage
         self.stats = RunnerStats()
 
     # ------------------------------------------------------------------
@@ -146,13 +135,11 @@ class ShardedRunner(Generic[R]):
         """Build, run, and collect every shard; results in spec order.
 
         ``collect(spec, world)`` is called once per shard, right after it
-        completes and before its scheduler storage is recycled — extract
-        everything you need from the world there (its history, monitors,
-        metrics); holding the world itself beyond the callback keeps the
-        released scheduler alive but useless.
+        completes and before it is disposed — extract everything you
+        need from the world there (its history, monitors, metrics); the
+        world cannot be run after the callback returns.
         """
         self.stats = RunnerStats(shards=len(specs))
-        pool = SchedulerStoragePool() if self.reuse_storage else None
         results: list[R | None] = [None] * len(specs)
         # The cyclic collector is paused for the campaign: every finished
         # shard's world is dispose()d — its reference cycles broken — so
@@ -162,12 +149,9 @@ class ShardedRunner(Generic[R]):
         # simulation results, so digests are unchanged either way.
         with _paused_cyclic_gc():
             if self.stepping == "sequential":
-                self._run_sequential(specs, collect, results, pool)
+                self._run_sequential(specs, collect, results)
             else:
-                self._run_round_robin(specs, collect, results, pool)
-        if pool is not None:
-            self.stats.entries_reused = pool.entries_reused
-            self.stats.entries_recycled = pool.entries_recycled
+                self._run_round_robin(specs, collect, results)
         return results  # type: ignore[return-value]
 
     def _build(self, spec: ShardSpec, index: int) -> _LiveShard:
@@ -180,24 +164,21 @@ class ShardedRunner(Generic[R]):
         shard: _LiveShard,
         collect: Callable[[ShardSpec, World], R],
         results: list[R | None],
-        pool: SchedulerStoragePool | None,
     ) -> None:
         results[shard.index] = collect(shard.spec, shard.world)
-        # dispose() recycles scheduler storage into the pool (when one is
-        # active) and unlinks the world's reference cycles, so the dead
+        # dispose() unlinks the world's reference cycles, so the dead
         # shard frees by refcount even with the cyclic collector paused.
         shard.world.dispose()
 
-    def _run_sequential(self, specs, collect, results, pool) -> None:
+    def _run_sequential(self, specs, collect, results) -> None:
         self.stats.peak_live_shards = 1 if specs else 0
         for index, spec in enumerate(specs):
-            with _maybe_pool(pool):
-                shard = self._build(spec, index)
+            shard = self._build(spec, index)
             while not shard.done:
                 self._advance(shard, self.quantum)
-            self._finish(shard, collect, results, pool)
+            self._finish(shard, collect, results)
 
-    def _run_round_robin(self, specs, collect, results, pool) -> None:
+    def _run_round_robin(self, specs, collect, results) -> None:
         pending = list(enumerate(specs))
         pending.reverse()  # pop() from the front of the spec order
         live: list[_LiveShard] = []
@@ -205,8 +186,7 @@ class ShardedRunner(Generic[R]):
         while pending or live:
             while pending and len(live) < window:
                 index, spec = pending.pop()
-                with _maybe_pool(pool):
-                    live.append(self._build(spec, index))
+                live.append(self._build(spec, index))
             self.stats.peak_live_shards = max(
                 self.stats.peak_live_shards, len(live)
             )
@@ -214,7 +194,7 @@ class ShardedRunner(Generic[R]):
             for shard in live:
                 self._advance(shard, self.quantum)
                 if shard.done:
-                    self._finish(shard, collect, results, pool)
+                    self._finish(shard, collect, results)
                 else:
                     still_live.append(shard)
             live = still_live
@@ -274,23 +254,3 @@ def _paused_cyclic_gc() -> Iterator[None]:
         if was_enabled:
             gc.enable()
 
-
-class _maybe_pool:
-    """Context manager: activate ``pool`` if given, else do nothing."""
-
-    __slots__ = ("_pool", "_ctx")
-
-    def __init__(self, pool: SchedulerStoragePool | None):
-        self._pool = pool
-        self._ctx = None
-
-    def __enter__(self):
-        if self._pool is not None:
-            self._ctx = shared_scheduler_storage(self._pool)
-            self._ctx.__enter__()
-        return self._pool
-
-    def __exit__(self, *exc) -> None:
-        if self._ctx is not None:
-            self._ctx.__exit__(*exc)
-            self._ctx = None

@@ -65,9 +65,6 @@ HoldPredicate = Callable[[int, int, Message], bool]
 KINDS = ("app", "protocol", "system")
 """Valid message kinds (see module docstring)."""
 
-_BURST_FREE_MAX = 4096
-"""Per-network cap on the delivery-burst free list (see ``_Burst``)."""
-
 
 class _ChannelState:
     """Per-channel bookkeeping (a ``__slots__`` class: one instance per
@@ -104,15 +101,6 @@ class _Burst:
     inline in ``msg``/``kind`` and the overflow ``queue`` is materialised
     lazily on the first join — the earlier closure-per-burst form paid a
     deque, a cell-heavy closure, and a seq list on every delivery.
-
-    Fully-fired bursts are retired to a per-network free list
-    (``Network._burst_free``) and reinitialised by the next
-    ``_open_delivery`` instead of allocated — the event-object free list
-    riding the :class:`~repro.sim.scheduler.SchedulerStoragePool`
-    pattern: retirement happens only once a burst can never fire again,
-    and :meth:`~repro.sim.world.World.dispose` hands the list back to the
-    pool for the next shard's network to adopt. A retired burst keeps its
-    (emptied) overflow deque but drops every world reference.
 
     ``seq`` is the burst entry's own scheduler sequence number. It doubles
     as the join guard: a newcomer may only join while this burst is still
@@ -219,17 +207,6 @@ class _Burst:
                     state.delivered += 1
                     network.messages_delivered += 1
                     deliver_fn(src, dst, burst_msg, burst_kind)
-        # Fully drained: retire to the network's free list (the event-
-        # object analogue of the scheduler entry pool). World references
-        # are cleared first so a pooled burst — possibly adopted by a
-        # *later* world's network via the storage pool — pins nothing of
-        # this one; the emptied overflow deque is kept for reuse.
-        free = network._burst_free
-        if len(free) < _BURST_FREE_MAX:
-            self.network = None
-            self.state = None
-            self.msg = None
-            free.append(self)
 
 
 class Network:
@@ -262,15 +239,6 @@ class Network:
         # Direct delivery table (processes indexed by pid), installed by
         # the World; None falls back to the _deliver_fn callback seam.
         self._targets: list | None = None
-        # Retired _Burst objects awaiting reuse; seeded from the active
-        # storage pool (if the scheduler was built under one) so the list
-        # survives across shards, like recycled heap entries do.
-        pool = scheduler._pool
-        self._burst_free: list[_Burst] = (
-            pool.adopt_bursts() if pool is not None else []
-        )
-        #: Delivery bursts drawn from the free list instead of allocated.
-        self.bursts_reused = 0
 
     def set_deliver(self, deliver: DeliverFn) -> None:
         """Install the delivery callback (done by the World during wiring)."""
@@ -422,24 +390,7 @@ class Network:
         """Open a fresh delivery entry (burst or single) at ``due``."""
         scheduler = self._scheduler
         if self._batch:
-            free = self._burst_free
-            if free:
-                # Reinitialise a retired burst (its queue, if any, was
-                # fully drained before retirement).
-                burst = free.pop()
-                self.bursts_reused += 1
-                burst.network = self
-                burst.state = state
-                burst.src = src
-                burst.dst = dst
-                burst.msg = msg
-                burst.kind = kind
-                burst.due = due
-                burst.periodic = periodic
-            else:
-                burst = Pure_Burst(
-                    self, state, src, dst, msg, kind, due, periodic
-                )
+            burst = Pure_Burst(self, state, src, dst, msg, kind, due, periodic)
             state.burst = burst
             self.delivery_entries += 1
             # Scheduler.schedule_callback_at, inlined (once per delivery
@@ -452,23 +403,7 @@ class Network:
             scheduler._seq = seq + 1
             scheduler._last_seq = seq
             burst.seq = seq
-            fire = burst.fire
-            pool = scheduler._pool
-            entry = None
-            if pool is not None:
-                entries = pool._entries
-                if entries:
-                    pool.entries_reused += 1
-                    entry = entries.pop()
-                    entry.time = due
-                    entry.seq = seq
-                    entry.callback = fire
-                    entry.cancelled = False
-                    entry.periodic = periodic
-                    entry.finished = False
-                    entry.tracked = False
-            if entry is None:
-                entry = _Entry(due, seq, fire, False, periodic, False, False)
+            entry = _Entry(due, seq, burst.fire, False, periodic)
             heappush(scheduler._queue, (due, seq, entry))
             scheduler._pending += 1
             if not periodic:

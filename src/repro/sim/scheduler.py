@@ -21,22 +21,12 @@ Scaling notes (the engine is the bottleneck for every experiment):
   outnumber the live ones (the asyncio strategy), so a crash that cancels
   thousands of far-future heartbeat timers does not leave them rotting in
   the queue until their due times.
-* Short-lived schedulers (one per shard in a multi-world run, see
-  :mod:`repro.sim.multiworld`) can share a :class:`SchedulerStoragePool`:
-  finished shards return their heap list and queued ``_Entry`` objects to
-  the pool instead of leaving them to the garbage collector, and the next
-  shard's scheduler draws from the pool instead of allocating. The pool is
-  ambient — activate it with :func:`shared_scheduler_storage` and every
-  :class:`Scheduler` constructed inside the ``with`` block participates —
-  and invisible to the model: recycled entries are reinitialised field by
-  field, so pooled and unpooled runs are bit-identical.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import SimulationError
 
@@ -61,7 +51,6 @@ class _Entry:
 
     __slots__ = (
         "time", "seq", "callback", "cancelled", "periodic", "finished",
-        "tracked",
     )
 
     def __init__(
@@ -72,7 +61,6 @@ class _Entry:
         cancelled: bool = False,
         periodic: bool = False,
         finished: bool = False,
-        tracked: bool = True,
     ):
         self.time = time
         self.seq = seq
@@ -80,13 +68,6 @@ class _Entry:
         self.cancelled = cancelled
         self.periodic = periodic
         self.finished = finished
-        # True when a TimerHandle references this entry. Untracked
-        # entries (the handle-less delivery path) are observed by nothing
-        # but the heap, so the run loops may recycle them into the pool
-        # the moment their callback returns — tracked entries wait for
-        # end-of-life recycling, preserving the "no live handle can see a
-        # reused entry" argument.
-        self.tracked = tracked
 
     def __lt__(self, other: "_Entry") -> bool:
         time = self.time
@@ -108,171 +89,8 @@ class _Entry:
         return f"_Entry(t={self.time}, seq={self.seq}{', ' + flags if flags else ''})"
 
 
-def _noop() -> None:  # placeholder callback for recycled entries
-    """Never runs; parks recycled entries without retaining closures."""
-
-
-class SchedulerStoragePool:
-    """Recycles scheduler heap storage across many short-lived runs.
-
-    A multi-world engine builds and discards one :class:`Scheduler` per
-    shard; each discard strands a heap list plus every still-queued
-    ``_Entry`` (periodic heartbeats, cancelled timers) for the garbage
-    collector, and each build re-allocates them. The pool closes that
-    loop: :meth:`Scheduler.release_storage` pushes a finished scheduler's
-    entries and heap list here, and schedulers constructed while the pool
-    is active (see :func:`shared_scheduler_storage`) draw entries from it
-    instead of allocating.
-
-    Recycling is **end-of-life only**: entries go back to the pool when
-    their whole scheduler is finished, never while any
-    :class:`TimerHandle` of a live run could still observe them — which is
-    what keeps pooled execution bit-identical to unpooled execution.
-
-    ``max_entries`` bounds the free list so one entry-heavy shard cannot
-    pin unbounded memory for the rest of a long fuzz run.
-    """
-
-    def __init__(self, max_entries: int = 65_536):
-        self._max_entries = max_entries
-        self._entries: list[_Entry] = []
-        self._lists: list[list[tuple[float, int, _Entry]]] = []
-        # Delivery-burst free lists (``repro.sim.network._Burst``), one
-        # list per dead network, adopted whole by the next network built
-        # under the pool — the same end-of-life-only discipline as the
-        # entry free list. Untyped here to keep scheduler free of a
-        # network import.
-        self._burst_lists: list[list] = []
-        self._schedulers: dict[int, "Scheduler"] = {}
-        #: Entries handed out from the free list instead of allocated.
-        self.entries_reused = 0
-        #: Entries accepted back by :meth:`recycle`.
-        self.entries_recycled = 0
-        #: Delivery bursts reused instead of allocated (intra- and
-        #: cross-shard; aggregated at :meth:`recycle_bursts` time).
-        self.bursts_reused = 0
-        #: Delivery bursts accepted back by :meth:`recycle_bursts`.
-        self.bursts_recycled = 0
-
-    # -- acquisition (called by Scheduler) ------------------------------
-
-    def adopt(self, scheduler: "Scheduler") -> list[tuple[float, int, _Entry]]:
-        """Register a newborn scheduler; returns its heap list to use."""
-        self._schedulers[id(scheduler)] = scheduler
-        return self._lists.pop() if self._lists else []
-
-    def adopt_bursts(self) -> list:
-        """A delivery-burst free list for a newborn network (may be empty).
-
-        Drawn by :class:`repro.sim.network.Network` at construction when
-        its scheduler was built under this pool, mirroring :meth:`adopt`.
-        """
-        return self._burst_lists.pop() if self._burst_lists else []
-
-    def recycle_bursts(self, free: list, reused: int = 0) -> int:
-        """Take back a dead network's burst free list; returns its size.
-
-        The bursts in ``free`` already had their world references cleared
-        at retirement (see ``_Burst.fire``), so holding them pins no dead
-        world. ``reused`` folds the donor network's reuse counter into
-        :attr:`bursts_reused`. The list is truncated to ``max_entries``,
-        the same bound the entry free list honours.
-        """
-        del free[self._max_entries:]
-        self.bursts_recycled += len(free)
-        self.bursts_reused += reused
-        self._burst_lists.append(free)
-        return len(free)
-
-    def discard(self, scheduler: "Scheduler") -> None:
-        """Forget an adopted scheduler (it released its storage itself)."""
-        self._schedulers.pop(id(scheduler), None)
-
-    def acquire_entry(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[[], None],
-        periodic: bool,
-    ) -> _Entry:
-        """A ready-to-queue entry, recycled when the free list allows."""
-        if self._entries:
-            self.entries_reused += 1
-            entry = self._entries.pop()
-            entry.time = time
-            entry.seq = seq
-            entry.callback = callback
-            entry.cancelled = False
-            entry.periodic = periodic
-            entry.finished = False
-            entry.tracked = True
-            return entry
-        return Pure_Entry(time, seq, callback, periodic=periodic)
-
-    # -- release --------------------------------------------------------
-
-    def recycle(self, queue: list[tuple[float, int, _Entry]]) -> int:
-        """Take back a dead scheduler's queue; returns entries recycled.
-
-        Every entry in the dead queue gets its ``callback`` cleared, not
-        just the ones the bounded free list retains: an entry dropped on
-        the floor once ``max_entries`` is hit would otherwise keep its
-        closure (worlds, messages, monitors) reachable until the garbage
-        collector got around to the whole queue.
-        """
-        recycled = 0
-        entries = self._entries
-        capacity = self._max_entries
-        for item in queue:
-            entry = item[2]
-            entry.callback = _pure_noop  # drop closure refs (worlds, messages)
-            if len(entries) < capacity:
-                entries.append(entry)
-                recycled += 1
-        self.entries_recycled += recycled
-        queue.clear()
-        self._lists.append(queue)
-        return recycled
-
-    def reclaim(self) -> int:
-        """Release storage of every scheduler adopted since the last call.
-
-        The between-shards (or between-sweep-cases) sweep: any scheduler
-        created under the active pool — including ones buried inside a
-        driver's short-lived worlds — hands its heap back. Returns the
-        number of entries recycled.
-        """
-        recycled = 0
-        for scheduler in list(self._schedulers.values()):
-            recycled += scheduler.release_storage()
-        self._schedulers.clear()
-        return recycled
-
-
-_ACTIVE_POOL: SchedulerStoragePool | None = None
-
-
-@contextmanager
-def shared_scheduler_storage(
-    pool: SchedulerStoragePool | None = None,
-) -> Iterator[SchedulerStoragePool]:
-    """Activate a storage pool for every Scheduler built in this block.
-
-    The ambient form exists because worlds are usually constructed deep
-    inside experiment drivers that know nothing about pooling; the
-    sharded runner and the ``inproc`` sweep backend wrap each shard/case
-    in this context and call :meth:`SchedulerStoragePool.reclaim` when it
-    finishes. Nesting restores the previous pool on exit.
-    """
-    global _ACTIVE_POOL
-    if pool is None:
-        pool = PureSchedulerStoragePool()
-    previous = _ACTIVE_POOL
-    _ACTIVE_POOL = pool
-    try:
-        yield pool
-    finally:
-        _ACTIVE_POOL = previous
+def _noop() -> None:  # placeholder callback for disposed entries
+    """Never runs; parks cleared entries without retaining closures."""
 
 
 class TimerHandle:
@@ -324,13 +142,10 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        self._pool = _ACTIVE_POOL
         # Heap of (time, seq, entry) triples: time/seq comparisons happen
         # at C level inside heapq; seq is unique, so _Entry.__lt__ is
         # never consulted during heap operations.
-        self._queue: list[tuple[float, int, _Entry]] = (
-            self._pool.adopt(self) if self._pool is not None else []
-        )
+        self._queue: list[tuple[float, int, _Entry]] = []
         self._seq = 0
         self._now = 0.0
         self._processed = 0
@@ -410,37 +225,6 @@ class Scheduler:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, callback, periodic=periodic)
 
-    def _new_entry(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[[], None],
-        periodic: bool,
-        tracked: bool = True,
-    ) -> _Entry:
-        """A queue-ready entry — recycled from the pool when one is active.
-
-        The pool's free list is probed inline (rather than through
-        :meth:`SchedulerStoragePool.acquire_entry`) because this runs once
-        per scheduled callback; the method form is kept on the pool for
-        direct callers and tests.
-        """
-        pool = self._pool
-        if pool is not None:
-            entries = pool._entries
-            if entries:
-                pool.entries_reused += 1
-                entry = entries.pop()
-                entry.time = time
-                entry.seq = seq
-                entry.callback = callback
-                entry.cancelled = False
-                entry.periodic = periodic
-                entry.finished = False
-                entry.tracked = tracked
-                return entry
-        return Pure_Entry(time, seq, callback, False, periodic, False, tracked)
-
     def schedule_at(
         self,
         time: float,
@@ -455,7 +239,7 @@ class Scheduler:
         seq = self._seq
         self._seq = seq + 1
         self._last_seq = seq
-        entry = self._new_entry(time, seq, callback, periodic)
+        entry = Pure_Entry(time, seq, callback, False, periodic)
         heappush(self._queue, (time, seq, entry))
         self._pending += 1
         if not periodic:
@@ -482,23 +266,7 @@ class Scheduler:
         seq = self._seq
         self._seq = seq + 1
         self._last_seq = seq
-        # _new_entry inlined — this is the once-per-delivery path.
-        pool = self._pool
-        entry = None
-        if pool is not None:
-            entries = pool._entries
-            if entries:
-                pool.entries_reused += 1
-                entry = entries.pop()
-                entry.time = time
-                entry.seq = seq
-                entry.callback = callback
-                entry.cancelled = False
-                entry.periodic = periodic
-                entry.finished = False
-                entry.tracked = False
-        if entry is None:
-            entry = Pure_Entry(time, seq, callback, False, periodic, False, False)
+        entry = Pure_Entry(time, seq, callback, False, periodic)
         heappush(self._queue, (time, seq, entry))
         self._pending += 1
         if not periodic:
@@ -528,7 +296,7 @@ class Scheduler:
             raise SimulationError(
                 f"cannot reschedule into the past: {time} < now {self._now}"
             )
-        entry = self._new_entry(time, seq, callback, periodic, tracked=False)
+        entry = Pure_Entry(time, seq, callback, False, periodic)
         heappush(self._queue, (time, seq, entry))
         self._pending += 1
         if not periodic:
@@ -575,14 +343,6 @@ class Scheduler:
             self._now = time
             self._processed += 1
             entry.callback()
-            pool = self._pool
-            if (
-                not entry.tracked
-                and pool is not None
-                and len(pool._entries) < pool._max_entries
-            ):
-                entry.callback = _pure_noop
-                pool._entries.append(entry)
             return True
         return False
 
@@ -609,9 +369,6 @@ class Scheduler:
         """
         executed = 0
         queue = self._queue  # _compact() mutates in place; binding is safe
-        pool = self._pool
-        free = pool._entries if pool is not None else None
-        cap = pool._max_entries if pool is not None else 0
         while queue:
             if self._stop_requested:
                 break
@@ -637,13 +394,6 @@ class Scheduler:
             self._processed += 1
             entry.callback()
             executed += 1
-            # Pop-time recycling: a fired handle-less entry is observed
-            # by nothing (no TimerHandle, popped off the heap), so it
-            # goes straight back to the pool's free list instead of
-            # waiting for end-of-life recycling.
-            if not entry.tracked and free is not None and len(free) < cap:
-                entry.callback = _pure_noop
-                free.append(entry)
         return executed
 
     def run_to_quiescence(
@@ -660,9 +410,6 @@ class Scheduler:
         """
         executed = 0
         queue = self._queue  # _compact() mutates in place; binding is safe
-        pool = self._pool
-        free = pool._entries if pool is not None else None
-        cap = pool._max_entries if pool is not None else 0
         while True:
             if self._stop_requested:
                 return executed
@@ -694,9 +441,6 @@ class Scheduler:
             self._processed += 1
             entry.callback()
             executed += 1
-            if not entry.tracked and free is not None and len(free) < cap:
-                entry.callback = _pure_noop
-                free.append(entry)
 
     def _peek(self) -> _Entry | None:
         queue = self._queue
@@ -705,40 +449,18 @@ class Scheduler:
             self._cancelled_in_heap -= 1
         return queue[0][2] if queue else None
 
-    def release_storage(self) -> int:
-        """Hand the heap and its queued entries back to the storage pool.
-
-        End-of-life only: the scheduler must be finished (its world
-        collected, no callback ever to run again) — whatever is still
-        queued, typically periodic heartbeats and cancelled timers, is
-        dropped and recycled. A no-op returning 0 when the scheduler was
-        built outside any :func:`shared_scheduler_storage` block. Safe to
-        call more than once.
-        """
-        if self._pool is None:
-            return 0
-        pool, self._pool = self._pool, None  # release once, then detach
-        residual = pool.recycle(self._queue)
-        pool.discard(self)
-        self._queue = []
-        self._pending = 0
-        self._pending_nonperiodic = 0
-        self._cancelled_in_heap = 0
-        return residual
-
     def clear_queue(self) -> None:
         """Park every queued callback and empty the heap (end of life).
 
-        Used by :meth:`~repro.sim.world.World.dispose` after storage
-        release: whatever ``release_storage`` left in place (it is a
-        no-op without a pool) has its callbacks swapped for ``_noop`` so
-        queued closures stop pinning the world, then the heap and the
-        pending accounting are zeroed. The scheduler must not be run
-        afterwards.
+        Used by :meth:`~repro.sim.world.World.dispose`: whatever is still
+        queued (periodic heartbeats, cancelled timers) has its callback
+        swapped for ``_noop`` so queued closures stop pinning the world,
+        then the heap and the pending accounting are zeroed. The
+        scheduler must not be run afterwards.
         """
         queue = self._queue
         for item in queue:
-            item[2].callback = _pure_noop
+            item[2].callback = _noop
         queue.clear()
         self._pending = 0
         self._pending_nonperiodic = 0
@@ -757,18 +479,12 @@ class Scheduler:
 Pure_Entry = _Entry
 PureScheduler = Scheduler
 PureTimerHandle = TimerHandle
-PureSchedulerStoragePool = SchedulerStoragePool
-pure_shared_scheduler_storage = shared_scheduler_storage
-_pure_noop = _noop
 
 from repro._core import USE_ACCEL  # noqa: E402
 
 if USE_ACCEL:
     from repro._accel.scheduler import (  # noqa: E402,F811
         Scheduler,
-        SchedulerStoragePool,
         TimerHandle,
         _Entry,
-        _noop,
-        shared_scheduler_storage,
     )

@@ -334,20 +334,8 @@ FailureModel`) of the failure semantics this world runs under; the
     # End of life
     # ------------------------------------------------------------------
 
-    def release_storage(self) -> int:
-        """Return scheduler heap storage to the ambient pool, if any.
-
-        Called by :class:`~repro.sim.multiworld.ShardedRunner` after a
-        shard's results are collected: when this world was built inside a
-        :func:`~repro.sim.scheduler.shared_scheduler_storage` block, the
-        scheduler's heap list and queued entries are recycled into the
-        next shard instead of being garbage. The world must not be run
-        again afterwards. Returns the number of entries recycled.
-        """
-        return self.scheduler.release_storage()
-
-    def dispose(self) -> int:
-        """Release storage *and* break this world's reference cycles.
+    def dispose(self) -> None:
+        """Break this world's reference cycles.
 
         A world is cyclic by construction: processes point back at it,
         the network's delivery callback is a bound method of it, queued
@@ -364,29 +352,21 @@ FailureModel`) of the failure semantics this world runs under; the
         Results stay readable: :meth:`history`, recorded times, quorum
         records, and attached monitors are untouched. The world must not
         be *run* again afterwards (processes raise ``ProtocolError`` on
-        use). Idempotent; returns the number of entries recycled into the
-        ambient pool, like :meth:`release_storage`.
+        use). Idempotent.
         """
         network = self.network
-        # The pool reference detaches inside release_storage — capture it
-        # first so the network's burst free list rides along (adopted by
-        # the next shard's network, like the heap entries are).
-        pool = self.scheduler._pool
-        recycled = self.scheduler.release_storage()
-        if pool is not None and network._burst_free:
-            pool.recycle_bursts(network._burst_free, network.bursts_reused)
-            network._burst_free = []
-        # Without a pool release_storage leaves the heap in place; clear
-        # the queued callbacks (closures over this world) either way.
+        # Queued callbacks (bursts, timers, detector loops) close over
+        # this world.
         self.scheduler.clear_queue()
         for proc in self._processes:
             proc._world = None
         network._deliver_fn = None
         network._targets = None
+        for state in network._channels.values():
+            state.burst = None  # a still-queued burst points back at it
         network._channels.clear()
         network._flat.clear()
         self.trace.detach_observers()
-        return recycled
 
 
 def build_world(

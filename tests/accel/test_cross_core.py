@@ -310,6 +310,33 @@ def test_history_builder_out_of_range_error_matches():
 
 
 # ---------------------------------------------------------------------------
+# Component level: attribute surface
+# ---------------------------------------------------------------------------
+
+
+def _surface(obj) -> set[str]:
+    return {name for name in dir(obj) if not name.startswith("__")}
+
+
+def test_scheduler_network_and_entry_surfaces_match():
+    """Both cores expose the same attribute names, private ones included,
+    so state kept on one side only (a cache, a free list) shows up here."""
+    pure_sched, accel_sched = PureScheduler(), AccelScheduler()
+    assert _surface(pure_sched) == _surface(accel_sched)
+    pure_sched.schedule(1.0, int)
+    accel_sched.schedule(1.0, int)
+    pure_entry = pure_sched._queue[0][2]  # pure heap holds triples
+    accel_entry = accel_sched._queue[0]
+    assert _surface(pure_entry) == _surface(accel_entry)
+    pure_net = PureNetwork(pure_sched, 3)
+    accel_net = AccelNetwork(accel_sched, 3)
+    # The one sanctioned difference: the compiled core opens batched
+    # deliveries in C and calls up to Python only for the unbatched path.
+    assert _surface(pure_net) - _surface(accel_net) == {"_open_delivery"}
+    assert _surface(accel_net) - _surface(pure_net) == {"_open_unbatched"}
+
+
+# ---------------------------------------------------------------------------
 # End to end: full-toolchain digests under REPRO_CORE subprocesses
 # ---------------------------------------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.exec import (
+    CampaignJournal,
     Journal,
     JobSpec,
     merge_journals,
@@ -78,11 +79,38 @@ class TestJournalRoundTrip:
         journal.begin(jobs)
         journal.record(0, jobs[0], 0)
         journal.close()
-        with journal.path.open("a") as fh:
-            fh.write('{"kind": "result"}\n')
-            fh.write("{}\n")  # keep the malformed entry off the last line
-        with pytest.raises(SimulationError, match="corrupt line 3"):
-            Journal(journal.path).load(jobs)
+        good = journal.path.read_text()
+        # ... nor, for JSON that is not even an object, an AttributeError.
+        for bad in ('{"kind": "result"}', "3", "[]", "null", '"x"'):
+            # "{}" keeps the malformed entry off the (tolerated) last line
+            journal.path.write_text(good + bad + "\n{}\n")
+            with pytest.raises(SimulationError, match="corrupt line 3"):
+                Journal(journal.path).load(jobs)
+            with pytest.raises(SimulationError, match="corrupt line 3"):
+                Journal(journal.path).begin(jobs, resume=True)
+
+    def test_campaign_journal_corrupt_lines_rejected_cleanly(self, tmp_path):
+        # The campaign journal shares the plain journal's parser: the same
+        # non-object lines, plus a coverage line whose batch cannot key
+        # the checkpoint map, are the same one-line error.
+        jobs = _plan()
+        path = tmp_path / "c.jsonl"
+        journal = CampaignJournal(path)
+        journal.begin("digest", len(jobs))
+        journal.record(0, jobs[0], 0)
+        journal.record_coverage(0, 1, "cov")
+        journal.close()
+        good = path.read_text()
+        unhashable = '{"kind": "coverage", "batch": [1], "upto": 1, "digest": ""}'
+        for bad in ("3", "[]", "null", '"x"', unhashable):
+            path.write_text(good + bad + "\n{}\n")
+            with pytest.raises(SimulationError, match="corrupt line 4"):
+                CampaignJournal(path).begin("digest", len(jobs), resume=True)
+        path.write_text(good)
+        cached, checkpoints = journal.begin("digest", len(jobs), resume=True)
+        journal.close()
+        assert cached == {0: (cached[0][0], 0)}
+        assert checkpoints[0]["digest"] == "cov"
 
     def test_undecodable_payload_rejected_cleanly(self, tmp_path):
         jobs = _plan()

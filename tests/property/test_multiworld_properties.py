@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.fuzz import FuzzConfig, generate_scenario, run_fuzz
 from repro.analysis.sweep import rows_digest, run_sweep
-from repro.protocols import SfsProcess
-from repro.sim import build_world
 from repro.sim.multiworld import ShardedRunner
-from repro.sim.scheduler import (
-    SchedulerStoragePool,
-    shared_scheduler_storage,
-)
 
 seed_sets = st.lists(
     st.integers(min_value=0, max_value=50_000),
@@ -84,50 +78,3 @@ def test_fuzz_report_reproducible_from_seed_and_config(seed, count, quantum):
     assert baseline == replay == sequential
     assert baseline.digest() == replay.digest() == sequential.digest()
 
-
-@settings(max_examples=5, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    shards=st.integers(min_value=2, max_value=4),
-)
-def test_pooled_event_reuse_across_shards_is_invisible(seed, shards):
-    """PR 8 object pooling never changes a history, only allocation.
-
-    Runs the same shard sequence twice — once under a shared
-    SchedulerStoragePool (heap entries recycled at pop time, delivery
-    bursts adopted across worlds) and once with fresh allocation — and
-    requires bit-identical event sequences. The counters then prove the
-    pooled run actually exercised reuse rather than vacuously passing.
-    """
-
-    def run_shards(pool):
-        histories = []
-        bursts_reused = 0
-        for index in range(shards):
-            if pool is not None:
-                with shared_scheduler_storage(pool):
-                    world = build_world(
-                        6, lambda: SfsProcess(t=1), seed=seed + index
-                    )
-            else:
-                world = build_world(
-                    6, lambda: SfsProcess(t=1), seed=seed + index
-                )
-            world.inject_suspicion(0, 3, at=1.0)
-            world.run_to_quiescence()
-            histories.append(world.history().events)
-            bursts_reused += world.network.bursts_reused
-            world.dispose()
-        return histories, bursts_reused
-
-    pool = SchedulerStoragePool()
-    pooled_histories, bursts_reused = run_shards(pool)
-    plain_histories, _ = run_shards(None)
-    assert pooled_histories == plain_histories
-    # Reuse must actually have happened, at every layer of the pool:
-    # heap entries recycled the moment their callback returned ...
-    assert pool.entries_reused > 0
-    # ... retired delivery bursts handed back at world disposal ...
-    assert pool.bursts_recycled > 0
-    # ... and adopted + drawn by the later shards' networks.
-    assert bursts_reused > 0

@@ -5,15 +5,7 @@ import pytest
 from repro.detectors.heartbeat import HeartbeatDriver
 from repro.errors import SimulationError
 from repro.protocols import SfsProcess
-from repro.sim import (
-    Scheduler,
-    SchedulerStoragePool,
-    ShardSpec,
-    ShardedRunner,
-    World,
-    build_world,
-    shared_scheduler_storage,
-)
+from repro.sim import ShardSpec, ShardedRunner, World, build_world
 from repro.sim.delays import UniformDelay
 
 
@@ -73,24 +65,10 @@ class TestShardedRunner:
         ).run(specs, _collect)
         assert sequential == round_robin
 
-    def test_pooling_invisible_to_results(self):
-        specs = [_horizon_spec(seed) for seed in range(4)]
-        pooled = ShardedRunner(reuse_storage=True).run(specs, _collect)
-        unpooled = ShardedRunner(reuse_storage=False).run(specs, _collect)
-        assert pooled == unpooled
-
     def test_horizon_shards_stop_at_horizon(self):
         (result,) = ShardedRunner().run([_horizon_spec(0)], _collect)
         _, _, now = result
         assert now == pytest.approx(10.0)
-
-    def test_storage_actually_recycled_on_horizon_workloads(self):
-        runner = ShardedRunner(stepping="sequential")
-        runner.run([_horizon_spec(seed) for seed in range(4)], _collect)
-        # Heartbeat worlds die with a populated queue; shard 2+ must have
-        # drawn recycled entries instead of allocating.
-        assert runner.stats.entries_recycled > 0
-        assert runner.stats.entries_reused > 0
 
     def test_stats_count_shards_and_events(self):
         runner = ShardedRunner(stepping="round_robin", quantum=8, window=3)
@@ -152,72 +130,3 @@ class TestShardedRunner:
         with pytest.raises(SimulationError, match="window"):
             ShardedRunner(window=0)
 
-
-class TestSchedulerStoragePool:
-    def test_entries_recycled_and_reinitialised(self):
-        pool = SchedulerStoragePool()
-        with shared_scheduler_storage(pool):
-            first = Scheduler()
-            fired = []
-            first.schedule(1.0, lambda: fired.append("a"))
-            first.schedule(2.0, lambda: fired.append("b"), periodic=True)
-            first.run(until=1.5)
-            assert first.release_storage() == 1  # the periodic leftover
-        with shared_scheduler_storage(pool):
-            second = Scheduler()
-            second.schedule(1.0, lambda: fired.append("c"))
-            assert pool.entries_reused == 1
-            second.run_to_quiescence()
-        assert fired == ["a", "c"]
-
-    def test_release_is_idempotent_and_detaches(self):
-        pool = SchedulerStoragePool()
-        with shared_scheduler_storage(pool):
-            scheduler = Scheduler()
-            scheduler.schedule(5.0, lambda: None)
-        assert scheduler.release_storage() == 1
-        assert scheduler.release_storage() == 0
-        assert scheduler.pending == 0
-
-    def test_reclaim_sweeps_every_adopted_scheduler(self):
-        pool = SchedulerStoragePool()
-        with shared_scheduler_storage(pool):
-            schedulers = [Scheduler() for _ in range(3)]
-            for scheduler in schedulers:
-                scheduler.schedule(1.0, lambda: None)
-        assert pool.reclaim() == 3
-        assert pool.reclaim() == 0  # nothing newly adopted
-
-    def test_pool_is_ambient_and_nestable(self):
-        outer, inner = SchedulerStoragePool(), SchedulerStoragePool()
-        with shared_scheduler_storage(outer):
-            with shared_scheduler_storage(inner):
-                Scheduler().schedule(1.0, lambda: None)
-            Scheduler().schedule(1.0, lambda: None)
-        assert inner.reclaim() == 1
-        assert outer.reclaim() == 1
-
-    def test_no_pool_no_op(self):
-        scheduler = Scheduler()
-        scheduler.schedule(1.0, lambda: None)
-        assert scheduler.release_storage() == 0
-
-    def test_max_entries_bounds_free_list(self):
-        pool = SchedulerStoragePool(max_entries=2)
-        with shared_scheduler_storage(pool):
-            scheduler = Scheduler()
-            for i in range(5):
-                scheduler.schedule(float(i + 1), lambda: None)
-        assert pool.reclaim() == 2
-
-    def test_world_release_storage_roundtrip(self):
-        pool = SchedulerStoragePool()
-        with shared_scheduler_storage(pool):
-            world = build_world(4, lambda: SfsProcess(t=1), seed=0)
-            world.inject_suspicion(0, 2, at=1.0)
-            world.run_to_quiescence()
-            world.release_storage()
-        # The run finished cleanly; storage went back without touching
-        # recorded results.
-        assert len(world.history()) > 0
-        assert world.scheduler.pending == 0

@@ -206,6 +206,24 @@ class TestFuzzExecLayer:
         digest = [l for l in first.splitlines() if "digest=" in l]
         assert digest == [l for l in resumed.splitlines() if "digest=" in l]
 
+    def test_resume_over_corrupt_journal_fails_in_one_line(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "fuzz.jsonl"
+        for extra in ([], ["--adaptive", "--batch", "3"]):
+            args = ["fuzz", "--seed", "2", "--count", "6",
+                    "--journal", str(path)] + extra
+            assert main(args) == 0
+            lines = path.read_text().splitlines()
+            lines[2] = "null"  # valid JSON, not an entry
+            path.write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            assert main(args + ["--resume"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("fuzz failed: journal ")
+            assert "corrupt line 3" in err and "Traceback" not in err
+            assert len(err.splitlines()) == 1
+
     def test_stream_prints_scenarios_live(self, capsys):
         assert main(
             ["fuzz", "--seed", "3", "--count", "4", "--stream"]
