@@ -35,13 +35,10 @@ SEEDS = tuple(range(10))
 
 # Generous CI-jitter bound: a model campaign that takes this much longer
 # than fail-stop means the hooks stopped being per-event-constant. The
-# compiled event core (PR 10) accelerates the fail-stop denominator far
-# more than the crash-recovery/byzantine campaigns — their extra cost is
-# Python-side model bookkeeping (incarnations, stable-storage reloads,
-# interference rolls) outside the compiled core — so the affordable
-# *ratio* is correspondingly larger than it was when both sides were
-# pure Python.
-MODEL_OVERHEAD_LIMIT = 12.0
+# YOLMT wrapper encodes one snapshot per protocol step (not per
+# heartbeat), so crash-recovery measures 1.1-1.3x under either core;
+# the headroom is for shared runners, not for the model.
+MODEL_OVERHEAD_LIMIT = 4.0
 
 
 def _campaign(model: str):

@@ -3,27 +3,34 @@
 "You Only Live Multiple Times" shows that a protocol designed for the
 crash-stop model can run unmodified under crash-recovery if a wrapper
 (1) persists the protocol's full state to stable storage after every
-step, (2) restores it on recovery, and (3) filters the message stream so
-the restored automaton never observes anything a crash-stop run could
-not produce: duplicates are dropped by uid, and self-addressed messages
-minted by an earlier incarnation are discarded (the restored state
-already reflects or supersedes them).
+step *of the protocol*, (2) restores it on recovery, and (3) filters
+the message stream so the restored automaton never observes anything a
+crash-stop run could not produce: duplicates are dropped by uid, and
+self-addressed messages minted by an earlier incarnation are discarded
+(the restored state already reflects or supersedes them).
 
 :func:`make_recovering` implements exactly that as a class factory: it
-wraps any :class:`~repro.sim.process.SimProcess` subclass, persisting a
-deep copy of the instance ``__dict__`` minus the *volatile denylist*
-(world wiring, timers, the message mint — which must keep minting
-globally unique uids across incarnations — and deferred app traffic,
-which is genuinely lost at a crash). The wrapped class is what the
-fuzzer runs when ``failure_model="crash-recovery"``: the paper's
-protocols themselves stay byte-for-byte untouched.
+wraps any :class:`~repro.sim.process.SimProcess` subclass and, like a
+write-ahead log, serialises once per step and reads back only on
+recovery. A persist encodes the instance ``__dict__`` minus the
+*volatile denylist* (world wiring, timers, the message mint — which must
+keep minting globally unique uids across incarnations — and deferred app
+traffic, which is genuinely lost at a crash) into one immutable
+``bytes`` value that never leaves the in-process
+:class:`~repro.sim.storage.StableStore`; a recovery *replaces* the
+non-volatile attributes with the decoded snapshot. System deliveries
+(heartbeats) are not protocol steps — they reach only the detector
+driver, which is volatile — and persist nothing. The wrapped class is
+what the fuzzer runs when ``failure_model="crash-recovery"``: the
+paper's protocols themselves stay byte-for-byte untouched.
 """
 
 from __future__ import annotations
 
-import copy
+import pickle
 
 from repro.core.messages import Message
+from repro.errors import ProtocolError
 from repro.sim.process import SimProcess
 
 #: Instance attributes that do NOT survive a crash (or must never be
@@ -47,7 +54,20 @@ VOLATILE_ATTRS = frozenset(
 _STATE_KEY = "yolmt:state"
 _PROCESSED_KEY = "yolmt:processed"
 
+_ENCODE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
+
 _WRAPPED: dict[type, type] = {}
+
+
+def _unencodable(state: dict) -> list[str]:
+    """The attribute names in ``state`` whose values do not pickle."""
+    bad = []
+    for key, value in state.items():
+        try:
+            pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+        except _ENCODE_ERRORS:
+            bad.append(key)
+    return bad
 
 
 def make_recovering(cls: type) -> type:
@@ -67,12 +87,18 @@ def make_recovering(cls: type) -> type:
         # -- persistence -------------------------------------------------
 
         def _persist(self) -> None:
-            state = {
-                key: value
-                for key, value in self.__dict__.items()
-                if key not in VOLATILE_ATTRS
-            }
-            self.stable.put(_STATE_KEY, copy.deepcopy(state))
+            state = self.__dict__.copy()
+            for key in VOLATILE_ATTRS:
+                state.pop(key, None)
+            try:
+                encoded = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+            except _ENCODE_ERRORS:
+                raise ProtocolError(
+                    f"{type(self).__name__} cannot persist "
+                    f"{', '.join(_unencodable(state))}: stable storage "
+                    "holds an encoding, so the state must be picklable"
+                ) from None
+            self.stable.put(_STATE_KEY, encoded)
 
         def on_start(self) -> None:
             super().on_start()
@@ -94,7 +120,10 @@ def make_recovering(cls: type) -> type:
                 if minted is not None and minted < self.incarnation:
                     return  # minted by a dead incarnation: drop
             super().deliver(src, msg, kind)
-            if not self.crashed:
+            # A system delivery goes to the detector driver, which is
+            # volatile; what it does to persisted state goes through
+            # suspect(), which persists itself.
+            if kind != "system" and not self.crashed:
                 self._persist()
 
         def consume(self, src: int, msg: Message) -> None:
@@ -118,9 +147,14 @@ def make_recovering(cls: type) -> type:
 
         def on_recover(self) -> None:
             super().on_recover()
-            snapshot = self.stable.get(_STATE_KEY)
-            if snapshot is not None:
-                self.__dict__.update(copy.deepcopy(snapshot))
+            encoded = self.stable.get(_STATE_KEY)
+            if encoded is not None:
+                # Replace, not merge: an attribute a crashed half step
+                # created was never persisted and must not outlive it.
+                attrs = self.__dict__
+                for key in attrs.keys() - VOLATILE_ATTRS:
+                    del attrs[key]
+                attrs.update(pickle.loads(encoded))
             deferred = getattr(self, "_deferred", None)
             if deferred is not None:
                 deferred.clear()  # volatile: lost with the crash

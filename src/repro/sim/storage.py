@@ -9,9 +9,9 @@ number of crash/recover round trips of the process automaton itself.
 
 Everything here is plain dict bookkeeping — no I/O, no randomness — so
 stable storage never perturbs the deterministic digest invariants. Read
-and write counters are kept per store, because recovery-protocol
-overhead (how much a wrapper persists per delivery) is exactly what
-``benchmarks/bench_e17_failure_models.py`` measures.
+and write counters are kept per store; nothing outside
+``tests/sim/test_storage.py`` reads them (the e17 bench times whole
+campaigns, it does not count writes).
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ class StableStore:
     """Crash-surviving key/value state of a single process.
 
     Keys are hashables, values arbitrary objects. The store itself never
-    copies values — callers that persist mutable state should copy on
-    the way in (the recovery wrapper does), mirroring the way a real
-    write-ahead log serialises.
+    copies values — callers that persist mutable state should store an
+    immutable encoding of it (the recovery wrapper stores ``bytes``),
+    mirroring the way a real write-ahead log serialises.
     """
 
     __slots__ = ("pid", "reads", "writes", "_data")
@@ -96,10 +96,10 @@ class StorageHub:
 
     @property
     def total_reads(self) -> int:
-        """Reads across every store (benchmark bookkeeping)."""
+        """Reads across every store."""
         return sum(store.reads for store in self._stores)
 
     @property
     def total_writes(self) -> int:
-        """Writes across every store (benchmark bookkeeping)."""
+        """Writes across every store."""
         return sum(store.writes for store in self._stores)

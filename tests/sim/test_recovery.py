@@ -1,14 +1,18 @@
 """Unit tests for the crash-recovery lifecycle and the YOLMT wrapper."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.analysis.fuzz import DEFAULT_CONFIG, run_fuzz
 from repro.core.events import RecoverEvent
-from repro.errors import SimulationError
+from repro.detectors import HeartbeatDriver, PhiAccrualDriver
+from repro.errors import ProtocolError, SimulationError
 from repro.protocols import SfsProcess, is_recovering, make_recovering
+from repro.protocols.recovery import _STATE_KEY as STATE_KEY
 from repro.sim import build_world
-from repro.sim.delays import ConstantDelay
+from repro.sim.delays import ConstantDelay, UniformDelay
 from repro.sim.failures import (
     FAULT_KINDS,
     Fault,
@@ -16,6 +20,7 @@ from repro.sim.failures import (
     random_recovery_plan,
 )
 from repro.sim.process import SimProcess
+from repro.sim.storage import StableStore
 
 
 class TestFaultKindRegistry:
@@ -199,3 +204,165 @@ class TestYolmtWrapper:
             world.inject_suspicion(0, 5, at=0.5)
             world.run_to_quiescence(max_events=200_000)
             assert monitors.ok_so_far, monitors.first_violation
+
+
+class _Counter(SimProcess):
+    """Counts app messages; ``"die"`` makes it crash itself mid-step."""
+
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+        self.seen: set[int] = set()
+        self.by_src: dict[int, int] = {}
+
+    def on_message(self, src, payload, msg):
+        self.count += 1
+        self.seen.add(src)
+        self.by_src[src] = self.by_src.get(src, 0) + 1
+        if payload == "die":
+            self.scratch = ["made by the step that crashed"]
+            self.crash_now()
+
+
+class _HoldsLambda(SimProcess):
+    def __init__(self):
+        super().__init__()
+        self.fine = 1
+        self.callback = lambda: None
+
+
+def _counter_world():
+    world = build_world(
+        2,
+        make_recovering(_Counter),
+        ConstantDelay(1.0),
+        failure_model="crash-recovery",
+    )
+    world.start()
+    return world
+
+
+class TestEncodedSnapshots:
+    def test_unencodable_state_is_a_protocol_error_at_start(self):
+        world = build_world(
+            2,
+            make_recovering(_HoldsLambda),
+            ConstantDelay(1.0),
+            failure_model="crash-recovery",
+        )
+        with pytest.raises(ProtocolError) as err:
+            world.start()
+        message = str(err.value)
+        assert "\n" not in message
+        assert "Recovering_HoldsLambda" in message
+        assert "callback" in message and "fine" not in message
+
+    def test_self_crash_mid_deliver_persists_nothing_of_that_step(self):
+        world = _counter_world()
+        world.process(0).send(1, "a")
+        world.process(0).send(1, "die")
+        world.run_to_quiescence()
+        victim = world.process(1)
+        assert victim.crashed and victim.count == 2
+        victim.recover_now()
+        assert victim.count == 1
+        assert victim.by_src == {0: 1}
+
+    def test_recovery_replaces_state_rather_than_merging_it(self):
+        world = _counter_world()
+        world.process(0).send(1, "die")
+        world.run_to_quiescence()
+        victim = world.process(1)
+        assert victim.scratch  # created by the half step
+        victim.recover_now()
+        assert not hasattr(victim, "scratch")
+        assert victim.pid == 1 and victim.incarnation == 1  # volatile kept
+
+    def test_snapshot_is_isolated_from_live_state(self):
+        world = _counter_world()
+        world.process(0).send(1, "a")
+        world.run_to_quiescence()
+        proc = world.process(1)
+        # In-place edits with no step in between: never persisted.
+        proc.seen.add(99)
+        proc.by_src[99] = 1
+        proc.crash_now()
+        proc.recover_now()
+        assert proc.seen == {0} and proc.by_src == {0: 1}
+        first_seen, first_by_src = proc.seen, proc.by_src
+        first_seen.add(98)
+        proc.crash_now()
+        proc.recover_now()
+        assert proc.seen == {0} and proc.by_src == {0: 1}
+        assert proc.seen is not first_seen
+        assert proc.by_src is not first_by_src
+
+    @pytest.mark.parametrize(
+        "make_detector",
+        [
+            lambda: HeartbeatDriver(interval=0.5, timeout=2.0),
+            lambda: PhiAccrualDriver(interval=0.5, threshold=3.0),
+        ],
+        ids=["heartbeat", "phi"],
+    )
+    def test_system_deliveries_leave_persisted_state_unchanged(
+        self, make_detector
+    ):
+        checked = []
+
+        class Checked(make_recovering(SfsProcess)):
+            def deliver(self, src, msg, kind):
+                super().deliver(src, msg, kind)
+                if kind == "system" and not self.crashed:
+                    stored = self.stable.get(STATE_KEY)
+                    self._persist()  # re-encode the live state
+                    assert self.stable.get(STATE_KEY) == stored
+                    checked.append(self.pid)
+
+        for seed in range(3):
+            world = build_world(
+                5,
+                lambda: Checked(t=2, detector=make_detector()),
+                UniformDelay(0.1, 1.5),
+                seed=seed,
+                failure_model="crash-recovery",
+            )
+            # Restored state is checked too (1 comes back before, 2
+            # after the detection of 4, which stays down for a timeout
+            # to find).
+            world.inject_crash(1, at=4.0)
+            world.inject_recover(1, at=4.8)
+            world.inject_crash(4, at=8.0)
+            world.inject_crash(2, at=14.0)
+            world.inject_recover(2, at=14.8)
+            world.run(until=30.0)
+            assert any(p.suspected for p in world.processes)
+            assert world.process(1).incarnation == 1
+            assert world.process(2).incarnation == 1
+        assert len(checked) > 1000
+
+    def test_persist_count_and_digest_on_the_profiled_campaign(
+        self, monkeypatch
+    ):
+        puts = []
+        plain_put = StableStore.put
+
+        def counting_put(store, key, value):
+            if key == STATE_KEY:
+                puts.append(type(value))
+            plain_put(store, key, value)
+
+        monkeypatch.setattr(StableStore, "put", counting_put)
+        config = dataclasses.replace(
+            DEFAULT_CONFIG, failure_model="crash-recovery"
+        )
+        report = run_fuzz(seed=3, count=180, config=config)
+        # 49,559 when every delivery persisted a deep copy; what is left
+        # is one encoded snapshot per start, non-system delivery,
+        # suspicion and recovery.
+        assert len(puts) == 5852
+        assert set(puts) == {bytes}
+        assert report.findings == ()
+        assert report.digest() == (
+            "09cfa77b83e68b3a4a690b39904b1bb34d2f3ef0e8ff0c9ee9417b2ffa8f1e7f"
+        )

@@ -29,6 +29,12 @@ Two jobs, one harness:
 
       PYTHONPATH=src python tools/profile_core.py --ab
 
+``--failure-model`` runs the same batch under another failure model for
+the profile table and ``--ab`` (the table that found PR 13's per-delivery
+deep copy is ``--failure-model crash-recovery --seed 3 --count 180``).
+The pinned baseline is fail-stop, so ``--check`` and
+``--update-baseline`` refuse any other model.
+
 The workload is the E15 fuzz batch (``run_fuzz(seed=0, count=80)``) —
 80 deterministic scenarios across every protocol, exercising scheduler,
 network, history recording, monitors, and detectors together. Its digest
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import io
 import json
 import os
@@ -56,7 +63,10 @@ BASELINE_PATH = (
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis.fuzz import run_fuzz  # noqa: E402
+from repro.analysis.fuzz import DEFAULT_CONFIG, run_fuzz  # noqa: E402
+from repro.core.failure_models import FAILURE_MODEL_NAMES  # noqa: E402
+
+DEFAULT_MODEL = DEFAULT_CONFIG.failure_model
 
 
 def core_tags() -> dict:
@@ -69,17 +79,20 @@ def core_tags() -> dict:
     }
 
 
-def _workload(seed: int, count: int):
-    return run_fuzz(seed=seed, count=count)
+def _workload(seed: int, count: int, model: str):
+    config = dataclasses.replace(DEFAULT_CONFIG, failure_model=model)
+    return run_fuzz(seed=seed, count=count, config=config)
 
 
-def time_workload(seed: int, count: int, repeats: int) -> tuple[float, int]:
+def time_workload(
+    seed: int, count: int, repeats: int, model: str
+) -> tuple[float, int]:
     """Best-of-``repeats`` wall time and the (deterministic) event count."""
     best = float("inf")
     events = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        report = _workload(seed, count)
+        report = _workload(seed, count, model)
         elapsed = time.perf_counter() - start
         events = report.events
         if elapsed < best:
@@ -87,10 +100,10 @@ def time_workload(seed: int, count: int, repeats: int) -> tuple[float, int]:
     return best, events
 
 
-def profile_workload(seed: int, count: int, top: int) -> str:
+def profile_workload(seed: int, count: int, top: int, model: str) -> str:
     profiler = cProfile.Profile()
     profiler.enable()
-    _workload(seed, count)
+    _workload(seed, count, model)
     profiler.disable()
     out = io.StringIO()
     stats = pstats.Stats(profiler, stream=out)
@@ -100,8 +113,18 @@ def profile_workload(seed: int, count: int, top: int) -> str:
 
 
 def run_check(args: argparse.Namespace) -> int:
+    if args.failure_model != DEFAULT_MODEL:
+        print(
+            f"the pinned baseline is {DEFAULT_MODEL}; --check and "
+            "--update-baseline do not take --failure-model "
+            f"{args.failure_model}",
+            file=sys.stderr,
+        )
+        return 1
     tags = core_tags()
-    best, events = time_workload(args.seed, args.count, args.repeats)
+    best, events = time_workload(
+        args.seed, args.count, args.repeats, DEFAULT_MODEL
+    )
     rate = events / best
     print(
         f"workload: run_fuzz(seed={args.seed}, count={args.count})  "
@@ -186,6 +209,7 @@ def run_ab(args: argparse.Namespace) -> int:
                 "--seed", str(args.seed),
                 "--count", str(args.count),
                 "--repeats", str(args.repeats),
+                "--failure-model", args.failure_model,
             ],
             env=env,
             capture_output=True,
@@ -226,7 +250,9 @@ def run_ab(args: argparse.Namespace) -> int:
 
 def run_time_json(args: argparse.Namespace) -> int:
     """Machine-readable timing record (the --ab subprocess body)."""
-    best, events = time_workload(args.seed, args.count, args.repeats)
+    best, events = time_workload(
+        args.seed, args.count, args.repeats, args.failure_model
+    )
     json.dump(
         {
             "events": events,
@@ -246,6 +272,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--count", type=int, default=80)
     parser.add_argument(
         "--top", type=int, default=20, help="rows in the hot-function table"
+    )
+    parser.add_argument(
+        "--failure-model",
+        choices=FAILURE_MODEL_NAMES,
+        default=DEFAULT_MODEL,
+        help="failure model of the fuzz batch (profile table and --ab "
+        "only; the --check baseline is fail-stop)",
     )
     parser.add_argument(
         "--repeats",
@@ -289,13 +322,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.check or args.update_baseline:
         return run_check(args)
 
-    best, events = time_workload(args.seed, args.count, 1)
+    model = args.failure_model
+    best, events = time_workload(args.seed, args.count, 1, model)
     print(
-        f"workload: run_fuzz(seed={args.seed}, count={args.count})  "
+        f"workload: run_fuzz(seed={args.seed}, count={args.count}, "
+        f"failure_model={model})  "
         f"events={events}  warm-up={best:.3f}s  "
         f"rate={events / best:,.0f} events/s"
     )
-    print(profile_workload(args.seed, args.count, args.top))
+    print(profile_workload(args.seed, args.count, args.top, model))
     return 0
 
 
