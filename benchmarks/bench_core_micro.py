@@ -129,7 +129,12 @@ def test_bench_component_delay_sampling(benchmark):
 
 
 def test_bench_component_history_append(benchmark):
-    """HistoryBuilder.append_one alone: a 2000-event send/recv stream."""
+    """HistoryBuilder.append_one alone: a 2000-event send/recv stream.
+
+    There is one builder — the pure class in ``repro.core.history`` —
+    under either event core, so the ``core`` tag of the recorded
+    artifact does not bear on this row.
+    """
     from repro.core.events import recv, send
     from repro.core.history import HistoryBuilder
     from repro.core.messages import Message

@@ -9,7 +9,8 @@ properties must hold:
    the rebuild-per-append baseline. The baseline is timed on a prefix
    (it is quadratic — running it at 100k outlasts any CI budget) and
    extrapolated *linearly*, which understates its true cost, so the
-   asserted speedup is a conservative lower bound;
+   asserted speedup is a conservative lower bound. Both sides are pure
+   Python under either event core: the builder has no compiled twin;
 2. a builder snapshot is indistinguishable from a from-scratch
    ``History`` — same events, indices, vector clocks;
 3. batched delivery collapses a backlogged channel's heap entries by

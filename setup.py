@@ -14,7 +14,9 @@ it in place for a source checkout with::
 Set ``REPRO_BUILD_ACCEL=0`` to skip the extension entirely.
 """
 
+import hashlib
 import os
+from pathlib import Path
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -43,12 +45,19 @@ class OptionalBuildExt(build_ext):
         )
 
 
+CCORE = "src/repro/_accel/_ccore.c"
+
 ext_modules = []
 if os.environ.get("REPRO_BUILD_ACCEL", "1") != "0":
+    # The module carries the hash of the source it was built from, so
+    # repro._accel can refuse an in-place build left over from another
+    # _ccore.c instead of silently running it.
+    source_sha = hashlib.sha256(Path(CCORE).read_bytes()).hexdigest()
     ext_modules.append(
         Extension(
             "repro._accel._ccore",
-            sources=["src/repro/_accel/_ccore.c"],
+            sources=[CCORE],
+            define_macros=[("REPRO_CCORE_SHA256", f'"{source_sha}"')],
         )
     )
 

@@ -841,6 +841,14 @@ def main(argv: list[str] | None = None) -> int:
     worker.set_defaults(fn=_cmd_worker)
 
     args = parser.parse_args(argv)
+    try:
+        # Select the event core here, once, so a REPRO_CORE that is
+        # invalid or cannot be satisfied is one line, not a traceback
+        # out of whichever module a subcommand happens to import first.
+        import repro._core  # noqa: F401
+    except (ValueError, ImportError) as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

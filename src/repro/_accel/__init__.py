@@ -1,10 +1,14 @@
 """Optional compiled event core.
 
-This package wraps the C extension ``repro._accel._ccore`` with thin
-Python subclasses that complete the pure modules' public surface. It is
-selected at import time by :mod:`repro._core` (``REPRO_CORE=accel|pure``,
-default: accel when the extension is importable) — nothing should import
-it directly except the shim and the cross-core tests.
+This package wraps the C extension ``repro._accel._ccore`` — three
+kernels: the scheduler, the network hot path, and the batch delay
+samplers — with thin Python modules that complete the pure modules'
+public surface (``network``) and install the samplers (``delays``); the
+scheduler types are used straight from ``_ccore``. It is selected at
+import time by :mod:`repro._core` (``REPRO_CORE=accel|pure``, default:
+accel when the extension is importable) — nothing should import it
+directly except the shim, the canonical modules' core-selection blocks,
+and the cross-core tests.
 
 The pure-Python modules remain the **authoritative reference**: every
 behaviour here, down to counter visibility, rng stream consumption, and
@@ -12,12 +16,15 @@ error-message text, must be bit-identical to them. The contract is
 enforced by the cross-core digest property tests under ``tests/accel/``.
 
 Importing this package raises ``ImportError`` when the extension was not
-built — callers (the shim) treat that as "use the pure core".
+built, or was built from a different ``_ccore.c`` than the one beside it
+— callers (the shim) treat that as "use the pure core".
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+from pathlib import Path
 
 # Imported by absolute module path (not `from repro._accel import ...`)
 # so a missing extension reads as "No module named 'repro._accel._ccore'"
@@ -25,12 +32,24 @@ import random
 import repro._accel._ccore as _ccore
 from repro.errors import SimulationError
 
+# A stale in-place build keeps importing after _ccore.c is edited, and
+# would pass for the current core. setup.py compiles the source's sha256
+# into the module; installed trees ship no _ccore.c and skip the check.
+_source = Path(__file__).with_name("_ccore.c")
+if _source.exists() and (
+    hashlib.sha256(_source.read_bytes()).hexdigest()
+    != getattr(_ccore, "_SOURCE_SHA256", None)
+):
+    raise ImportError(
+        f"{_ccore.__file__} was built from a different _ccore.c; "
+        "rerun python setup.py build_ext --inplace"
+    )
+
 # Hand the extension the exception type it raises and random.Random for
 # the exact-type gate on the compiled delay kernels. This module stays
 # import-light on purpose — the canonical modules import it from their
-# bottom-of-module core-selection blocks, so pulling in repro.core here
-# would be circular. The event alphabet (needed only by the history
-# builder) is installed by repro._accel.history.
+# bottom-of-module core-selection blocks, so pulling in repro.core or
+# repro.sim here would be circular.
 _ccore._install_error(SimulationError)
 _ccore._set_random_type(random.Random)
 

@@ -1,17 +1,21 @@
 /* Compiled event core: C implementations of the scheduler, network burst
- * path, history builder, and delay kernels.
+ * path, and delay kernels — three kernels. The history recorder
+ * (repro.core.history) has no compiled twin.
  *
  * The pure-Python modules (repro.sim.scheduler, repro.sim.network,
- * repro.core.history, repro.sim.delays) are the authoritative reference;
- * everything here must be *bit-identical* to them — same callback order,
- * same rng stream, same counters, same error messages. Cross-core digest
- * property tests enforce that (tests/accel/).
+ * repro.sim.delays) are the authoritative reference; everything here
+ * must be *bit-identical* to them — same callback order, same rng
+ * stream, same counters, same error messages. Cross-core digest property
+ * tests enforce that (tests/accel/).
  *
  * Layout mirrors the pure modules:
  *   _Entry / TimerHandle / Scheduler   <- repro.sim.scheduler
  *   _ChannelState / _Burst / NetworkCore <- repro.sim.network
- *   HistoryBuilderBase                 <- repro.core.history
  *   batch_sample                       <- repro.sim.delays sample_batch
+ *
+ * setup.py defines REPRO_CCORE_SHA256, the sha256 of this file, and the
+ * module exports it as _SOURCE_SHA256 so repro._accel can refuse a build
+ * left over from a different source.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -23,11 +27,6 @@
 /* ------------------------------------------------------------------ */
 
 static PyObject *g_sim_error;        /* repro.errors.SimulationError */
-static PyObject *g_send_event;       /* event dataclasses, for dispatch */
-static PyObject *g_recv_event;
-static PyObject *g_crash_event;
-static PyObject *g_failed_event;
-static PyObject *g_recover_event;
 static PyTypeObject *g_random_type;  /* random.Random, exact-type gate */
 static PyTypeObject *g_delay_types[5];  /* registered fast-path classes */
 static PyObject *g_noop;             /* parked-entry callback */
@@ -36,7 +35,6 @@ static double g_nv_magic;            /* 4*exp(-0.5)/sqrt(2) (random.py) */
 /* interned strings */
 static PyObject *s_app, *s_protocol, *s_system;
 static PyObject *s_sample, *s_random, *s_deliver;
-static PyObject *s_proc, *s_msg, *s_uid, *s_target, *s_incarnation;
 static PyObject *s_open_unbatched;
 
 static PyObject *ERR(void)
@@ -52,19 +50,6 @@ error_installed(void)
         PyErr_SetString(PyExc_RuntimeError,
                         "repro._accel._ccore is not initialised; import "
                         "repro._accel (which calls _install_error) first");
-        return 0;
-    }
-    return 1;
-}
-
-static int
-event_types_installed(void)
-{
-    if (g_recv_event == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "repro._accel._ccore has no event types; import "
-                        "repro._accel.history (which calls "
-                        "_install_event_types) first");
         return 0;
     }
     return 1;
@@ -2184,436 +2169,6 @@ static PyTypeObject NetworkCore_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* HistoryBuilderBase                                                 */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    Py_ssize_t n;
-    PyObject *events;        /* list */
-    PyObject *vectors;       /* list of stamped tuples */
-    long long *current;      /* n*n in-place clock rows */
-    PyObject *send_vec;      /* uid -> stamped tuple of the send */
-    PyObject *send_index;
-    PyObject *recv_index;
-    PyObject *crash_index;
-    PyObject *failed_index;
-    PyObject *recover_index;
-    PyObject *proc_indices;  /* list of n lists */
-    PyObject *observers;     /* list */
-} BuilderObject;
-
-static PyTypeObject Builder_Type;
-
-static int builder_append_one(BuilderObject *self, PyObject *event);
-
-static int
-Builder_init(BuilderObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"n", "events", NULL};
-    Py_ssize_t n;
-    PyObject *events = NULL;
-    if (!error_installed() || !event_types_installed())
-        return -1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "n|O", kwlist, &n,
-                                     &events))
-        return -1;
-    if (n < 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "need at least one process, got n=%zd", n);
-        return -1;
-    }
-    self->n = n;
-    PyMem_Free(self->current);
-    self->current = PyMem_Calloc((size_t)(n * n), sizeof(long long));
-    if (self->current == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-#define FRESH(field, ctor)                   \
-    do {                                     \
-        PyObject *o_ = (ctor);               \
-        if (o_ == NULL)                      \
-            return -1;                       \
-        Py_XSETREF(self->field, o_);         \
-    } while (0)
-    FRESH(events, PyList_New(0));
-    FRESH(vectors, PyList_New(0));
-    FRESH(send_vec, PyDict_New());
-    FRESH(send_index, PyDict_New());
-    FRESH(recv_index, PyDict_New());
-    FRESH(crash_index, PyDict_New());
-    FRESH(failed_index, PyDict_New());
-    FRESH(recover_index, PyDict_New());
-    FRESH(observers, PyList_New(0));
-    FRESH(proc_indices, PyList_New(n));
-#undef FRESH
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *lst = PyList_New(0);
-        if (lst == NULL)
-            return -1;
-        PyList_SET_ITEM(self->proc_indices, i, lst);
-    }
-    if (events != NULL && events != Py_None) {
-        PyObject *it = PyObject_GetIter(events);
-        if (it == NULL)
-            return -1;
-        PyObject *event;
-        while ((event = PyIter_Next(it)) != NULL) {
-            int r = builder_append_one(self, event);
-            Py_DECREF(event);
-            if (r < 0) {
-                Py_DECREF(it);
-                return -1;
-            }
-        }
-        Py_DECREF(it);
-        if (PyErr_Occurred())
-            return -1;
-    }
-    return 0;
-}
-
-static int
-Builder_traverse(BuilderObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->events);
-    Py_VISIT(self->vectors);
-    Py_VISIT(self->send_vec);
-    Py_VISIT(self->send_index);
-    Py_VISIT(self->recv_index);
-    Py_VISIT(self->crash_index);
-    Py_VISIT(self->failed_index);
-    Py_VISIT(self->recover_index);
-    Py_VISIT(self->proc_indices);
-    Py_VISIT(self->observers);
-    return 0;
-}
-
-static int
-Builder_clear(BuilderObject *self)
-{
-    Py_CLEAR(self->events);
-    Py_CLEAR(self->vectors);
-    Py_CLEAR(self->send_vec);
-    Py_CLEAR(self->send_index);
-    Py_CLEAR(self->recv_index);
-    Py_CLEAR(self->crash_index);
-    Py_CLEAR(self->failed_index);
-    Py_CLEAR(self->recover_index);
-    Py_CLEAR(self->proc_indices);
-    Py_CLEAR(self->observers);
-    return 0;
-}
-
-static void
-Builder_dealloc(BuilderObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    Builder_clear(self);
-    PyMem_Free(self->current);
-    self->current = NULL;
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-/* The recorder's per-event fast path: one stamped-tuple allocation,
- * class-identity dispatch against the installed event types, indices
- * extended in place. Mirrors HistoryBuilder.append_one exactly. */
-static int
-builder_append_one(BuilderObject *self, PyObject *event)
-{
-    Py_ssize_t n = self->n;
-    PyObject *proc_obj = PyObject_GetAttr(event, s_proc);
-    if (proc_obj == NULL)
-        return -1;
-    Py_ssize_t proc = PyLong_AsSsize_t(proc_obj);
-    if (proc == -1 && PyErr_Occurred()) {
-        Py_DECREF(proc_obj);
-        return -1;
-    }
-    if (proc < 0 || proc >= n) {
-        PyErr_Format(PyExc_ValueError,
-                     "event process %zd outside universe 0..%zd: %R",
-                     proc, n - 1, event);
-        Py_DECREF(proc_obj);
-        return -1;
-    }
-    Py_ssize_t idx = PyList_GET_SIZE(self->events);
-    PyObject *idx_obj = PyLong_FromSsize_t(idx);
-    if (idx_obj == NULL) {
-        Py_DECREF(proc_obj);
-        return -1;
-    }
-    long long *row = self->current + proc * n;
-    PyTypeObject *cls = Py_TYPE(event);
-    PyObject *stamped = NULL;
-    PyObject *uid = NULL;
-    if ((PyObject *)cls == g_recv_event) {
-        PyObject *msg = PyObject_GetAttr(event, s_msg);
-        if (msg == NULL)
-            goto error;
-        uid = PyObject_GetAttr(msg, s_uid);
-        Py_DECREF(msg);
-        if (uid == NULL)
-            goto error;
-        PyObject *origin = PyDict_GetItemWithError(self->send_vec, uid);
-        if (origin == NULL && PyErr_Occurred())
-            goto error;
-        if (origin != NULL) {
-            for (Py_ssize_t q = 0; q < n; q++) {
-                PyObject *ov = PyTuple_GET_ITEM(origin, q);
-                long long v = PyLong_AsLongLong(ov);
-                if (v == -1 && PyErr_Occurred())
-                    goto error;
-                if (v > row[q])
-                    row[q] = v;
-            }
-        }
-        row[proc] += 1;
-        stamped = PyTuple_New(n);
-        if (stamped == NULL)
-            goto error;
-        for (Py_ssize_t q = 0; q < n; q++) {
-            PyObject *v = PyLong_FromLongLong(row[q]);
-            if (v == NULL)
-                goto error;
-            PyTuple_SET_ITEM(stamped, q, v);
-        }
-        if (PyDict_SetDefault(self->recv_index, uid, idx_obj) == NULL)
-            goto error;
-        Py_CLEAR(uid);
-    }
-    else {
-        row[proc] += 1;
-        stamped = PyTuple_New(n);
-        if (stamped == NULL)
-            goto error;
-        for (Py_ssize_t q = 0; q < n; q++) {
-            PyObject *v = PyLong_FromLongLong(row[q]);
-            if (v == NULL)
-                goto error;
-            PyTuple_SET_ITEM(stamped, q, v);
-        }
-        if ((PyObject *)cls == g_send_event) {
-            PyObject *msg = PyObject_GetAttr(event, s_msg);
-            if (msg == NULL)
-                goto error;
-            uid = PyObject_GetAttr(msg, s_uid);
-            Py_DECREF(msg);
-            if (uid == NULL)
-                goto error;
-            if (PyDict_SetItem(self->send_vec, uid, stamped) < 0)
-                goto error;
-            if (PyDict_SetDefault(self->send_index, uid, idx_obj) == NULL)
-                goto error;
-            Py_CLEAR(uid);
-        }
-        else if ((PyObject *)cls == g_crash_event) {
-            if (PyDict_SetDefault(self->crash_index, proc_obj, idx_obj)
-                == NULL)
-                goto error;
-        }
-        else if ((PyObject *)cls == g_failed_event) {
-            PyObject *target = PyObject_GetAttr(event, s_target);
-            if (target == NULL)
-                goto error;
-            PyObject *key = PyTuple_Pack(2, proc_obj, target);
-            Py_DECREF(target);
-            if (key == NULL)
-                goto error;
-            PyObject *r = PyDict_SetDefault(self->failed_index, key,
-                                            idx_obj);
-            Py_DECREF(key);
-            if (r == NULL)
-                goto error;
-        }
-        else if ((PyObject *)cls == g_recover_event) {
-            PyObject *inc = PyObject_GetAttr(event, s_incarnation);
-            if (inc == NULL)
-                goto error;
-            PyObject *key = PyTuple_Pack(2, proc_obj, inc);
-            Py_DECREF(inc);
-            if (key == NULL)
-                goto error;
-            PyObject *r = PyDict_SetDefault(self->recover_index, key,
-                                            idx_obj);
-            Py_DECREF(key);
-            if (r == NULL)
-                goto error;
-        }
-    }
-    if (PyList_Append(self->events, event) < 0)
-        goto error;
-    if (PyList_Append(self->vectors, stamped) < 0)
-        goto error;
-    PyObject *per_proc = PyList_GET_ITEM(self->proc_indices, proc);
-    if (PyList_Append(per_proc, idx_obj) < 0)
-        goto error;
-    if (PyList_GET_SIZE(self->observers) > 0) {
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(self->observers); i++) {
-            PyObject *observer = PyList_GET_ITEM(self->observers, i);
-            PyObject *res = PyObject_CallFunctionObjArgs(
-                observer, idx_obj, event, stamped, NULL);
-            if (res == NULL)
-                goto error;
-            Py_DECREF(res);
-        }
-    }
-    Py_DECREF(stamped);
-    Py_DECREF(idx_obj);
-    Py_DECREF(proc_obj);
-    return 0;
-error:
-    Py_XDECREF(stamped);
-    Py_XDECREF(uid);
-    Py_DECREF(idx_obj);
-    Py_DECREF(proc_obj);
-    return -1;
-}
-
-static PyObject *
-Builder_append_one(BuilderObject *self, PyObject *event)
-{
-    if (builder_append_one(self, event) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Builder_append(BuilderObject *self, PyObject *args)
-{
-    Py_ssize_t k = PyTuple_GET_SIZE(args);
-    for (Py_ssize_t i = 0; i < k; i++) {
-        if (builder_append_one(self, PyTuple_GET_ITEM(args, i)) < 0)
-            return NULL;
-    }
-    return Py_NewRef((PyObject *)self);
-}
-
-static PyObject *
-Builder_attach_observer(BuilderObject *self, PyObject *observer)
-{
-    if (PyList_Append(self->observers, observer) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Builder_detach_observers(BuilderObject *self, PyObject *noarg)
-{
-    if (PyList_SetSlice(self->observers, 0,
-                        PyList_GET_SIZE(self->observers), NULL) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static Py_ssize_t
-Builder_length(BuilderObject *self)
-{
-    return self->events ? PyList_GET_SIZE(self->events) : 0;
-}
-
-static PyObject *
-Builder_iter(BuilderObject *self)
-{
-    return PyObject_GetIter(self->events);
-}
-
-/* The preallocated clock rows, as lists (tests/introspection only). */
-static PyObject *
-Builder_get_current(BuilderObject *self, void *closure)
-{
-    Py_ssize_t n = self->n;
-    PyObject *rows = PyList_New(n);
-    if (rows == NULL)
-        return NULL;
-    for (Py_ssize_t p = 0; p < n; p++) {
-        PyObject *r = PyList_New(n);
-        if (r == NULL) {
-            Py_DECREF(rows);
-            return NULL;
-        }
-        for (Py_ssize_t q = 0; q < n; q++) {
-            PyObject *v = PyLong_FromLongLong(self->current[p * n + q]);
-            if (v == NULL) {
-                Py_DECREF(r);
-                Py_DECREF(rows);
-                return NULL;
-            }
-            PyList_SET_ITEM(r, q, v);
-        }
-        PyList_SET_ITEM(rows, p, r);
-    }
-    return rows;
-}
-
-static PySequenceMethods Builder_as_sequence = {
-    .sq_length = (lenfunc)Builder_length,
-};
-
-static PyMethodDef Builder_methods[] = {
-    {"append_one", (PyCFunction)Builder_append_one, METH_O,
-     "Append a single event - the recorder's per-event fast path."},
-    {"append", (PyCFunction)Builder_append, METH_VARARGS,
-     "Extend the history and every derived structure in O(delta)."},
-    {"attach_observer", (PyCFunction)Builder_attach_observer, METH_O,
-     "Call observer(index, event, vector) after every append."},
-    {"detach_observers", (PyCFunction)Builder_detach_observers,
-     METH_NOARGS, "Drop every attached observer."},
-    {NULL}
-};
-
-static PyGetSetDef Builder_getsets[] = {
-    {"_current", (getter)Builder_get_current, NULL,
-     "Copy of the per-process clock rows (introspection only).", NULL},
-    {NULL}
-};
-
-static PyMemberDef Builder_members[] = {
-    {"_n", T_PYSSIZET, offsetof(BuilderObject, n), READONLY, NULL},
-    {"_events", T_OBJECT_EX, offsetof(BuilderObject, events), READONLY,
-     NULL},
-    {"_vectors", T_OBJECT_EX, offsetof(BuilderObject, vectors), READONLY,
-     NULL},
-    {"_send_vec", T_OBJECT_EX, offsetof(BuilderObject, send_vec),
-     READONLY, NULL},
-    {"_send_index", T_OBJECT_EX, offsetof(BuilderObject, send_index),
-     READONLY, NULL},
-    {"_recv_index", T_OBJECT_EX, offsetof(BuilderObject, recv_index),
-     READONLY, NULL},
-    {"_crash_index", T_OBJECT_EX, offsetof(BuilderObject, crash_index),
-     READONLY, NULL},
-    {"_failed_index", T_OBJECT_EX, offsetof(BuilderObject, failed_index),
-     READONLY, NULL},
-    {"_recover_index", T_OBJECT_EX,
-     offsetof(BuilderObject, recover_index), READONLY, NULL},
-    {"_proc_indices", T_OBJECT_EX,
-     offsetof(BuilderObject, proc_indices), READONLY, NULL},
-    {"_observers", T_OBJECT_EX, offsetof(BuilderObject, observers),
-     READONLY, NULL},
-    {NULL}
-};
-
-static PyTypeObject Builder_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._accel._ccore.HistoryBuilderBase",
-    .tp_basicsize = sizeof(BuilderObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
-                Py_TPFLAGS_BASETYPE,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)Builder_init,
-    .tp_dealloc = (destructor)Builder_dealloc,
-    .tp_traverse = (traverseproc)Builder_traverse,
-    .tp_clear = (inquiry)Builder_clear,
-    .tp_methods = Builder_methods,
-    .tp_getset = Builder_getsets,
-    .tp_members = Builder_members,
-    .tp_as_sequence = &Builder_as_sequence,
-    .tp_iter = (getiterfunc)Builder_iter,
-    .tp_doc = "Incremental History builder, O(delta) per appended event.",
-};
-
-/* ------------------------------------------------------------------ */
 /* Module functions                                                   */
 /* ------------------------------------------------------------------ */
 
@@ -2627,21 +2182,6 @@ static PyObject *
 mod_install_error(PyObject *module, PyObject *error)
 {
     Py_XSETREF(g_sim_error, Py_NewRef(error));
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-mod_install_event_types(PyObject *module, PyObject *args)
-{
-    PyObject *send, *recv, *crash, *failed, *recover;
-    if (!PyArg_ParseTuple(args, "OOOOO", &send, &recv, &crash,
-                          &failed, &recover))
-        return NULL;
-    Py_XSETREF(g_send_event, Py_NewRef(send));
-    Py_XSETREF(g_recv_event, Py_NewRef(recv));
-    Py_XSETREF(g_crash_event, Py_NewRef(crash));
-    Py_XSETREF(g_failed_event, Py_NewRef(failed));
-    Py_XSETREF(g_recover_event, Py_NewRef(recover));
     Py_RETURN_NONE;
 }
 
@@ -2768,9 +2308,6 @@ static PyMethodDef module_methods[] = {
      "Callback of entries parked by clear_queue."},
     {"_install_error", (PyCFunction)mod_install_error, METH_O,
      "Install SimulationError (the exception raised by the core)."},
-    {"_install_event_types", (PyCFunction)mod_install_event_types,
-     METH_VARARGS,
-     "Install the five event dataclasses the builder dispatches on."},
     {"_set_random_type", (PyCFunction)mod_set_random_type, METH_O,
      "Install random.Random for the exact-type fast-path gate."},
     {"_register_delay_fastpath", (PyCFunction)mod_register_delay_fastpath,
@@ -2804,11 +2341,6 @@ PyInit__ccore(void)
     INTERN(s_sample, "sample");
     INTERN(s_random, "random");
     INTERN(s_deliver, "deliver");
-    INTERN(s_proc, "proc");
-    INTERN(s_msg, "msg");
-    INTERN(s_uid, "uid");
-    INTERN(s_target, "target");
-    INTERN(s_incarnation, "incarnation");
     INTERN(s_open_unbatched, "_open_unbatched");
     INTERN(s_param_delay, "delay");
     INTERN(s_param_low, "low");
@@ -2825,8 +2357,7 @@ PyInit__ccore(void)
         PyType_Ready(&Scheduler_Type) < 0 ||
         PyType_Ready(&ChannelState_Type) < 0 ||
         PyType_Ready(&Burst_Type) < 0 ||
-        PyType_Ready(&NetworkCore_Type) < 0 ||
-        PyType_Ready(&Builder_Type) < 0)
+        PyType_Ready(&NetworkCore_Type) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&ccore_module);
     if (m == NULL)
@@ -2840,14 +2371,14 @@ PyInit__ccore(void)
                               (PyObject *)&ChannelState_Type) < 0 ||
         PyModule_AddObjectRef(m, "_Burst", (PyObject *)&Burst_Type) < 0 ||
         PyModule_AddObjectRef(m, "NetworkCore",
-                              (PyObject *)&NetworkCore_Type) < 0 ||
-        PyModule_AddObjectRef(m, "HistoryBuilderBase",
-                              (PyObject *)&Builder_Type) < 0) {
+                              (PyObject *)&NetworkCore_Type) < 0) {
         Py_DECREF(m);
         return NULL;
     }
     g_noop = PyObject_GetAttrString(m, "_noop");
-    if (g_noop == NULL) {
+    if (g_noop == NULL ||
+        PyModule_AddStringConstant(m, "_SOURCE_SHA256",
+                                   REPRO_CCORE_SHA256) < 0) {
         Py_DECREF(m);
         return NULL;
     }

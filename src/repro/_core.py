@@ -1,16 +1,17 @@
 """Core-implementation selection (pure Python vs compiled).
 
-The event core — scheduler, network hot path, history builder, batch
-delay sampling — exists twice: the authoritative pure-Python modules and
+Three kernels of the event core — scheduler, network hot path, batch
+delay sampling — exist twice: the authoritative pure-Python modules and
 an optional C extension (``repro._accel``) that must be bit-identical to
 them. This shim decides, once per process at import time, which one the
-canonical modules re-export.
+canonical modules re-export. (The history recorder, ``repro.core.history``,
+exists once and does not consult it.)
 
 Selection, via the ``REPRO_CORE`` environment variable:
 
 * ``REPRO_CORE=pure``  — always the pure core (never imports the extension).
 * ``REPRO_CORE=accel`` — require the compiled core; ``ImportError`` if the
-  extension is not built.
+  extension is not built, or was built from a different ``_ccore.c``.
 * unset/empty          — auto: compiled core when importable, else pure.
 
 Module attributes (stable surface used by ``repro.core_info()``, journal

@@ -623,17 +623,3 @@ def messages_in_flight(history: History) -> list[Message]:
             pending.append(event.msg)
     return pending
 
-
-# ---------------------------------------------------------------------------
-# Core selection (see repro._core): ``History`` itself is never swapped —
-# the immutable artifact and its digests are always this module's pure
-# class. Only the incremental builder has a compiled twin, digest-pinned
-# against ``PureHistoryBuilder``.
-# ---------------------------------------------------------------------------
-
-PureHistoryBuilder = HistoryBuilder
-
-from repro._core import USE_ACCEL  # noqa: E402
-
-if USE_ACCEL:
-    from repro._accel.history import HistoryBuilder  # noqa: E402,F811

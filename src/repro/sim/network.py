@@ -209,7 +209,106 @@ class _Burst:
                     deliver_fn(src, dst, burst_msg, burst_kind)
 
 
-class Network:
+class _NetworkColdPaths:
+    """The adversary and introspection methods of ``Network``.
+
+    Off the hot path, so written once: the pure ``Network`` below and the
+    compiled one (``repro._accel.network``) both inherit them and supply
+    ``_hold_predicates``, ``_channels``, ``_delay_model``, ``_rng``,
+    ``_state`` and ``_schedule_delivery``.
+    """
+
+    def _matches_hold(self, src: int, dst: int, msg: Message) -> bool:
+        return any(pred(src, dst, msg) for pred in self._hold_predicates)
+
+    # ------------------------------------------------------------------
+    # Adversary interface (used via repro.sim.adversary)
+    # ------------------------------------------------------------------
+
+    def add_hold_predicate(self, predicate: HoldPredicate) -> HoldPredicate:
+        """Install a hold rule; returns it for later removal."""
+        self._hold_predicates.append(predicate)
+        return predicate
+
+    def remove_hold_predicate(self, predicate: HoldPredicate) -> None:
+        """Remove a previously installed hold rule."""
+        self._hold_predicates.remove(predicate)
+
+    def block_channel(self, src: int, dst: int) -> None:
+        """Unconditionally hold all future traffic on C_{src,dst}."""
+        self._state(src, dst).blocked = True
+
+    def release_channel(self, src: int, dst: int) -> int:
+        """Deliver a blocked channel's queue (FIFO) and unblock it.
+
+        Returns the number of messages released. Messages are re-subjected
+        to the delay model but the channel clock preserves their order.
+        The *k* delays for a *k*-message queue are drawn with one
+        :meth:`~repro.sim.delays.DelayModel.sample_batch` dispatch (the
+        rng stream is identical to *k* ``sample`` calls, so histories are
+        unchanged); the released queue then typically collapses into a
+        single delivery burst via the channel clock.
+        """
+        state = self._state(src, dst)
+        state.blocked = False
+        held, state.held = state.held, []
+        if not held:
+            return 0
+        delays = self._delay_model.sample_batch(
+            self._rng, [(src, dst)] * len(held)
+        )
+        for (msg, kind), delay in zip(held, delays):
+            self._schedule_delivery(state, src, dst, msg, kind, delay)
+        return len(held)
+
+    def clear_holds(self) -> int:
+        """Remove every installed hold rule; returns how many were removed.
+
+        Dropping the rules is deliberately separate from
+        :meth:`release_all`: a partial release (delivering what is queued)
+        must not silently discard unrelated content-hold rules that should
+        keep applying to future traffic. :meth:`Adversary.heal
+        <repro.sim.adversary.Adversary.heal>` does both.
+        """
+        removed = len(self._hold_predicates)
+        self._hold_predicates.clear()
+        return removed
+
+    def release_all(self) -> int:
+        """Release every blocked channel; returns messages released.
+
+        Installed hold predicates stay in force: traffic sent *after* the
+        release that matches a rule is held again. Call
+        :meth:`clear_holds` first (as ``Adversary.heal`` does) for a full
+        return to normal service.
+        """
+        released = 0
+        for (src, dst), state in self._channels.items():
+            if state.blocked or state.held:
+                released += self.release_channel(src, dst)
+        return released
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    def held_messages(self) -> dict[tuple[int, int], int]:
+        """How many messages are currently held, per blocked channel."""
+        return {
+            channel: len(state.held)
+            for channel, state in self._channels.items()
+            if state.held
+        }
+
+    def channel_stats(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Per-channel ``(sent, delivered)`` counters."""
+        return {
+            channel: (state.sent, state.delivered)
+            for channel, state in self._channels.items()
+        }
+
+
+class Network(_NetworkColdPaths):
     """All n^2 channels (including self-channels, used by Section 5)."""
 
     def __init__(
@@ -327,9 +426,6 @@ class Network:
             return
         self._open_delivery(state, src, dst, msg, kind, due, periodic)
 
-    def _matches_hold(self, src: int, dst: int, msg: Message) -> bool:
-        return any(pred(src, dst, msg) for pred in self._hold_predicates)
-
     def _schedule_delivery(
         self,
         state: _ChannelState,
@@ -420,73 +516,6 @@ class Network:
         scheduler.schedule_callback_at(due, deliver, periodic=periodic)
 
     # ------------------------------------------------------------------
-    # Adversary interface (used via repro.sim.adversary)
-    # ------------------------------------------------------------------
-
-    def add_hold_predicate(self, predicate: HoldPredicate) -> HoldPredicate:
-        """Install a hold rule; returns it for later removal."""
-        self._hold_predicates.append(predicate)
-        return predicate
-
-    def remove_hold_predicate(self, predicate: HoldPredicate) -> None:
-        """Remove a previously installed hold rule."""
-        self._hold_predicates.remove(predicate)
-
-    def block_channel(self, src: int, dst: int) -> None:
-        """Unconditionally hold all future traffic on C_{src,dst}."""
-        self._state(src, dst).blocked = True
-
-    def release_channel(self, src: int, dst: int) -> int:
-        """Deliver a blocked channel's queue (FIFO) and unblock it.
-
-        Returns the number of messages released. Messages are re-subjected
-        to the delay model but the channel clock preserves their order.
-        The *k* delays for a *k*-message queue are drawn with one
-        :meth:`~repro.sim.delays.DelayModel.sample_batch` dispatch (the
-        rng stream is identical to *k* ``sample`` calls, so histories are
-        unchanged); the released queue then typically collapses into a
-        single delivery burst via the channel clock.
-        """
-        state = self._state(src, dst)
-        state.blocked = False
-        held, state.held = state.held, []
-        if not held:
-            return 0
-        delays = self._delay_model.sample_batch(
-            self._rng, [(src, dst)] * len(held)
-        )
-        for (msg, kind), delay in zip(held, delays):
-            self._schedule_delivery(state, src, dst, msg, kind, delay)
-        return len(held)
-
-    def clear_holds(self) -> int:
-        """Remove every installed hold rule; returns how many were removed.
-
-        Dropping the rules is deliberately separate from
-        :meth:`release_all`: a partial release (delivering what is queued)
-        must not silently discard unrelated content-hold rules that should
-        keep applying to future traffic. :meth:`Adversary.heal
-        <repro.sim.adversary.Adversary.heal>` does both.
-        """
-        removed = len(self._hold_predicates)
-        self._hold_predicates.clear()
-        return removed
-
-    def release_all(self) -> int:
-        """Release every blocked channel; returns messages released.
-
-        Installed hold predicates stay in force: traffic sent *after* the
-        release that matches a rule is held again. Call
-        :meth:`clear_holds` first (as ``Adversary.heal`` does) for a full
-        return to normal service.
-        """
-        released = 0
-        for (src, dst), state in self._channels.items():
-            if state.blocked or state.held:
-                released += self.release_channel(src, dst)
-        return released
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -504,21 +533,6 @@ class Network:
     def system_messages_sent(self) -> int:
         """Heartbeat/system messages accepted so far."""
         return self.sent_by_kind["system"]
-
-    def held_messages(self) -> dict[tuple[int, int], int]:
-        """How many messages are currently held, per blocked channel."""
-        return {
-            channel: len(state.held)
-            for channel, state in self._channels.items()
-            if state.held
-        }
-
-    def channel_stats(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Per-channel ``(sent, delivered)`` counters."""
-        return {
-            channel: (state.sent, state.delivered)
-            for channel, state in self._channels.items()
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -483,7 +483,7 @@ PureTimerHandle = TimerHandle
 from repro._core import USE_ACCEL  # noqa: E402
 
 if USE_ACCEL:
-    from repro._accel.scheduler import (  # noqa: E402,F811
+    from repro._accel._ccore import (  # noqa: E402,F811
         Scheduler,
         TimerHandle,
         _Entry,

@@ -29,11 +29,8 @@ from hypothesis import strategies as st
 
 pytest.importorskip("repro._accel._ccore")
 
-from repro._accel.history import HistoryBuilder as AccelHistoryBuilder
+from repro._accel._ccore import Scheduler as AccelScheduler
 from repro._accel.network import Network as AccelNetwork
-from repro._accel.scheduler import Scheduler as AccelScheduler
-from repro.core.events import crash, failed, recover, recv, send
-from repro.core.history import PureHistoryBuilder
 from repro.core.messages import MessageMint
 from repro.sim.delays import (
     ExponentialDelay,
@@ -43,6 +40,7 @@ from repro.sim.delays import (
 )
 from repro.sim.network import PureNetwork
 from repro.sim.scheduler import PureScheduler
+from tests.conftest import SRC, run_python, stage_src
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -248,65 +246,34 @@ def test_network_release_channel_matches(plan, seed):
 
 
 # ---------------------------------------------------------------------------
-# Component level: history builder
+# The history recorder exists once: same class, same behaviour, under
+# either core
 # ---------------------------------------------------------------------------
 
+_BUILDER_PARITY = """
+import copy, pickle
+import repro
+from repro.core.events import crash, failed
+from repro.core.history import HistoryBuilder
 
-def _event_sequence(choices: list[int]):
-    """A structurally valid event list driven by hypothesis choices."""
-    mints = [MessageMint(i) for i in range(3)]
-    in_flight: list[tuple[int, int, object]] = []
-    events = []
-    for index, choice in enumerate(choices):
-        proc = choice % 3
-        kind = choice % 5
-        if kind == 0:
-            dst = (proc + 1 + choice // 5) % 3
-            msg = mints[proc].mint(f"m{index}")
-            events.append(send(proc, dst, msg))
-            in_flight.append((proc, dst, msg))
-        elif kind == 1 and in_flight:
-            src, dst, msg = in_flight.pop(0)
-            events.append(recv(dst, src, msg))
-        elif kind == 2:
-            events.append(crash(proc))
-        elif kind == 3:
-            events.append(failed(proc, (proc + 1) % 3))
-        else:
-            events.append(recover(proc, incarnation=1 + choice // 5))
-    return events
+assert repro.core_info()["core"] == "{core}"
+assert HistoryBuilder.__module__ == "repro.core.history"
+original = HistoryBuilder(2).append(crash(0))
+clone = copy.deepcopy(original)
+clone.append_one(failed(1, 0))
+assert len(original) == 1 and len(clone) == 2
+assert original.snapshot().vectors == [(1, 0)]
+assert clone.snapshot().vectors == [(1, 0), (0, 1)]
+assert pickle.loads(pickle.dumps(original)).events == original.events
+print("ok")
+"""
 
 
-@given(st.lists(st.integers(0, 1000), min_size=1, max_size=60))
-@settings(max_examples=60, deadline=None)
-def test_history_builder_matches_pure(choices):
-    """Appends, vector clocks, indices, and snapshots agree event-wise."""
-    events = _event_sequence(choices)
-    pure = PureHistoryBuilder(3)
-    accel = AccelHistoryBuilder(3)
-    for event in events:
-        pure.append_one(event)
-        accel.append_one(event)
-        assert pure._current == accel._current
-    assert pure.events == accel.events
-    pure_snap, accel_snap = pure.snapshot(), accel.snapshot()
-    assert type(pure_snap) is type(accel_snap)  # History is never swapped
-    assert pure_snap.events == accel_snap.events
-    assert list(pure_snap.vectors) == list(accel_snap.vectors)
-    assert pure_snap.send_index == accel_snap.send_index
-    assert pure_snap.recv_index == accel_snap.recv_index
-    assert pure_snap.crash_index == accel_snap.crash_index
-
-
-def test_history_builder_out_of_range_error_matches():
-    pure = PureHistoryBuilder(2)
-    accel = AccelHistoryBuilder(2)
-    messages = {}
-    for name, builder in (("pure", pure), ("accel", accel)):
-        with pytest.raises(ValueError) as excinfo:
-            builder.append_one(crash(5))
-        messages[name] = str(excinfo.value)
-    assert messages["pure"] == messages["accel"]
+@pytest.mark.parametrize("core", ["pure", "accel"])
+def test_history_builder_is_one_class_under_both_cores(core):
+    proc = run_python(SRC, core, "-c", _BUILDER_PARITY.format(core=core))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +303,48 @@ def test_scheduler_network_and_entry_surfaces_match():
     assert _surface(accel_net) - _surface(pure_net) == {"_open_unbatched"}
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "_matches_hold",
+        "add_hold_predicate",
+        "remove_hold_predicate",
+        "block_channel",
+        "release_channel",
+        "clear_holds",
+        "release_all",
+        "held_messages",
+        "channel_stats",
+    ],
+)
+def test_cold_network_methods_are_defined_once(name):
+    """Off the hot path both classes run the same function object, so a
+    body copied back into either of them fails here."""
+    assert getattr(AccelNetwork, name) is getattr(PureNetwork, name)
+
+
 # ---------------------------------------------------------------------------
 # End to end: full-toolchain digests under REPRO_CORE subprocesses
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "failure_model", ["fail-stop", "crash-recovery", "byzantine-crash"]
+    "flags",
+    [
+        pytest.param(("--failure-model", "fail-stop"), id="fail-stop"),
+        pytest.param(
+            ("--failure-model", "crash-recovery"), id="crash-recovery"
+        ),
+        pytest.param(
+            ("--failure-model", "byzantine-crash"), id="byzantine-crash"
+        ),
+        # No detector traffic: the plan with the highest share of engine
+        # events that reach the history recorder.
+        pytest.param(("--detectors", "none"), id="detectors-none"),
+    ],
 )
-def test_fuzz_digest_identical_across_cores(failure_model):
-    argv = (
-        "fuzz",
-        "--seed", "2",
-        "--count", "12",
-        "--failure-model", failure_model,
-    )
+def test_fuzz_digest_identical_across_cores(flags):
+    argv = ("fuzz", "--seed", "2", "--count", "12", *flags)
     pure = _run_cli("pure", *argv)
     accel = _run_cli("accel", *argv)
     assert _digest_line(pure) == _digest_line(accel)
@@ -399,3 +393,28 @@ def test_journal_header_stamps_core(tmp_path):
                        "--journal", str(journal), "--resume")
     fresh = _run_cli("pure", "fuzz", "--seed", "1", "--count", "4")
     assert _digest_line(resumed) == _digest_line(fresh)
+
+
+# ---------------------------------------------------------------------------
+# A build left over from a different _ccore.c is refused, not run
+# ---------------------------------------------------------------------------
+
+
+def test_stale_build_is_refused(tmp_path):
+    staged = stage_src(tmp_path, extension=True)
+    fresh = run_python(staged, None, "-m", "repro", "version")
+    assert fresh.returncode == 0, fresh.stderr
+    assert "event core: accel (auto-detected)" in fresh.stdout
+
+    with open(staged / "repro" / "_accel" / "_ccore.c", "ab") as source:
+        source.write(b"\n")
+    reason = "built from a different _ccore.c; rerun python setup.py"
+    auto = run_python(staged, None, "-m", "repro", "version")
+    assert auto.returncode == 0, auto.stderr
+    assert "event core: pure (auto-detected)" in auto.stdout
+    assert reason in auto.stdout  # core_info()["accel_import_error"]
+    forced = run_python(staged, "accel", "-m", "repro", "version")
+    assert forced.returncode == 2
+    assert forced.stderr.startswith("repro: REPRO_CORE=accel but")
+    assert reason in forced.stderr
+    assert forced.stderr.count("\n") == 1

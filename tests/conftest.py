@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.events import crash, failed, recv, send
@@ -66,3 +72,33 @@ def run_sfs_world(n=9, t=2, seed=7, faults=None, adversary_shield=None, heal_at=
         world.scheduler.schedule_at(heal_at, world.adversary.heal)
     world.run_to_quiescence()
     return world
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def stage_src(root: Path, *, extension: bool) -> Path:
+    """Copy ``src/`` under ``root`` the way ``benchmarks/record/run.py``
+    stages it (no ``.so``), then put the built extension back if asked."""
+    staged = root / "src"
+    shutil.copytree(
+        SRC, staged,
+        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyc"),
+    )
+    if extension:
+        for built in (SRC / "repro" / "_accel").glob("_ccore*.so"):
+            shutil.copy2(built, staged / "repro" / "_accel" / built.name)
+    return staged
+
+
+def run_python(src: Path, core: str | None, *args: str):
+    """``python <args>`` with ``src`` on the path and ``REPRO_CORE`` set to
+    ``core`` (``None``: unset); returns the completed process."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("REPRO_CORE", None)
+    if core is not None:
+        env["REPRO_CORE"] = core
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, cwd=src,
+    )

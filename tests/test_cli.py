@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from tests.conftest import SRC, run_python, stage_src
 
 
 class TestDemo:
@@ -464,3 +465,28 @@ class TestSweepEarlyStop:
         ) == 1
         err = capsys.readouterr().err
         assert "early_stop" in err
+
+
+class TestReproCoreErrors:
+    """A ``REPRO_CORE`` the process cannot honour is one line on stderr
+    and exit code 2 from every subcommand, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [("version",), ("bounds", "5")])
+    def test_invalid_value(self, argv):
+        proc = run_python(SRC, "bogus", "-m", "repro", *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "repro: REPRO_CORE must be 'accel', 'pure', or unset, "
+            "got 'bogus'\n"
+        )
+
+    def test_accel_without_a_built_extension(self, tmp_path):
+        staged = stage_src(tmp_path, extension=False)
+        proc = run_python(staged, "accel", "-m", "repro", "version")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(
+            "repro: REPRO_CORE=accel but the compiled core is unavailable"
+        )
+        assert proc.stderr.count("\n") == 1
