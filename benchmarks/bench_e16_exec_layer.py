@@ -1,7 +1,7 @@
-"""E16 — the unified execution layer: journal, resume, streaming, merge.
+"""E16 — the unified execution layer: journal, resume, streaming.
 
 Not a paper table; this guards the PR that moved sweep, fuzz, and the
-monitored CLI onto one job/executor core (``repro.exec``). Four
+monitored CLI onto one job/executor core (``repro.exec``). Three
 properties must hold:
 
 1. **journaling is cheap**: checkpointing every completed case to the
@@ -12,23 +12,17 @@ properties must hold:
    re-executing only the unjournaled cases — so the resumed remainder
    runs in roughly the remaining fraction of the time;
 3. **streaming sinks are near-free**: attaching an in-order result sink
-   does not measurably change the run (or its digest);
-4. **partition + merge is lossless**: splitting a plan across simulated
-   workers and digest-check-merging their journals reproduces the
-   single-host result bit for bit — the seam the ROADMAP's multi-host
-   dispatch backend will plug into.
+   does not measurably change the run (or its digest).
+
+Multi-host dispatch is the ``remote`` backend's job; its cost is the
+``fuzz_remote`` workload of ``benchmarks/record``.
 """
 
 import time
 
 from repro.analysis.fuzz import run_fuzz
-from repro.analysis.sweep import (
-    case_to_job,
-    plan_cases,
-    rows_digest,
-    run_sweep,
-)
-from repro.exec import CollectSink, merge_journals, run_jobs
+from repro.analysis.sweep import rows_digest, run_sweep
+from repro.exec import CollectSink
 
 from conftest import attach_rows
 
@@ -135,36 +129,5 @@ def test_bench_streaming_sink_overhead(benchmark):
             f"with_sink={streamed_s * 1000:.1f}ms",
             f"per_result_overhead="
             f"{(streamed_s - bare_s) / FUZZ_COUNT * 1e6:.1f}us",
-        ],
-    )
-
-
-def test_bench_partition_merge_round_trip(benchmark, tmp_path):
-    """Three simulated workers, one digest-checked merge, zero loss."""
-    jobs = [
-        case_to_job(case)
-        for case in plan_cases("e7", range(SWEEP_SEEDS), {"n": 6})
-    ]
-    baseline = rows_digest(
-        run_sweep("e7", seeds=range(SWEEP_SEEDS), params={"n": 6})
-    )
-
-    def fan_out_and_merge():
-        paths = []
-        for worker in range(3):
-            path = tmp_path / f"worker{worker}.jsonl"
-            run_jobs(jobs, journal=path, partition=(worker, 3))
-            paths.append(path)
-        return merge_journals(jobs, paths)
-
-    merged = benchmark.pedantic(fan_out_and_merge, rounds=1, iterations=1)
-    flat = [row for rows in merged for row in rows]
-    assert rows_digest(flat) == baseline
-    attach_rows(
-        benchmark,
-        [
-            f"workers=3 cases={len(jobs)}",
-            f"digest={baseline[:16]}",
-            "merge=digest-checked, holes rejected",
         ],
     )

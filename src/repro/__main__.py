@@ -412,6 +412,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.analysis.fuzz import (
         DEFAULT_CONFIG,
+        DEFAULT_STEPPING,
         FuzzConfig,
         run_adaptive_fuzz,
         run_fuzz,
@@ -420,26 +421,24 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.sim.multiworld import ShardedRunner
 
     backend = args.backend or "inproc"
-    if args.batch != 50 and not args.adaptive:
+    # Options that configure something this invocation does not use are
+    # refused: silently dropping them would imply they applied. Parser
+    # defaults are None sentinels, so presence — not value — is what's
+    # detected.
+    if args.batch is not None and not args.adaptive:
         print("fuzz failed: --batch only applies to --adaptive",
               file=sys.stderr)
         return 2
-    # The stepping controls configure the sharded multi-world engine;
-    # silently dropping them would imply they applied. Parser defaults
-    # are None sentinels, so presence — not value — is what's detected.
-    given = [
-        flag
-        for value, flag in (
-            (args.stepping, "--stepping"),
-            (args.quantum, "--quantum"),
-            (args.window, "--window"),
-        )
-        if value is not None
-    ]
+    given = {
+        name: getattr(args, name)
+        for name in DEFAULT_STEPPING
+        if getattr(args, name) is not None
+    }
     if backend != "inproc" and given:
         print(
-            f"fuzz failed: {', '.join(given)} only apply to "
-            f"--backend inproc (the sharded engine), not {backend!r}",
+            f"fuzz failed: {', '.join('--' + name for name in given)} only "
+            f"apply to --backend inproc (the sharded engine), not "
+            f"{backend!r}",
             file=sys.stderr,
         )
         return 2
@@ -447,9 +446,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print("fuzz failed: --workers only applies to --backend remote",
               file=sys.stderr)
         return 2
-    stepping = args.stepping if args.stepping is not None else "round_robin"
-    quantum = args.quantum if args.quantum is not None else 512
-    window = args.window if args.window is not None else 64
+    stepping = {**DEFAULT_STEPPING, **given}
     sink = None
     if args.stream:
         def render(index, total, job, outcome):
@@ -480,40 +477,32 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         )
         runner = None
         if backend == "inproc":
-            runner = ShardedRunner(
-                stepping=stepping, quantum=quantum, window=window
-            )
+            runner = ShardedRunner(**stepping)
+        common = dict(
+            seed=args.seed, count=args.count, config=config, runner=runner,
+            backend=backend, jobs=args.jobs, remote_workers=args.workers,
+            journal=args.journal, resume=args.resume, sink=sink,
+        )
         adaptive = None
         if args.adaptive:
             adaptive = run_adaptive_fuzz(
-                seed=args.seed, count=args.count, config=config,
-                batch=args.batch, runner=runner, backend=backend,
-                jobs=args.jobs, remote_workers=args.workers,
-                journal=args.journal, resume=args.resume,
-                sink=sink,
+                batch=args.batch if args.batch is not None else 50, **common
             )
             report = adaptive.report
         else:
-            report = run_fuzz(
-                seed=args.seed, count=args.count, config=config,
-                runner=runner, backend=backend, jobs=args.jobs,
-                remote_workers=args.workers,
-                journal=args.journal, resume=args.resume, sink=sink,
-            )
+            report = run_fuzz(**common)
     except ReproError as exc:
         print(f"fuzz failed: {exc}", file=sys.stderr)
         return 2
-    mode = stepping if backend == "inproc" else backend
+    mode = stepping["stepping"] if backend == "inproc" else backend
     label = " adaptive" if adaptive is not None else ""
     print(f"== fuzz seed={args.seed} count={args.count} "
           f"({mode}{label}) ==")
     print(adaptive.summary() if adaptive is not None else report.summary())
-    if runner is not None and adaptive is None:
+    if runner is not None:
         # The runner only saw scenarios that actually executed; the
         # rest (if any) were restored from the journal — say so rather
         # than print engine zeros that read as "ran and did nothing".
-        # (Adaptive campaigns reuse the runner per batch, so its stats
-        # cover only the final batch — skip them rather than mislead.)
         stats = runner.stats
         restored = report.count - stats.shards
         if stats.shards:
@@ -786,7 +775,7 @@ def main(argv: list[str] | None = None) -> int:
              "reproduce the same digest on every backend)",
     )
     fuzz.add_argument(
-        "--batch", type=int, default=50,
+        "--batch", type=int, default=None,
         help="scenarios per adaptive batch (weights re-derive between "
              "batches; --adaptive only; default: 50)",
     )

@@ -47,12 +47,10 @@ from repro.detectors.phi_accrual import PhiAccrualDriver
 from repro.errors import SimulationError
 from repro.exec import (
     EXEC_BACKENDS,
-    CampaignJournal,
-    InprocExecutor,
+    Executor,
     JobSpec,
     ResultSink,
     effective_backend,
-    job_digest,
     make_executor,
     run_jobs,
 )
@@ -339,6 +337,32 @@ def _draw_chatter(
     )
 
 
+def _finish_scenario(
+    rng: random.Random, index: int, config: FuzzConfig, **axes
+) -> Scenario:
+    """The draws both generators end with (heal time, chatter, world
+    seed — in that order) and the scenario over every drawn axis."""
+    heal_at = (
+        _round(rng.uniform(10.0, 20.0))
+        if axes["holds"] or axes["partition"]
+        else None
+    )
+    chatter = _draw_chatter(config, axes["n"], rng)
+    return Scenario(
+        index=index,
+        seed=rng.getrandbits(32),
+        heal_at=heal_at,
+        chatter=chatter,
+        horizon=(
+            config.detector_horizon
+            if axes["detector"][0] != "none"
+            else None
+        ),
+        failure_model=config.failure_model,
+        **axes,
+    )
+
+
 def generate_scenario(seed: int, index: int, config: FuzzConfig) -> Scenario:
     """The ``index``-th scenario of fuzz run ``seed`` under ``config``.
 
@@ -373,30 +397,10 @@ def generate_scenario(seed: int, index: int, config: FuzzConfig) -> Scenario:
     if n >= 2 and rng.random() < config.partition_rate:
         partition = _draw_partition(n, rng)
 
-    heal_at = (
-        _round(rng.uniform(10.0, 20.0)) if holds or partition else None
-    )
-
-    chatter = _draw_chatter(config, n, rng)
-
-    return Scenario(
-        index=index,
-        seed=rng.getrandbits(32),
-        n=n,
-        protocol=protocol,
-        t=t,
-        quorum_size=quorum_size,
-        delay=(family, delay_params),
-        detector=detector,
-        faults=faults,
-        holds=holds,
-        partition=partition,
-        heal_at=heal_at,
-        chatter=chatter,
-        horizon=(
-            config.detector_horizon if detector[0] != "none" else None
-        ),
-        failure_model=config.failure_model,
+    return _finish_scenario(
+        rng, index, config, n=n, protocol=protocol, t=t,
+        quorum_size=quorum_size, delay=(family, delay_params),
+        detector=detector, faults=faults, holds=holds, partition=partition,
     )
 
 
@@ -443,30 +447,10 @@ def generate_weighted_scenario(
     if shape in ("partition", "both"):
         partition = _draw_partition(n, rng)
 
-    heal_at = (
-        _round(rng.uniform(10.0, 20.0)) if holds or partition else None
-    )
-
-    chatter = _draw_chatter(config, n, rng)
-
-    return Scenario(
-        index=index,
-        seed=rng.getrandbits(32),
-        n=n,
-        protocol=protocol,
-        t=t,
-        quorum_size=quorum_size,
-        delay=(family, delay_params),
-        detector=detector,
-        faults=faults,
-        holds=holds,
-        partition=partition,
-        heal_at=heal_at,
-        chatter=chatter,
-        horizon=(
-            config.detector_horizon if detector[0] != "none" else None
-        ),
-        failure_model=config.failure_model,
+    return _finish_scenario(
+        rng, index, config, n=n, protocol=protocol, t=t,
+        quorum_size=quorum_size, delay=(family, delay_params),
+        detector=detector, faults=faults, holds=holds, partition=partition,
     )
 
 
@@ -892,14 +876,42 @@ FUZZ_BACKENDS = EXEC_BACKENDS
 """Valid ``backend`` arguments for :func:`run_fuzz` — the execution
 layer's registered executors, by reference (one registry, no copies)."""
 
+DEFAULT_STEPPING = {"stepping": "round_robin", "quantum": 512, "window": 64}
+"""How the ``inproc`` backend's :class:`ShardedRunner` steps scenarios
+when the caller passes no ``runner`` (also the CLI flags' defaults)."""
+
+
+def _fuzz_executor(
+    backend: str | None,
+    n_jobs: int,
+    runner: ShardedRunner | None,
+    jobs: int,
+    chunksize: int | None,
+    remote_workers: int | str | Sequence[str] | None,
+) -> Executor:
+    """The executor both fuzz drivers run on (default ``"inproc"``);
+    ``n_jobs`` is the largest number of jobs submitted at once."""
+    if backend is None:
+        backend = "inproc"
+    if runner is not None and backend != "inproc":
+        raise SimulationError(
+            "a ShardedRunner only drives the 'inproc' backend; drop "
+            f"runner= or backend={backend!r}"
+        )
+    backend = effective_backend(backend, n_jobs, jobs)
+    if backend == "inproc" and runner is None:
+        runner = ShardedRunner(**DEFAULT_STEPPING)
+    # make_executor rejects unknown backend names.
+    return make_executor(
+        backend, workers=jobs, chunksize=chunksize, runner=runner,
+        remote_workers=remote_workers,
+    )
+
 
 def run_fuzz(
     seed: int,
     count: int,
     config: FuzzConfig = DEFAULT_CONFIG,
-    stepping: str = "round_robin",
-    quantum: int = 512,
-    window: int | None = 64,
     runner: ShardedRunner | None = None,
     backend: str | None = None,
     jobs: int = 1,
@@ -915,11 +927,11 @@ def run_fuzz(
     :mod:`repro.exec`. The default backend is ``"inproc"``: scenarios run
     as shards of a :class:`~repro.sim.multiworld.ShardedRunner` (pass
     ``runner`` to control stepping or to read back
-    :class:`~repro.sim.multiworld.RunnerStats` afterwards; or let
-    ``stepping``/``quantum``/``window`` build one). ``"serial"`` runs
-    each scenario whole in this process, ``"parallel"`` fans them out
-    to a pool of ``jobs`` workers, and ``"remote"`` dispatches them to
-    the worker fleet ``remote_workers`` configures (see
+    :class:`~repro.sim.multiworld.RunnerStats` afterwards; the default is
+    :data:`DEFAULT_STEPPING`). ``"serial"`` runs each scenario whole in
+    this process, ``"parallel"`` fans them out to a pool of ``jobs``
+    workers, and ``"remote"`` dispatches them to the worker fleet
+    ``remote_workers`` configures (see
     :mod:`repro.exec.remote`) — the report is identical on every
     backend, stepping policy, quantum, and window, because scenarios
     share no state.
@@ -930,29 +942,11 @@ def run_fuzz(
     """
     if count < 0:
         raise SimulationError(f"count must be >= 0, got {count}")
-    if backend is None:
-        backend = "inproc"
-    if runner is not None and backend != "inproc":
-        raise SimulationError(
-            "a ShardedRunner only drives the 'inproc' backend; drop "
-            f"runner= or backend={backend!r}"
-        )
-    backend = effective_backend(backend, count, jobs)
-    if backend == "inproc":
-        if runner is None:
-            runner = ShardedRunner(
-                stepping=stepping, quantum=quantum, window=window
-            )
-        executor = InprocExecutor(runner=runner)
-    else:
-        # make_executor rejects unknown backend names.
-        executor = make_executor(
-            backend, workers=jobs, chunksize=chunksize,
-            remote_workers=remote_workers,
-        )
     outcomes = run_jobs(
         [scenario_job(seed, index, config) for index in range(count)],
-        executor=executor,
+        executor=_fuzz_executor(
+            backend, count, runner, jobs, chunksize, remote_workers
+        ),
         sink=sink,
         journal=journal,
         resume=resume,
@@ -974,10 +968,10 @@ def adaptive_campaign_digest(
 ) -> str:
     """Content hash of an adaptive campaign's inputs.
 
-    This is what a :class:`~repro.exec.journal.CampaignJournal` header
-    binds to: the full job plan is unknown upfront (batch *k*'s jobs
-    depend on batch *k-1*'s outcomes), but the campaign inputs determine
-    the whole run, so binding to them is binding to the plan.
+    This is what an adaptive campaign's journal header binds to: the
+    full job plan is unknown upfront (batch *k*'s jobs depend on batch
+    *k-1*'s outcomes), but the campaign inputs determine the whole run,
+    so binding to them is binding to the plan.
     """
     return hashlib.sha256(
         repr(
@@ -1057,9 +1051,6 @@ def run_adaptive_fuzz(
     count: int,
     config: FuzzConfig = DEFAULT_CONFIG,
     batch: int = 50,
-    stepping: str = "round_robin",
-    quantum: int = 512,
-    window: int | None = 64,
     runner: ShardedRunner | None = None,
     backend: str | None = None,
     jobs: int = 1,
@@ -1085,156 +1076,62 @@ def run_adaptive_fuzz(
     same scenarios, outcomes, coverage digests, and
     :meth:`AdaptiveReport.digest`, on every backend and stepping policy.
 
-    ``journal``/``resume`` checkpoint through a
-    :class:`~repro.exec.journal.CampaignJournal`: restored results are
-    validated against the recomputed batch jobs (hash mismatch names the
-    campaign drift), and each batch's recorded coverage checkpoint is
-    cross-checked against the resumed fold. A ``sink`` streams outcomes
-    in campaign index order as the finished prefix grows, exactly like
-    :func:`run_fuzz`.
+    This function is only the fold; :func:`~repro.exec.core.run_jobs`
+    drives it as an unfolding plan, so ``journal``/``resume``, ``sink``
+    and ``runner`` behave exactly as in :func:`run_fuzz` (a passed
+    ``runner``'s stats cover the whole campaign). The journal header
+    binds to :func:`adaptive_campaign_digest`; restored results are
+    validated against the recomputed batch jobs, and each batch's
+    recorded coverage digest is cross-checked against the resumed fold.
     """
     if count < 0:
         raise SimulationError(f"count must be >= 0, got {count}")
     if batch < 1:
         raise SimulationError(f"batch must be >= 1, got {batch}")
-    if resume and journal is None:
-        raise SimulationError("resume=True requires a journal")
-    if backend is None:
-        backend = "inproc"
-    if runner is not None and backend != "inproc":
-        raise SimulationError(
-            "a ShardedRunner only drives the 'inproc' backend; drop "
-            f"runner= or backend={backend!r}"
-        )
-    backend = effective_backend(backend, min(batch, count), jobs)
-    if backend == "inproc":
-        if runner is None:
-            runner = ShardedRunner(
-                stepping=stepping, quantum=quantum, window=window
-            )
-        executor = InprocExecutor(runner=runner)
-    else:
-        executor = make_executor(
-            backend, workers=jobs, chunksize=chunksize,
-            remote_workers=remote_workers,
-        )
-
-    log = CampaignJournal(journal) if journal is not None else None
-    cached: dict[int, tuple[str, object]] = {}
-    checkpoints: dict[int, dict] = {}
-    if log is not None:
-        cached, checkpoints = log.begin(
-            adaptive_campaign_digest(seed, count, batch, config),
-            count,
-            resume=resume,
-        )
 
     coverage = CoverageMap()
-    outcomes: list[FuzzOutcome | None] = [None] * count
-    jobs_by_index: dict[int, JobSpec] = {}
     batches: list[BatchRecord] = []
-    released = 0
 
-    def release_prefix() -> None:
-        nonlocal released
-        if sink is None:
-            return
-        while released < count and outcomes[released] is not None:
-            sink.emit(released, jobs_by_index[released], outcomes[released])
-            released += 1
-
-    if sink is not None:
-        sink.open(count)
-    try:
-        number = 0
-        start = 0
-        while start < count:
-            end = min(count, start + batch)
-            weights = derive_weights(config, coverage)
-            pending: list[tuple[int, JobSpec]] = []
-            for index in range(start, end):
-                job = scenario_job(seed, index, config, weights=weights)
-                jobs_by_index[index] = job
-                entry = cached.get(index)
-                if entry is not None:
-                    job_hash, result = entry
-                    if job_hash != job_digest(job):
-                        raise SimulationError(
-                            f"journal {log.path}: job hash mismatch at "
-                            f"index {index}; the journaled campaign "
-                            "diverged from this one (seed, count, batch "
-                            "size, config, or the adaptive loop changed); "
-                            "delete the journal or drop --resume"
-                        )
-                    outcomes[index] = result
-                else:
-                    pending.append((index, job))
-
-            def on_result(index: int, result: FuzzOutcome) -> None:
-                outcomes[index] = result
-                if log is not None:
-                    log.record(index, jobs_by_index[index], result)
-                release_prefix()
-
-            release_prefix()  # journaled results are already available
-            executor.submit(pending, on_result)
-
-            missing = [
-                index
-                for index in range(start, end)
-                if outcomes[index] is None
-            ]
-            if missing:
-                raise SimulationError(
-                    f"executor {executor.name!r} completed without "
-                    f"reporting {len(missing)} job(s) "
-                    f"(first: {missing[0]})"
-                )
-
+    def unfold(outcomes: Sequence[FuzzOutcome]):
+        start = batches[-1].end if batches else 0
+        end = len(outcomes)
+        digest = None
+        if end > start:
             before = len(coverage)
-            for index in range(start, end):
-                coverage.add_outcome(outcomes[index])
+            for outcome in outcomes[start:]:
+                coverage.add_outcome(outcome)
             digest = coverage.digest()
             batches.append(
                 BatchRecord(
-                    batch=number,
+                    batch=len(batches),
                     start=start,
                     end=end,
                     new_features=len(coverage) - before,
                     coverage_digest=digest,
                 )
             )
-            if log is not None:
-                checkpoint = checkpoints.get(number)
-                if checkpoint is not None:
-                    if (
-                        checkpoint.get("digest") != digest
-                        or checkpoint.get("upto") != end
-                    ):
-                        raise SimulationError(
-                            f"journal {log.path}: coverage checkpoint "
-                            f"mismatch at batch {number}; the resumed "
-                            "fold does not reproduce the original run "
-                            "(code or config drift); delete the journal "
-                            "or drop --resume"
-                        )
-                else:
-                    log.record_coverage(number, end, digest)
-            number += 1
-            start = end
-    finally:
-        if sink is not None:
-            sink.close()
-        if log is not None:
-            log.close()
+        if end == count:
+            return digest, None
+        weights = derive_weights(config, coverage)
+        return digest, [
+            scenario_job(seed, index, config, weights=weights)
+            for index in range(end, min(count, end + batch))
+        ]
 
-    report = FuzzReport(
-        seed=seed,
-        count=count,
-        outcomes=tuple(outcomes),  # type: ignore[arg-type]
+    outcomes = run_jobs(
+        executor=_fuzz_executor(
+            backend, min(batch, count), runner, jobs, chunksize,
+            remote_workers,
+        ),
+        sink=sink,
+        journal=journal,
+        resume=resume,
+        unfold=unfold,
+        binding=adaptive_campaign_digest(seed, count, batch, config),
+        total=count,
     )
     return AdaptiveReport(
-        report=report,
+        report=FuzzReport(seed=seed, count=count, outcomes=tuple(outcomes)),
         coverage=coverage,
         batches=tuple(batches),
         batch_size=batch,

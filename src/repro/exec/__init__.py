@@ -3,9 +3,11 @@
 Everything in this repository that runs *many independent simulations* —
 multi-seed sweeps (:mod:`repro.analysis.sweep`), generated fuzz scenarios
 (:mod:`repro.analysis.fuzz`), monitored CLI runs — describes its work as
-frozen :class:`JobSpec` jobs and hands the plan to :func:`run_jobs`. One
-core owns planning-order results, executor dispatch, streaming delivery,
-and checkpoint/resume; the subsystems are thin planners over it.
+frozen :class:`JobSpec` jobs and hands the plan to :func:`run_jobs` —
+whole, or (the adaptive fuzz campaign) as a callable that unfolds the
+next batch from the results so far. One core owns planning-order results,
+executor dispatch, streaming delivery, and checkpoint/resume; the
+subsystems are thin planners over it.
 
 The pieces, and where they live:
 
@@ -15,8 +17,8 @@ The pieces, and where they live:
                           (``repro.exec.executors``,
                           ``repro.exec.remote``)
 :class:`ResultSink`       in-order streaming consumers (``repro.exec.sink``)
-:class:`Journal`          JSONL checkpoint/resume, partition + digest-checked
-                          merge (``repro.exec.journal``)
+:class:`Journal`          the one JSONL checkpoint/resume log
+                          (``repro.exec.journal``)
 :func:`run_jobs`          the one fan-out loop (``repro.exec.core``)
 ========================  ==================================================
 
@@ -45,12 +47,7 @@ from repro.exec.job import (
     run_job,
     shard_form,
 )
-from repro.exec.journal import (
-    CampaignJournal,
-    Journal,
-    merge_journals,
-    partition_jobs,
-)
+from repro.exec.journal import Journal, partition_jobs
 from repro.exec.remote import (
     RemoteExecutor,
     RemoteStats,
@@ -82,8 +79,6 @@ __all__ = [
     "CallbackSink",
     "TeeSink",
     "Journal",
-    "CampaignJournal",
     "partition_jobs",
-    "merge_journals",
     "run_jobs",
 ]

@@ -13,8 +13,7 @@ possibly-erroneous verdict. A worker declared failed has its unfinished
 jobs reassigned to survivors; if the suspicion was false and the worker's
 late results still arrive, they are *accepted* — jobs are pure functions
 of their specs, so duplicates are bit-identical and safe to reconcile
-(the same property that makes :func:`~repro.exec.journal.merge_journals`
-tolerate overlapping journals).
+(the same property that lets a journal hold agreeing duplicate lines).
 
 Topology and protocol::
 
@@ -43,10 +42,10 @@ bytes, so every worker must run the same Python and pickle protocol as
 the coordinator, or semantically identical results can differ byte-wise
 and be refused as disagreement.
 
-Partitioning rides the PR 5 seam: the coordinator splits the pending
-plan with :func:`~repro.exec.journal.partition_jobs` (strided, so every
-worker's finished results spread across the index range and the
-in-order streaming prefix grows steadily), ships each share, and streams
+Partitioning: the coordinator splits the pending plan with
+:func:`~repro.exec.journal.partition_jobs` (strided, so every worker's
+finished results spread across the index range and the in-order
+streaming prefix grows steadily), ships each share, and streams
 completions back the moment they land.
 
 Deployment shapes (``spawn`` / ``accept`` / ``hosts``):

@@ -31,16 +31,14 @@ class ResultSink:
     Lifecycle: ``open(total)`` once, then exactly ``total`` calls to
     ``emit(index, job, result)`` with strictly increasing ``index``,
     then ``close()`` once — also on error, so sinks may release
-    resources unconditionally. Under a partitioned run ``total`` is the
-    worker's share of the plan, so the open/emit accounting always
-    balances; ``index`` is always the full-plan index.
+    resources unconditionally.
     """
 
     def open(self, total: int) -> None:
         """Called once before any result, with the emission count."""
 
     def emit(self, index: int, job: JobSpec, result: Any) -> None:
-        """Called once per owned job, in strictly increasing index order."""
+        """Called once per job, in strictly increasing index order."""
 
     def close(self) -> None:
         """Called once after the last result (or on abort)."""

@@ -84,7 +84,9 @@ class _LiveShard:
 
 @dataclass
 class RunnerStats:
-    """What one :meth:`ShardedRunner.run` did, for benchmarks and logs."""
+    """What a :class:`ShardedRunner` has done so far — summed over every
+    :meth:`~ShardedRunner.run` call, so a runner driven batch by batch
+    (an adaptive campaign) reports the whole campaign."""
 
     shards: int = 0
     events: int = 0
@@ -139,7 +141,7 @@ class ShardedRunner(Generic[R]):
         need from the world there (its history, monitors, metrics); the
         world cannot be run after the callback returns.
         """
-        self.stats = RunnerStats(shards=len(specs))
+        self.stats.shards += len(specs)
         results: list[R | None] = [None] * len(specs)
         # The cyclic collector is paused for the campaign: every finished
         # shard's world is dispose()d — its reference cycles broken — so
@@ -171,7 +173,8 @@ class ShardedRunner(Generic[R]):
         shard.world.dispose()
 
     def _run_sequential(self, specs, collect, results) -> None:
-        self.stats.peak_live_shards = 1 if specs else 0
+        if specs:
+            self.stats.peak_live_shards = 1
         for index, spec in enumerate(specs):
             shard = self._build(spec, index)
             while not shard.done:

@@ -13,8 +13,10 @@ import pytest
 from repro.analysis.coverage import CoverageMap, derive_weights
 from repro.analysis.fuzz import (
     DEFAULT_CONFIG,
+    FUZZ_MAX_EVENTS,
     FuzzConfig,
     adaptive_campaign_digest,
+    build_scenario_world,
     generate_scenario,
     generate_weighted_scenario,
     job_scenario,
@@ -70,6 +72,32 @@ class TestAdaptiveDeterminism:
             ),
         )
         assert tight.digest() == campaign.digest()
+
+    def test_runner_stats_cover_the_whole_campaign(self, campaign):
+        # One loop drives one runner, so its stats sum over the batches:
+        # the same engine-event count under either stepping, equal to
+        # the scenarios run one at a time.
+        events = []
+        for stepping in ("round_robin", "sequential"):
+            runner = ShardedRunner(stepping=stepping, quantum=64, window=4)
+            run_adaptive_fuzz(
+                seed=SEED, count=COUNT, batch=BATCH, runner=runner
+            )
+            assert runner.stats.shards == COUNT
+            events.append(runner.stats.events)
+        serial = 0
+        for outcome in campaign.outcomes:
+            scenario = outcome.scenario
+            world = build_scenario_world(scenario)
+            world.start()
+            if scenario.horizon is None:
+                world.scheduler.run_to_quiescence(max_events=FUZZ_MAX_EVENTS)
+            else:
+                world.scheduler.run(
+                    until=scenario.horizon, max_events=FUZZ_MAX_EVENTS
+                )
+            serial += world.scheduler.processed
+        assert events == [serial, serial]
 
 
 class TestAdaptiveStructure:
@@ -187,10 +215,35 @@ class TestAdaptiveJournal:
         )
         assert resumed.digest() == campaign.digest()
 
+    def test_resume_from_every_truncation_point(self, tmp_path):
+        # Kill the campaign after any line, or midway through the next
+        # (a torn line): the resume reaches the uninterrupted digests.
+        small = dict(
+            seed=SEED, count=6, batch=2,
+            config=FuzzConfig(max_n=5, detectors=("none",)),
+        )
+        path = tmp_path / "campaign.jsonl"
+        full = run_adaptive_fuzz(journal=path, **small)
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 1 + 6 + 3  # header, results, checkpoints
+        for keep in range(len(lines)):
+            for torn in ("", lines[keep][: len(lines[keep]) // 2]):
+                path.write_text("".join(lines[:keep]) + torn)
+                resumed = run_adaptive_fuzz(
+                    journal=path, resume=True, **small
+                )
+                assert resumed.digest() == full.digest()
+                assert resumed.coverage.digest() == full.coverage.digest()
+                # ... and leaves the same lines (a resume rewrites the
+                # salvaged results ahead of the salvaged checkpoints).
+                assert sorted(
+                    path.read_text().splitlines(keepends=True)
+                ) == sorted(lines)
+
     def test_resume_refuses_a_different_campaign(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         run_adaptive_fuzz(seed=SEED, count=COUNT, batch=BATCH, journal=path)
-        with pytest.raises(SimulationError, match="different adaptive"):
+        with pytest.raises(SimulationError, match="different plan"):
             run_adaptive_fuzz(
                 seed=SEED + 1, count=COUNT, batch=BATCH,
                 journal=path, resume=True,
@@ -199,7 +252,7 @@ class TestAdaptiveJournal:
     def test_resume_refuses_a_different_batch_size(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         run_adaptive_fuzz(seed=SEED, count=COUNT, batch=BATCH, journal=path)
-        with pytest.raises(SimulationError, match="different adaptive"):
+        with pytest.raises(SimulationError, match="different plan"):
             run_adaptive_fuzz(
                 seed=SEED, count=COUNT, batch=BATCH + 1,
                 journal=path, resume=True,

@@ -160,26 +160,6 @@ class TestRunJobsCore:
         assert results == [s * s for s in range(6)]
         assert ran == []
 
-    def test_partition_returns_none_elsewhere(self, tmp_path):
-        jobs = _plan(5)
-        results = run_jobs(
-            jobs, journal=tmp_path / "p.jsonl", partition=(1, 2)
-        )
-        assert results == [None, 1, None, 9, None]
-
-    def test_partition_sink_accounting_balances(self, tmp_path):
-        # open(total) must announce exactly the number of emits: the
-        # worker's share, not the plan size — a progress consumer
-        # counting emits against total must complete.
-        sink = CollectSink()
-        run_jobs(
-            _plan(5), journal=tmp_path / "p.jsonl",
-            partition=(0, 2), sink=sink,
-        )
-        assert sink.total == 3  # indices 0, 2, 4
-        assert sink.results == [0, 4, 16]
-        assert sink.closed
-
     def test_resume_sink_includes_restored_results(self, tmp_path):
         path = tmp_path / "j.jsonl"
         jobs = _plan(4)

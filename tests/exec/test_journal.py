@@ -1,18 +1,11 @@
-"""Tests for the JSONL journal, partitioning, and digest-checked merge."""
+"""Tests for the JSONL journal and the remote backend's share function."""
 
 import json
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.exec import (
-    CampaignJournal,
-    Journal,
-    JobSpec,
-    merge_journals,
-    partition_jobs,
-    run_jobs,
-)
+from repro.exec import Journal, JobSpec, partition_jobs, plan_digest, run_jobs
 
 SQUARE = "toykinds:square"
 
@@ -21,9 +14,17 @@ def _plan(n=5):
     return [JobSpec(kind=SQUARE, spec_id="sq", seed=s) for s in range(n)]
 
 
+def _load(path, jobs):
+    """The results a journal file holds for ``jobs``, by index."""
+    return {
+        index: result
+        for index, (_, result) in Journal(path).entries(jobs).items()
+    }
+
+
 class TestJournalRoundTrip:
     def test_missing_file_loads_empty(self, tmp_path):
-        assert Journal(tmp_path / "none.jsonl").load(_plan()) == {}
+        assert _load(tmp_path / "none.jsonl", _plan()) == {}
 
     def test_begin_record_load(self, tmp_path):
         jobs = _plan()
@@ -32,7 +33,7 @@ class TestJournalRoundTrip:
         journal.record(0, jobs[0], 0)
         journal.record(3, jobs[3], 9)
         journal.close()
-        assert Journal(journal.path).load(jobs) == {0: 0, 3: 9}
+        assert _load(journal.path, jobs) == {0: 0, 3: 9}
 
     def test_file_is_jsonl_with_header(self, tmp_path):
         jobs = _plan(2)
@@ -55,7 +56,7 @@ class TestJournalRoundTrip:
         journal.close()
         text = journal.path.read_text()
         journal.path.write_text(text[: len(text) - 20])  # tear the tail
-        assert Journal(journal.path).load(jobs) == {0: 0, 1: 1}
+        assert _load(journal.path, jobs) == {0: 0, 1: 1}
 
     def test_corrupt_middle_line_rejected(self, tmp_path):
         jobs = _plan()
@@ -68,7 +69,7 @@ class TestJournalRoundTrip:
         lines[1] = lines[1][:10]  # corrupt a non-final line
         journal.path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SimulationError, match="corrupt line"):
-            Journal(journal.path).load(jobs)
+            _load(journal.path, jobs)
 
     def test_valid_json_invalid_entry_rejected_cleanly(self, tmp_path):
         # A line can parse as JSON yet not be a valid entry (a kill that
@@ -85,32 +86,42 @@ class TestJournalRoundTrip:
             # "{}" keeps the malformed entry off the (tolerated) last line
             journal.path.write_text(good + bad + "\n{}\n")
             with pytest.raises(SimulationError, match="corrupt line 3"):
-                Journal(journal.path).load(jobs)
+                _load(journal.path, jobs)
             with pytest.raises(SimulationError, match="corrupt line 3"):
                 Journal(journal.path).begin(jobs, resume=True)
 
     def test_campaign_journal_corrupt_lines_rejected_cleanly(self, tmp_path):
-        # The campaign journal shares the plain journal's parser: the same
-        # non-object lines, plus a coverage line whose batch cannot key
-        # the checkpoint map, are the same one-line error.
+        # A journal opened by (binding, total) — an unfolding plan's —
+        # goes through the same parser: the same non-object lines, plus a
+        # coverage line whose batch cannot key the checkpoint map or that
+        # lacks a field, are the same one-line error.
         jobs = _plan()
         path = tmp_path / "c.jsonl"
-        journal = CampaignJournal(path)
-        journal.begin("digest", len(jobs))
+        journal = Journal(path)
+        journal.open("digest", len(jobs))
         journal.record(0, jobs[0], 0)
-        journal.record_coverage(0, 1, "cov")
+        journal.checkpoint(0, 1, "cov")
         journal.close()
         good = path.read_text()
         unhashable = '{"kind": "coverage", "batch": [1], "upto": 1, "digest": ""}'
         for bad in ("3", "[]", "null", '"x"', unhashable):
             path.write_text(good + bad + "\n{}\n")
             with pytest.raises(SimulationError, match="corrupt line 4"):
-                CampaignJournal(path).begin("digest", len(jobs), resume=True)
+                Journal(path).open("digest", len(jobs), resume=True)
+        path.write_text(good + '{"kind": "coverage", "batch": 1}\n{}\n')
+        with pytest.raises(
+            SimulationError,
+            match=r"corrupt line 4 \(coverage entry missing field 'upto'\)",
+        ):
+            Journal(path).open("digest", len(jobs), resume=True)
         path.write_text(good)
-        cached, checkpoints = journal.begin("digest", len(jobs), resume=True)
+        journal.open("digest", len(jobs), resume=True)
+        assert journal.restored(jobs) == {0: 0}
+        journal.checkpoint(0, 1, "cov")  # reproduces the recorded line
+        with pytest.raises(SimulationError, match="checkpoint mismatch"):
+            journal.checkpoint(0, 1, "drifted")
         journal.close()
-        assert cached == {0: (cached[0][0], 0)}
-        assert checkpoints[0]["digest"] == "cov"
+        assert path.read_text() == good  # verified, not appended again
 
     def test_undecodable_payload_rejected_cleanly(self, tmp_path):
         jobs = _plan()
@@ -123,7 +134,7 @@ class TestJournalRoundTrip:
         )
         journal.path.write_text(text + "{}\n")
         with pytest.raises(SimulationError, match="undecodable payload"):
-            Journal(journal.path).load(jobs)
+            _load(journal.path, jobs)
 
     def test_non_integer_index_rejected_cleanly(self, tmp_path):
         jobs = _plan()
@@ -134,14 +145,28 @@ class TestJournalRoundTrip:
             fh.write('{"kind": "result", "index": "0", "job": "x", '
                      '"data": ""}\n{}\n')
         with pytest.raises(SimulationError, match="outside"):
-            Journal(journal.path).load(jobs)
+            _load(journal.path, jobs)
 
     def test_wrong_plan_rejected(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
         journal.begin(_plan(5))
         journal.close()
         with pytest.raises(SimulationError, match="different.*plan"):
-            Journal(journal.path).load(_plan(4))
+            _load(journal.path, _plan(4))
+
+    def test_conflicting_duplicate_entries_refused(self, tmp_path):
+        jobs = _plan()
+        journal = Journal(tmp_path / "j.jsonl")
+        journal.begin(jobs)
+        journal.record(0, jobs[0], 0)
+        journal.record(0, jobs[0], 0)  # an agreeing duplicate is fine
+        journal.close()
+        assert _load(journal.path, jobs) == {0: 0}
+        with Journal(journal.path) as liar:
+            liar.begin(jobs, resume=True)
+            liar.record(0, jobs[0], 999)  # valid entry, other result
+        with pytest.raises(SimulationError, match="conflicting duplicate"):
+            _load(journal.path, jobs)
 
     def test_begin_resume_rewrites_cleanly(self, tmp_path):
         jobs = _plan()
@@ -157,7 +182,7 @@ class TestJournalRoundTrip:
         assert fresh.begin(jobs, resume=True) == {2: 4}
         fresh.record(4, jobs[4], 16)
         fresh.close()
-        assert Journal(journal.path).load(jobs) == {2: 4, 4: 16}
+        assert _load(journal.path, jobs) == {2: 4, 4: 16}
 
     def test_begin_without_resume_truncates(self, tmp_path):
         jobs = _plan()
@@ -168,7 +193,7 @@ class TestJournalRoundTrip:
         fresh = Journal(journal.path)
         assert fresh.begin(jobs, resume=False) == {}
         fresh.close()
-        assert Journal(journal.path).load(jobs) == {}
+        assert _load(journal.path, jobs) == {}
 
     def test_record_requires_begin(self, tmp_path):
         jobs = _plan(1)
@@ -189,7 +214,7 @@ class TestJournalRoundTrip:
         resumed = Journal(journal.path)
         assert resumed.begin(jobs, resume=True) == {0: 0, 2: 4}
         # Simulate the kill: no record(), no close(); reread from disk.
-        assert Journal(journal.path).load(jobs) == {0: 0, 2: 4}
+        assert _load(journal.path, jobs) == {0: 0, 2: 4}
         assert not journal.path.with_name("j.jsonl.rewrite").exists()
 
     def test_resume_rewrite_copies_entries_verbatim(self, tmp_path):
@@ -236,82 +261,6 @@ class TestPartition:
             partition_jobs(_plan(3), 0, 0)
 
 
-class TestMerge:
-    def _run_partitions(self, tmp_path, jobs, n_workers):
-        paths = []
-        for worker in range(n_workers):
-            path = tmp_path / f"part{worker}.jsonl"
-            run_jobs(jobs, journal=path, partition=(worker, n_workers))
-            paths.append(path)
-        return paths
-
-    def test_merge_reassembles_in_plan_order(self, tmp_path):
-        jobs = _plan(7)
-        paths = self._run_partitions(tmp_path, jobs, 3)
-        assert merge_journals(jobs, paths) == [s * s for s in range(7)]
-
-    def test_merge_rejects_holes(self, tmp_path):
-        jobs = _plan(7)
-        paths = self._run_partitions(tmp_path, jobs, 3)
-        with pytest.raises(SimulationError, match="no journaled result"):
-            merge_journals(jobs, paths[:2])
-
-    def test_merge_rejects_missing_file(self, tmp_path):
-        with pytest.raises(SimulationError, match="does not exist"):
-            merge_journals(_plan(2), [tmp_path / "ghost.jsonl"])
-
-    def test_merge_rejects_foreign_plan(self, tmp_path):
-        jobs = _plan(4)
-        paths = self._run_partitions(tmp_path, jobs, 2)
-        with pytest.raises(SimulationError, match="different.*plan"):
-            merge_journals(_plan(5), paths)
-
-    def test_overlapping_agreeing_entries_merge(self, tmp_path):
-        jobs = _plan(3)
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        run_jobs(jobs, journal=a)  # full run
-        run_jobs(jobs, journal=b, partition=(0, 2))  # overlaps with a
-        assert merge_journals(jobs, [a, b]) == [0, 1, 4]
-
-    def test_empty_plan_no_paths_merges_to_empty(self):
-        # The degenerate a zero-case sweep hands the remote backend.
-        assert merge_journals([], []) == []
-
-    def test_empty_plan_with_header_only_journals(self, tmp_path):
-        paths = self._run_partitions(tmp_path, [], 2)
-        assert merge_journals([], paths) == []
-
-    def test_more_workers_than_jobs_yields_empty_shares(self, tmp_path):
-        jobs = _plan(2)
-        assert partition_jobs(jobs, 3, 5) == []
-        paths = self._run_partitions(tmp_path, jobs, 5)
-        # Workers 2..4 journal nothing but a header; the merge still
-        # reassembles the full plan from the two real shares.
-        assert merge_journals(jobs, paths) == [0, 1]
-
-    def test_disagreeing_duplicates_refused(self, tmp_path):
-        jobs = _plan(3)
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        run_jobs(jobs, journal=a)
-        liar = Journal(b)
-        liar.begin(jobs)
-        liar.record(0, jobs[0], 999)  # valid entry, wrong result
-        liar.close()
-        with pytest.raises(SimulationError, match="disagree"):
-            merge_journals(jobs, [a, b])
-
-    def test_torn_final_lines_in_worker_journals_tolerated(self, tmp_path):
-        jobs = _plan(7)
-        paths = self._run_partitions(tmp_path, jobs, 3)
-        for path in paths:
-            # The kill's half-write: an unterminated, unparseable tail.
-            with path.open("a") as fh:
-                fh.write('{"kind": "result", "ind')
-        assert merge_journals(jobs, paths) == [s * s for s in range(7)]
-
-
 class TestPublicEntriesApi:
     def test_entries_exposes_raw_and_decoded(self, tmp_path):
         jobs = _plan(3)
@@ -343,7 +292,7 @@ class TestPublicEntriesApi:
                 raise RuntimeError("mid-run")
         assert journal._fh is None
         # The flushed prefix is still a loadable checkpoint.
-        assert Journal(journal.path).load(jobs) == {}
+        assert _load(journal.path, jobs) == {}
 
 
 class _RecordingSink:
@@ -371,7 +320,12 @@ class _RecordingSink:
 
 
 class TestRunJobsLifecycle:
-    """Error paths must still close an owned journal (and the sink)."""
+    """Error paths must still close an owned journal (and the sink) —
+    for a fixed plan here, for an unfolding one in the subclass below."""
+
+    @staticmethod
+    def run(jobs, **kwargs):
+        return run_jobs(jobs, **kwargs)
 
     @pytest.fixture
     def closes(self, monkeypatch):
@@ -390,16 +344,16 @@ class TestRunJobsLifecycle:
                                    seed=9)]
         path = tmp_path / "j.jsonl"
         with pytest.raises(RuntimeError, match="boom"):
-            run_jobs(jobs, journal=path)
+            self.run(jobs, journal=path)
         assert closes == [path]
         # The flushed prefix survives as a resumable checkpoint.
-        assert Journal(path).load(jobs) == {0: 0, 1: 1, 2: 4}
+        assert _load(path, jobs) == {0: 0, 1: 1, 2: 4}
 
     def test_sink_open_error_closes_owned_journal(self, tmp_path, closes):
         sink = _RecordingSink(fail_open=True)
         path = tmp_path / "j.jsonl"
         with pytest.raises(RuntimeError, match="sink open"):
-            run_jobs(_plan(2), sink=sink, journal=path)
+            self.run(_plan(2), sink=sink, journal=path)
         assert closes == [path]
         # close() pairs with a successful open, which never happened.
         assert sink.closed == 0
@@ -410,15 +364,9 @@ class TestRunJobsLifecycle:
         sink = _RecordingSink(fail_emit_at=1)
         path = tmp_path / "j.jsonl"
         with pytest.raises(RuntimeError, match="emit failed"):
-            run_jobs(_plan(3), sink=sink, journal=path)
+            self.run(_plan(3), sink=sink, journal=path)
         assert closes == [path]
         assert sink.closed == 1
-
-    def test_bad_partition_closes_owned_journal(self, tmp_path, closes):
-        path = tmp_path / "j.jsonl"
-        with pytest.raises(SimulationError, match="worker_id"):
-            run_jobs(_plan(3), journal=path, partition=(5, 2))
-        assert closes == [path]
 
     def test_caller_owned_journal_left_open_on_error(self, tmp_path):
         # A Journal object passed in belongs to the caller; run_jobs
@@ -426,6 +374,23 @@ class TestRunJobsLifecycle:
         jobs = [JobSpec(kind="toykinds:boom", spec_id="b", seed=1)]
         journal = Journal(tmp_path / "j.jsonl")
         with pytest.raises(RuntimeError, match="boom"):
-            run_jobs(jobs, journal=journal)
+            self.run(jobs, journal=journal)
         assert journal._fh is not None
         journal.close()
+
+
+class TestRunJobsLifecycleUnfolding(TestRunJobsLifecycle):
+    """The same error paths when the plan unfolds two jobs at a time
+    (bound to the plan digest so ``_load`` can read the file back)."""
+
+    @staticmethod
+    def run(jobs, **kwargs):
+        def unfold(results):
+            done = len(results)
+            checkpoint = f"fold-{done}" if done else None
+            return checkpoint, jobs[done:done + 2] or None
+
+        return run_jobs(
+            unfold=unfold, binding=plan_digest(jobs), total=len(jobs),
+            **kwargs,
+        )

@@ -18,10 +18,17 @@ executor decides (where, when, in what interleaving) must be invisible
 in what it returns.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.fuzz import run_fuzz, scenario_job, DEFAULT_CONFIG
+from repro.analysis.fuzz import (
+    DEFAULT_CONFIG,
+    run_adaptive_fuzz,
+    run_fuzz,
+    scenario_job,
+)
 from repro.analysis.sweep import (
     case_to_job,
     plan_cases,
@@ -101,23 +108,31 @@ def test_sweep_digest_invariant_under_resume_point(tmp_path_factory, seeds, cut)
     assert rows_digest(resumed) == rows_digest(baseline)
 
 
-@settings(max_examples=4, deadline=None)
+def _adaptive(**kwargs):
+    """An adaptive campaign of two-scenario batches: the unfolding plan
+    as a third input next to the sweep and the uniform fuzz run."""
+    return run_adaptive_fuzz(batch=2, **kwargs)
+
+
+@settings(max_examples=6, deadline=None)
 @given(
+    run=st.sampled_from((run_fuzz, _adaptive)),
     seed=st.integers(min_value=0, max_value=10_000),
     count=st.integers(min_value=2, max_value=6),
-    cut=st.integers(min_value=0, max_value=6),
+    cut=st.integers(min_value=0, max_value=9),
 )
 def test_fuzz_digest_invariant_under_resume_point(
-    tmp_path_factory, seed, count, cut
+    tmp_path_factory, run, seed, count, cut
 ):
     path = tmp_path_factory.mktemp("exec") / "fuzz.jsonl"
-    baseline = run_fuzz(seed=seed, count=count)
-    full = run_fuzz(seed=seed, count=count, journal=path)
+    baseline = run(seed=seed, count=count)
+    full = run(seed=seed, count=count, journal=path)
     assert full.digest() == baseline.digest()
     lines = path.read_text().splitlines()
+    # header + cut result (adaptive: and coverage checkpoint) lines
     keep = 1 + min(cut, len(lines) - 1)
     path.write_text("\n".join(lines[:keep]) + "\n")
-    resumed = run_fuzz(seed=seed, count=count, journal=path, resume=True)
+    resumed = run(seed=seed, count=count, journal=path, resume=True)
     assert resumed == baseline
     assert resumed.digest() == baseline.digest()
 
@@ -156,6 +171,21 @@ def test_fuzz_outcomes_invariant_under_arrival_order(
     jobs = [scenario_job(seed, i, DEFAULT_CONFIG) for i in range(count)]
     permuted = run_jobs(jobs, executor=_PermutedExecutor(shuffle_seed))
     assert permuted == list(run_fuzz(seed=seed, count=count).outcomes)
+
+    # The unfolding plan: every batch of an adaptive campaign arrives
+    # permuted; sink order, outcomes and both digests do not move.
+    baseline = _adaptive(seed=seed, count=count)
+    sink = CollectSink()
+    with mock.patch(
+        "repro.analysis.fuzz.make_executor",
+        return_value=_PermutedExecutor(shuffle_seed),
+    ):
+        permuted = _adaptive(
+            seed=seed, count=count, backend="serial", sink=sink
+        )
+    assert sink.results == list(baseline.outcomes)
+    assert permuted == baseline
+    assert permuted.digest() == baseline.digest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -274,9 +276,8 @@ class TestFuzzAdaptive:
         assert "batches: 2" in out
         assert "coverage=" in out
         assert "digest=" in out
-        # Adaptive campaigns reuse the runner per batch, so per-run
-        # engine stats would be misleading — they must not print.
-        assert "engine:" not in out
+        # One runner steps every batch, so its stats cover the campaign.
+        assert "engine: " in out and "peak 4 live shards" in out
 
     def test_adaptive_replays_identically(self, capsys):
         args = ["fuzz", "--seed", "4", "--count", "6",
@@ -310,11 +311,49 @@ class TestFuzzAdaptive:
         assert [l for l in first.splitlines() if "digest=" in l] == [
             l for l in resumed.splitlines() if "digest=" in l
         ]
+        assert "engine:" in first and "restored" not in first
+        assert "all 6 scenarios restored from journal" in resumed
+        # A kill mid-batch-1 (header + 4 results + batch 0's checkpoint).
+        lines = Path(path).read_text().splitlines()
+        Path(path).write_text("\n".join(lines[:5] + lines[7:8]) + "\n")
+        assert main(args + ["--resume"]) == 0
+        assert "(4 of 6 scenarios restored from journal)" in (
+            capsys.readouterr().out
+        )
+
+    def test_resume_over_another_kind_of_journal_refused_in_one_line(
+        self, capsys, tmp_path
+    ):
+        uniform = ["fuzz", "--seed", "2", "--count", "6"]
+        adaptive = uniform + ["--adaptive", "--batch", "3"]
+        path = tmp_path / "fuzz.jsonl"
+
+        def refused(args):
+            capsys.readouterr()
+            assert main(args + ["--journal", str(path), "--resume"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"fuzz failed: journal {path} was written "
+                                  "for a different plan")
+            assert err.endswith("delete it or drop --resume\n")
+            assert len(err.splitlines()) == 1
+
+        assert main(uniform + ["--journal", str(path)]) == 0
+        refused(adaptive)
+        assert main(adaptive + ["--journal", str(path)]) == 0
+        refused(uniform)
+        # The previous format bound an adaptive journal's header under
+        # another key; such a file is refused, not misread.
+        text = path.read_text()
+        assert text.count('"plan": ') == 1
+        path.write_text(text.replace('"plan": ', '"campaign": '))
+        refused(adaptive)
 
     def test_batch_requires_adaptive(self, capsys):
-        assert main(["fuzz", "--count", "2", "--batch", "10"]) == 2
-        err = capsys.readouterr().err
-        assert "--batch" in err and "--adaptive" in err
+        # Detection is by presence, so the default's value is refused too.
+        for value in ("10", "50"):
+            assert main(["fuzz", "--count", "2", "--batch", value]) == 2
+            err = capsys.readouterr().err
+            assert "--batch" in err and "--adaptive" in err
 
 
 class TestFuzzShrinkAndCorpus:
