@@ -109,7 +109,11 @@ def _noop_cb() -> None:
 
 
 def test_bench_component_delay_sampling(benchmark):
-    """Delay model dispatch alone: 2000 single samples + batched pairs."""
+    """Delay model dispatch alone: 2000 ``sample`` calls.
+
+    The models are pure under either event core, so the ``core`` tag of
+    the recorded artifact does not bear on this row.
+    """
     import random
 
     from repro.sim.delays import LogNormalDelay
@@ -122,7 +126,6 @@ def test_bench_component_delay_sampling(benchmark):
         total = 0.0
         for src, dst in pairs:
             total += model.sample(rng, src, dst)
-        total += sum(model.sample_batch(rng, pairs))
         return total
 
     assert benchmark(run) > 0.0

@@ -1,10 +1,9 @@
 """Optional compiled event core.
 
-This package wraps the C extension ``repro._accel._ccore`` — three
-kernels: the scheduler, the network hot path, and the batch delay
-samplers — with thin Python modules that complete the pure modules'
-public surface (``network``) and install the samplers (``delays``); the
-scheduler types are used straight from ``_ccore``. It is selected at
+This package wraps the C extension ``repro._accel._ccore`` — two
+kernels: the scheduler and the network hot path — with one thin Python
+module that completes the pure network's public surface (``network``);
+the scheduler types are used straight from ``_ccore``. It is selected at
 import time by :mod:`repro._core` (``REPRO_CORE=accel|pure``, default:
 accel when the extension is importable) — nothing should import it
 directly except the shim, the canonical modules' core-selection blocks,
@@ -23,7 +22,6 @@ built, or was built from a different ``_ccore.c`` than the one beside it
 from __future__ import annotations
 
 import hashlib
-import random
 from pathlib import Path
 
 # Imported by absolute module path (not `from repro._accel import ...`)
@@ -45,12 +43,10 @@ if _source.exists() and (
         "rerun python setup.py build_ext --inplace"
     )
 
-# Hand the extension the exception type it raises and random.Random for
-# the exact-type gate on the compiled delay kernels. This module stays
+# Hand the extension the exception type it raises. This module stays
 # import-light on purpose — the canonical modules import it from their
 # bottom-of-module core-selection blocks, so pulling in repro.core or
 # repro.sim here would be circular.
 _ccore._install_error(SimulationError)
-_ccore._set_random_type(random.Random)
 
 __all__ = ["_ccore"]

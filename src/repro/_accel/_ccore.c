@@ -1,17 +1,17 @@
-/* Compiled event core: C implementations of the scheduler, network burst
- * path, and delay kernels — three kernels. The history recorder
- * (repro.core.history) has no compiled twin.
+/* Compiled event core: C implementations of the scheduler and the
+ * network burst path — two kernels. The history recorder
+ * (repro.core.history) and the delay models (repro.sim.delays) have no
+ * compiled twin: a send draws its delay by calling delay_model.sample().
  *
- * The pure-Python modules (repro.sim.scheduler, repro.sim.network,
- * repro.sim.delays) are the authoritative reference; everything here
- * must be *bit-identical* to them — same callback order, same rng
- * stream, same counters, same error messages. Cross-core digest property
- * tests enforce that (tests/accel/).
+ * The pure-Python modules (repro.sim.scheduler, repro.sim.network) are
+ * the authoritative reference; everything here must be *bit-identical*
+ * to them — same callback order, same rng stream, same counters, same
+ * error messages. Cross-core digest property tests enforce that
+ * (tests/accel/).
  *
  * Layout mirrors the pure modules:
  *   _Entry / TimerHandle / Scheduler   <- repro.sim.scheduler
  *   _ChannelState / _Burst / NetworkCore <- repro.sim.network
- *   batch_sample                       <- repro.sim.delays sample_batch
  *
  * setup.py defines REPRO_CCORE_SHA256, the sha256 of this file, and the
  * module exports it as _SOURCE_SHA256 so repro._accel can refuse a build
@@ -20,21 +20,17 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
-#include <math.h>
 
 /* ------------------------------------------------------------------ */
 /* Module-level state (single-phase module; no subinterpreter support) */
 /* ------------------------------------------------------------------ */
 
 static PyObject *g_sim_error;        /* repro.errors.SimulationError */
-static PyTypeObject *g_random_type;  /* random.Random, exact-type gate */
-static PyTypeObject *g_delay_types[5];  /* registered fast-path classes */
 static PyObject *g_noop;             /* parked-entry callback */
-static double g_nv_magic;            /* 4*exp(-0.5)/sqrt(2) (random.py) */
 
 /* interned strings */
 static PyObject *s_app, *s_protocol, *s_system;
-static PyObject *s_sample, *s_random, *s_deliver;
+static PyObject *s_sample, *s_deliver;
 static PyObject *s_open_unbatched;
 
 static PyObject *ERR(void)
@@ -1183,13 +1179,6 @@ typedef struct {
     long long messages_delivered;
     long long delivery_entries;
     PyObject *targets;         /* list of processes or None */
-    /* Delay fast-path cache, keyed by (model, rng) identity. A frozen
-     * dataclass cannot mutate its params, so identity implies params. */
-    PyObject *cached_model;
-    PyObject *cached_rng;
-    PyObject *rng_random;      /* bound rng.random or NULL */
-    int delay_kind;            /* index into kernels; -1 = generic */
-    double p0, p1;
 } NetworkCoreObject;
 
 static PyTypeObject NetworkCore_Type;
@@ -1446,16 +1435,6 @@ static PyTypeObject Burst_Type = {
 /* NetworkCore                                                        */
 /* ------------------------------------------------------------------ */
 
-/* Delay-model attribute names for the fast-path parameter cache. */
-static PyObject *s_param_delay;
-static PyObject *s_param_low;
-static PyObject *s_param_high;
-static PyObject *s_param_mean;
-static PyObject *s_param_median;
-static PyObject *s_param_sigma;
-static PyObject *s_param_scale;
-static PyObject *s_param_alpha;
-
 static int
 py_str_eq(PyObject *a, PyObject *b)
 {
@@ -1483,150 +1462,6 @@ kind_index(PyObject *kind)
     if (py_str_eq(kind, s_system))
         return 2;
     return -1;
-}
-
-static int
-get_attr_double(PyObject *obj, PyObject *name, double *out)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL)
-        return -1;
-    double d = PyFloat_AsDouble(v);
-    Py_DECREF(v);
-    if (d == -1.0 && PyErr_Occurred())
-        return -1;
-    *out = d;
-    return 0;
-}
-
-/* Re-derive the sampling fast path after a (model, rng) identity change.
- * Leaves delay_kind at -1 (generic .sample() dispatch) whenever the
- * model type is unregistered, the rng is not exactly random.Random, or a
- * parameter would make the pure code raise (the generic path must be the
- * one to raise, with the pure traceback). */
-static int
-network_rebuild_delay_cache(NetworkCoreObject *self)
-{
-    Py_XSETREF(self->cached_model, Py_NewRef(self->delay_model));
-    Py_XSETREF(self->cached_rng, Py_NewRef(self->rng));
-    Py_CLEAR(self->rng_random);
-    self->delay_kind = -1;
-    if (g_random_type == NULL || !Py_IS_TYPE(self->rng, g_random_type))
-        return 0;
-    PyTypeObject *mt = Py_TYPE(self->delay_model);
-    int kind = -1;
-    for (int i = 0; i < 5; i++) {
-        if (g_delay_types[i] == mt) {
-            kind = i;
-            break;
-        }
-    }
-    if (kind < 0)
-        return 0;
-    double p0 = 0.0, p1 = 0.0, tmp;
-    switch (kind) {
-    case 0:
-        if (get_attr_double(self->delay_model, s_param_delay, &p0) < 0)
-            return -1;
-        break;
-    case 1:
-        if (get_attr_double(self->delay_model, s_param_low, &p0) < 0 ||
-            get_attr_double(self->delay_model, s_param_high, &p1) < 0)
-            return -1;
-        break;
-    case 2:
-        if (get_attr_double(self->delay_model, s_param_mean, &tmp) < 0)
-            return -1;
-        if (tmp == 0.0)
-            return 0;  /* pure raises ZeroDivisionError */
-        p0 = 1.0 / tmp;
-        break;
-    case 3:
-        if (get_attr_double(self->delay_model, s_param_median, &tmp) < 0 ||
-            get_attr_double(self->delay_model, s_param_sigma, &p1) < 0)
-            return -1;
-        if (tmp <= 0.0)
-            return 0;  /* pure raises math domain error */
-        p0 = log(tmp);
-        break;
-    case 4:
-        if (get_attr_double(self->delay_model, s_param_scale, &p0) < 0 ||
-            get_attr_double(self->delay_model, s_param_alpha, &tmp) < 0)
-            return -1;
-        if (tmp == 0.0)
-            return 0;  /* pure raises ZeroDivisionError */
-        p1 = -1.0 / tmp;
-        break;
-    }
-    PyObject *rr = PyObject_GetAttr(self->rng, s_random);
-    if (rr == NULL)
-        return -1;
-    self->rng_random = rr;
-    self->p0 = p0;
-    self->p1 = p1;
-    self->delay_kind = kind;
-    return 0;
-}
-
-/* One delay sample via the compiled kernels, consuming rng.random()
- * exactly as the CPython 3.11 random.Random methods do so the stream
- * stays bit-identical. Returns 0 (sampled), 1 (use generic path), or
- * -1 (error set). */
-static int
-network_sample_fast(NetworkCoreObject *self, double *out)
-{
-    if (self->delay_model != self->cached_model ||
-        self->rng != self->cached_rng) {
-        if (network_rebuild_delay_cache(self) < 0)
-            return -1;
-    }
-    int kind = self->delay_kind;
-    if (kind < 0)
-        return 1;
-    if (kind == 0) {
-        *out = self->p0;  /* ConstantDelay consumes no randomness */
-        return 0;
-    }
-#define NEXT_RANDOM(var)                                        \
-    do {                                                        \
-        PyObject *r_ = PyObject_CallNoArgs(self->rng_random);   \
-        if (r_ == NULL)                                         \
-            return -1;                                          \
-        (var) = PyFloat_AsDouble(r_);                           \
-        Py_DECREF(r_);                                          \
-        if ((var) == -1.0 && PyErr_Occurred())                  \
-            return -1;                                          \
-    } while (0)
-    double u;
-    switch (kind) {
-    case 1:  /* uniform(low, high) = low + (high-low)*random() */
-        NEXT_RANDOM(u);
-        *out = self->p0 + (self->p1 - self->p0) * u;
-        return 0;
-    case 2:  /* expovariate(lambd) = -log(1-random())/lambd */
-        NEXT_RANDOM(u);
-        *out = -log(1.0 - u) / self->p0;
-        return 0;
-    case 3: {  /* lognormvariate = exp(normalvariate(mu, sigma)) */
-        double z, u1, u2;
-        for (;;) {  /* Kinderman & Monahan, as in CPython */
-            NEXT_RANDOM(u1);
-            NEXT_RANDOM(u2);
-            u2 = 1.0 - u2;
-            z = g_nv_magic * (u1 - 0.5) / u2;
-            if (z * z / 4.0 <= -log(u2))
-                break;
-        }
-        *out = exp(self->p0 + z * self->p1);
-        return 0;
-    }
-    case 4:  /* scale * paretovariate(alpha); p1 = -1/alpha */
-        NEXT_RANDOM(u);
-        u = 1.0 - u;
-        *out = self->p0 * pow(u, self->p1);
-        return 0;
-    }
-    return 1;  /* unreachable */
 }
 
 static int
@@ -1672,10 +1507,6 @@ NetworkCore_init(NetworkCoreObject *self, PyObject *args, PyObject *kwds)
     self->messages_delivered = 0;
     self->delivery_entries = 0;
     Py_XSETREF(self->targets, Py_NewRef(Py_None));
-    Py_CLEAR(self->cached_model);
-    Py_CLEAR(self->cached_rng);
-    Py_CLEAR(self->rng_random);
-    self->delay_kind = -1;
     return 0;
 }
 
@@ -1690,9 +1521,6 @@ NetworkCore_traverse(NetworkCoreObject *self, visitproc visit, void *arg)
     Py_VISIT(self->flat);
     Py_VISIT(self->hold_predicates);
     Py_VISIT(self->targets);
-    Py_VISIT(self->cached_model);
-    Py_VISIT(self->cached_rng);
-    Py_VISIT(self->rng_random);
     return 0;
 }
 
@@ -1707,9 +1535,6 @@ NetworkCore_clear(NetworkCoreObject *self)
     Py_CLEAR(self->flat);
     Py_CLEAR(self->hold_predicates);
     Py_CLEAR(self->targets);
-    Py_CLEAR(self->cached_model);
-    Py_CLEAR(self->cached_rng);
-    Py_CLEAR(self->rng_random);
     return 0;
 }
 
@@ -1868,15 +1693,41 @@ network_open_delivery(NetworkCoreObject *self, ChannelStateObject *state,
     return 0;
 }
 
-/* Shared tail of send/_schedule_delivery: clamp the due time to the
- * FIFO channel clock, then join the channel's pending burst when
- * provably order-preserving (same due, same periodic class, burst entry
- * still the scheduler's most recent) or open a fresh delivery. */
+/* Shared tail of send/_schedule_delivery: draw the delay with
+ * delay_model.sample(rng, src, dst), clamp the due time to the FIFO
+ * channel clock, then join the channel's pending burst when provably
+ * order-preserving (same due, same periodic class, burst entry still the
+ * scheduler's most recent) or open a fresh delivery. */
 static int
 network_queue_delivery(NetworkCoreObject *self, ChannelStateObject *state,
                        Py_ssize_t src, Py_ssize_t dst, PyObject *msg,
-                       PyObject *kind, double delay, int periodic)
+                       PyObject *kind, int periodic)
 {
+    PyObject *src_obj = PyLong_FromSsize_t(src);
+    PyObject *dst_obj = src_obj ? PyLong_FromSsize_t(dst) : NULL;
+    if (dst_obj == NULL) {
+        Py_XDECREF(src_obj);
+        return -1;
+    }
+    PyObject *call_args[4] = {self->delay_model, self->rng, src_obj, dst_obj};
+    PyObject *delay_obj = PyObject_VectorcallMethod(s_sample, call_args, 4,
+                                                    NULL);
+    Py_DECREF(src_obj);
+    Py_DECREF(dst_obj);
+    if (delay_obj == NULL)
+        return -1;
+    double delay = PyFloat_AsDouble(delay_obj);
+    if (delay == -1.0 && PyErr_Occurred()) {
+        Py_DECREF(delay_obj);
+        return -1;
+    }
+    if (delay < 0) {
+        PyErr_Format(ERR(), "delay model produced negative delay %S",
+                     delay_obj);
+        Py_DECREF(delay_obj);
+        return -1;
+    }
+    Py_DECREF(delay_obj);
     SchedulerObject *sched = (SchedulerObject *)self->scheduler;
     double due = sched->now + delay;
     if (state->clock > due)
@@ -1959,53 +1810,7 @@ NetworkCore_send(NetworkCoreObject *self, PyObject *args, PyObject *kwds)
             return NULL;
         Py_RETURN_NONE;
     }
-    double delay;
-    int st = network_sample_fast(self, &delay);
-    if (st < 0)
-        return NULL;
-    if (st == 1) {
-        /* Generic dispatch through DelayModel.sample — also the path
-         * that reproduces the pure tracebacks for bad parameters. */
-        PyObject *src_obj = PyLong_FromSsize_t(src);
-        PyObject *dst_obj = src_obj ? PyLong_FromSsize_t(dst) : NULL;
-        if (dst_obj == NULL) {
-            Py_XDECREF(src_obj);
-            return NULL;
-        }
-        PyObject *sample = PyObject_GetAttr(self->delay_model, s_sample);
-        PyObject *delay_obj = NULL;
-        if (sample != NULL) {
-            delay_obj = PyObject_CallFunctionObjArgs(
-                sample, self->rng, src_obj, dst_obj, NULL);
-            Py_DECREF(sample);
-        }
-        Py_DECREF(src_obj);
-        Py_DECREF(dst_obj);
-        if (delay_obj == NULL)
-            return NULL;
-        delay = PyFloat_AsDouble(delay_obj);
-        if (delay == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(delay_obj);
-            return NULL;
-        }
-        if (delay < 0) {
-            PyErr_Format(ERR(), "delay model produced negative delay %S",
-                         delay_obj);
-            Py_DECREF(delay_obj);
-            return NULL;
-        }
-        Py_DECREF(delay_obj);
-    }
-    else if (delay < 0) {
-        PyObject *delay_obj = PyFloat_FromDouble(delay);
-        if (delay_obj == NULL)
-            return NULL;
-        PyErr_Format(ERR(), "delay model produced negative delay %S",
-                     delay_obj);
-        Py_DECREF(delay_obj);
-        return NULL;
-    }
-    if (network_queue_delivery(self, state, src, dst, msg, kind, delay,
+    if (network_queue_delivery(self, state, src, dst, msg, kind,
                                kind_idx == 2) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -2015,28 +1820,19 @@ static PyObject *
 NetworkCore__schedule_delivery(NetworkCoreObject *self, PyObject *args,
                                PyObject *kwds)
 {
-    static char *kwlist[] = {"state", "src", "dst", "msg", "kind",
-                             "delay", NULL};
-    PyObject *state_obj, *msg, *kind, *delay_obj;
+    static char *kwlist[] = {"state", "src", "dst", "msg", "kind", NULL};
+    PyObject *state_obj, *msg, *kind;
     Py_ssize_t src, dst;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OnnOOO", kwlist,
-                                     &state_obj, &src, &dst, &msg, &kind,
-                                     &delay_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OnnOO", kwlist,
+                                     &state_obj, &src, &dst, &msg, &kind))
         return NULL;
     if (!PyObject_TypeCheck(state_obj, &ChannelState_Type)) {
         PyErr_SetString(PyExc_TypeError,
                         "_schedule_delivery needs a _ChannelState");
         return NULL;
     }
-    double delay = PyFloat_AsDouble(delay_obj);
-    if (delay == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (delay < 0)
-        return PyErr_Format(ERR(), "delay model produced negative delay %S",
-                            delay_obj);
     if (network_queue_delivery(self, (ChannelStateObject *)state_obj, src,
-                               dst, msg, kind, delay,
-                               kind_index(kind) == 2) < 0)
+                               dst, msg, kind, kind_index(kind) == 2) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -2104,7 +1900,7 @@ static PyMethodDef NetworkCore_methods[] = {
      "Accept a message for eventual FIFO delivery on C_{src,dst}."},
     {"_schedule_delivery", (PyCFunction)NetworkCore__schedule_delivery,
      METH_VARARGS | METH_KEYWORDS,
-     "Queue one delivery with a caller-supplied (batch-sampled) delay."},
+     "Sample a delay and queue one delivery on the channel."},
     {"_state", (PyCFunction)NetworkCore__state, METH_VARARGS,
      "Fetch-or-create the channel state for (src, dst)."},
     {"set_deliver", (PyCFunction)NetworkCore_set_deliver, METH_O,
@@ -2185,136 +1981,11 @@ mod_install_error(PyObject *module, PyObject *error)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-mod_set_random_type(PyObject *module, PyObject *cls)
-{
-    if (!PyType_Check(cls)) {
-        PyErr_SetString(PyExc_TypeError, "expected a type");
-        return NULL;
-    }
-    Py_INCREF(cls);
-    Py_XDECREF((PyObject *)g_random_type);
-    g_random_type = (PyTypeObject *)cls;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-mod_register_delay_fastpath(PyObject *module, PyObject *args)
-{
-    PyObject *cls;
-    int kind;
-    if (!PyArg_ParseTuple(args, "Oi", &cls, &kind))
-        return NULL;
-    if (!PyType_Check(cls)) {
-        PyErr_SetString(PyExc_TypeError, "expected a type");
-        return NULL;
-    }
-    if (kind < 0 || kind > 4) {
-        PyErr_SetString(PyExc_ValueError, "delay kind must be 0..4");
-        return NULL;
-    }
-    Py_INCREF(cls);
-    Py_XDECREF((PyObject *)g_delay_types[kind]);
-    g_delay_types[kind] = (PyTypeObject *)cls;
-    Py_RETURN_NONE;
-}
-
-/* k delay samples via the compiled kernels — the sample_batch hot loop.
- * Consumes rng.random() exactly as k .sample() calls would; callers
- * (repro._accel.delays) pre-validate params and rng type. */
-static PyObject *
-mod_batch_sample(PyObject *module, PyObject *args)
-{
-    int kind;
-    double p0, p1;
-    PyObject *rng;
-    Py_ssize_t k;
-    if (!PyArg_ParseTuple(args, "iddOn", &kind, &p0, &p1, &rng, &k))
-        return NULL;
-    if (kind < 0 || kind > 4) {
-        PyErr_SetString(PyExc_ValueError, "delay kind must be 0..4");
-        return NULL;
-    }
-    PyObject *out = PyList_New(k);
-    if (out == NULL)
-        return NULL;
-    PyObject *rng_random = NULL;
-    if (kind != 0) {
-        rng_random = PyObject_GetAttr(rng, s_random);
-        if (rng_random == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-    }
-#define BATCH_NEXT(var)                                      \
-    do {                                                     \
-        PyObject *r_ = PyObject_CallNoArgs(rng_random);      \
-        if (r_ == NULL)                                      \
-            goto error;                                      \
-        (var) = PyFloat_AsDouble(r_);                        \
-        Py_DECREF(r_);                                       \
-        if ((var) == -1.0 && PyErr_Occurred())               \
-            goto error;                                      \
-    } while (0)
-    for (Py_ssize_t i = 0; i < k; i++) {
-        double d = 0.0, u;
-        switch (kind) {
-        case 0:
-            d = p0;
-            break;
-        case 1:
-            BATCH_NEXT(u);
-            d = p0 + (p1 - p0) * u;
-            break;
-        case 2:
-            BATCH_NEXT(u);
-            d = -log(1.0 - u) / p0;
-            break;
-        case 3: {
-            double z, u1, u2;
-            for (;;) {
-                BATCH_NEXT(u1);
-                BATCH_NEXT(u2);
-                u2 = 1.0 - u2;
-                z = g_nv_magic * (u1 - 0.5) / u2;
-                if (z * z / 4.0 <= -log(u2))
-                    break;
-            }
-            d = exp(p0 + z * p1);
-            break;
-        }
-        case 4:
-            BATCH_NEXT(u);
-            u = 1.0 - u;
-            d = p0 * pow(u, p1);
-            break;
-        }
-        PyObject *f = PyFloat_FromDouble(d);
-        if (f == NULL)
-            goto error;
-        PyList_SET_ITEM(out, i, f);
-    }
-#undef BATCH_NEXT
-    Py_XDECREF(rng_random);
-    return out;
-error:
-    Py_XDECREF(rng_random);
-    Py_DECREF(out);
-    return NULL;
-}
-
 static PyMethodDef module_methods[] = {
     {"_noop", (PyCFunction)mod_noop, METH_NOARGS,
      "Callback of entries parked by clear_queue."},
     {"_install_error", (PyCFunction)mod_install_error, METH_O,
      "Install SimulationError (the exception raised by the core)."},
-    {"_set_random_type", (PyCFunction)mod_set_random_type, METH_O,
-     "Install random.Random for the exact-type fast-path gate."},
-    {"_register_delay_fastpath", (PyCFunction)mod_register_delay_fastpath,
-     METH_VARARGS,
-     "Register a delay-model class for compiled sampling (kind 0..4)."},
-    {"_batch_sample", (PyCFunction)mod_batch_sample, METH_VARARGS,
-     "k compiled delay samples with a bit-identical rng stream."},
     {NULL}
 };
 
@@ -2339,19 +2010,9 @@ PyInit__ccore(void)
     INTERN(s_protocol, "protocol");
     INTERN(s_system, "system");
     INTERN(s_sample, "sample");
-    INTERN(s_random, "random");
     INTERN(s_deliver, "deliver");
     INTERN(s_open_unbatched, "_open_unbatched");
-    INTERN(s_param_delay, "delay");
-    INTERN(s_param_low, "low");
-    INTERN(s_param_high, "high");
-    INTERN(s_param_mean, "mean");
-    INTERN(s_param_median, "median");
-    INTERN(s_param_sigma, "sigma");
-    INTERN(s_param_scale, "scale");
-    INTERN(s_param_alpha, "alpha");
 #undef INTERN
-    g_nv_magic = 4.0 * exp(-0.5) / sqrt(2.0);  /* random.NV_MAGICCONST */
     if (PyType_Ready(&Entry_Type) < 0 ||
         PyType_Ready(&TimerHandle_Type) < 0 ||
         PyType_Ready(&Scheduler_Type) < 0 ||

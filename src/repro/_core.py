@@ -1,11 +1,11 @@
 """Core-implementation selection (pure Python vs compiled).
 
-Three kernels of the event core — scheduler, network hot path, batch
-delay sampling — exist twice: the authoritative pure-Python modules and
-an optional C extension (``repro._accel``) that must be bit-identical to
-them. This shim decides, once per process at import time, which one the
-canonical modules re-export. (The history recorder, ``repro.core.history``,
-exists once and does not consult it.)
+Two kernels of the event core — scheduler and network hot path — exist
+twice: the authoritative pure-Python modules and an optional C extension
+(``repro._accel``) that must be bit-identical to them. This shim decides,
+once per process at import time, which one the canonical modules
+re-export. (The history recorder, ``repro.core.history``, and the delay
+models, ``repro.sim.delays``, exist once and do not consult it.)
 
 Selection, via the ``REPRO_CORE`` environment variable:
 

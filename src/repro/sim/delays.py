@@ -7,7 +7,10 @@ near-synchronous (constant) to heavy-tailed (Pareto), the latter being what
 makes timeout-based "perfect" detection fail observably (experiment E1).
 
 All sampling goes through a caller-supplied :class:`random.Random` so runs
-are deterministic per seed.
+are deterministic per seed. There is one sampler per model — ``sample`` —
+under both event cores; this module has no compiled twin. Parameters a
+sampler could not draw from (a zero mean, a negative factor) are refused
+at construction with a :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+
+from repro.errors import SimulationError
 
 
 class DelayModel:
@@ -26,24 +30,13 @@ class DelayModel:
         """A non-negative delay for one message from ``src`` to ``dst``."""
         raise NotImplementedError
 
-    def sample_batch(
-        self, rng: random.Random, pairs: Sequence[tuple[int, int]]
-    ) -> list[float]:
-        """Delays for many messages in one dispatch, in ``pairs`` order.
-
-        The batching seam for the network's burst paths: releasing a
-        blocked channel of *k* held messages costs one model dispatch
-        instead of *k*. The default loops over :meth:`sample`; concrete
-        models override it with a flattened loop.
-
-        **Determinism contract**: an override must consume the ``rng``
-        stream exactly as ``[self.sample(rng, s, d) for s, d in pairs]``
-        would — same draws, same order — so batched and per-message
-        scheduling produce bit-identical histories (property-tested in
-        ``tests/sim/test_delay_batching.py``).
-        """
-        sample = self.sample
-        return [sample(rng, src, dst) for src, dst in pairs]
+    def _require(self, ok: bool, field: str, need: str) -> None:
+        """Refuse a parameter ``sample`` could not draw from (NaN included)."""
+        if not ok:
+            raise SimulationError(
+                f"{type(self).__name__}.{field} must be {need}, "
+                f"got {getattr(self, field)!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -52,13 +45,11 @@ class ConstantDelay(DelayModel):
 
     delay: float = 1.0
 
+    def __post_init__(self) -> None:
+        self._require(self.delay >= 0, "delay", ">= 0")
+
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         return self.delay
-
-    def sample_batch(
-        self, rng: random.Random, pairs: Sequence[tuple[int, int]]
-    ) -> list[float]:
-        return [self.delay] * len(pairs)
 
 
 @dataclass(frozen=True)
@@ -68,15 +59,12 @@ class UniformDelay(DelayModel):
     low: float = 0.5
     high: float = 1.5
 
+    def __post_init__(self) -> None:
+        self._require(self.low >= 0, "low", ">= 0")
+        self._require(self.high >= self.low, "high", ">= low")
+
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         return rng.uniform(self.low, self.high)
-
-    def sample_batch(
-        self, rng: random.Random, pairs: Sequence[tuple[int, int]]
-    ) -> list[float]:
-        uniform = rng.uniform
-        low, high = self.low, self.high
-        return [uniform(low, high) for _ in pairs]
 
 
 @dataclass(frozen=True)
@@ -85,15 +73,11 @@ class ExponentialDelay(DelayModel):
 
     mean: float = 1.0
 
+    def __post_init__(self) -> None:
+        self._require(self.mean > 0, "mean", "> 0")
+
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         return rng.expovariate(1.0 / self.mean)
-
-    def sample_batch(
-        self, rng: random.Random, pairs: Sequence[tuple[int, int]]
-    ) -> list[float]:
-        expovariate = rng.expovariate
-        lambd = 1.0 / self.mean
-        return [expovariate(lambd) for _ in pairs]
 
 
 @dataclass(frozen=True)
@@ -108,15 +92,12 @@ class LogNormalDelay(DelayModel):
     median: float = 1.0
     sigma: float = 0.5
 
+    def __post_init__(self) -> None:
+        self._require(self.median > 0, "median", "> 0")
+        self._require(self.sigma >= 0, "sigma", ">= 0")
+
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         return rng.lognormvariate(math.log(self.median), self.sigma)
-
-    def sample_batch(
-        self, rng: random.Random, pairs: Sequence[tuple[int, int]]
-    ) -> list[float]:
-        lognormvariate = rng.lognormvariate
-        mu, sigma = math.log(self.median), self.sigma
-        return [lognormvariate(mu, sigma) for _ in pairs]
 
 
 @dataclass(frozen=True)
@@ -131,15 +112,12 @@ class ParetoDelay(DelayModel):
     scale: float = 0.5
     alpha: float = 1.5
 
+    def __post_init__(self) -> None:
+        self._require(self.scale >= 0, "scale", ">= 0")
+        self._require(self.alpha > 0, "alpha", "> 0")
+
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         return self.scale * rng.paretovariate(self.alpha)
-
-    def sample_batch(
-        self, rng: random.Random, pairs: Sequence[tuple[int, int]]
-    ) -> list[float]:
-        paretovariate = rng.paretovariate
-        scale, alpha = self.scale, self.alpha
-        return [scale * paretovariate(alpha) for _ in pairs]
 
 
 @dataclass(frozen=True)
@@ -154,6 +132,13 @@ class PerChannelDelay(DelayModel):
     base: DelayModel
     slow_channels: tuple[tuple[tuple[int, int], float], ...] = ()
 
+    def __post_init__(self) -> None:
+        self._require(
+            all(factor >= 0 for _, factor in self.slow_channels),
+            "slow_channels",
+            "factors >= 0",
+        )
+
     @cached_property
     def _factors(self) -> dict[tuple[int, int], float]:
         # First occurrence wins, matching the historical linear scan.
@@ -166,33 +151,3 @@ class PerChannelDelay(DelayModel):
         delay = self.base.sample(rng, src, dst)
         factor = self._factors.get((src, dst))
         return delay if factor is None else delay * factor
-
-    def sample_batch(
-        self, rng: random.Random, pairs: Sequence[tuple[int, int]]
-    ) -> list[float]:
-        # Delegate the draws to the wrapped model (identical rng stream),
-        # then apply the per-channel factors positionally.
-        delays = self.base.sample_batch(rng, pairs)
-        factors = self._factors
-        if factors:
-            get = factors.get
-            for i, pair in enumerate(pairs):
-                factor = get(pair)
-                if factor is not None:
-                    delays[i] *= factor
-        return delays
-
-
-# ---------------------------------------------------------------------------
-# Core selection (see repro._core): with the compiled core active, probe
-# and install the C batch-sampling kernels on the classes above. The
-# kernels self-verify against random.Random at install time; any that
-# fail the bit-identity probe leave their class on the pure path.
-# ---------------------------------------------------------------------------
-
-from repro._core import USE_ACCEL  # noqa: E402
-
-if USE_ACCEL:
-    from repro._accel.delays import install_batch_kernels  # noqa: E402
-
-    install_batch_kernels()

@@ -242,23 +242,15 @@ class _NetworkColdPaths:
         """Deliver a blocked channel's queue (FIFO) and unblock it.
 
         Returns the number of messages released. Messages are re-subjected
-        to the delay model but the channel clock preserves their order.
-        The *k* delays for a *k*-message queue are drawn with one
-        :meth:`~repro.sim.delays.DelayModel.sample_batch` dispatch (the
-        rng stream is identical to *k* ``sample`` calls, so histories are
-        unchanged); the released queue then typically collapses into a
-        single delivery burst via the channel clock.
+        to the delay model (one ``sample`` per message, in queue order)
+        but the channel clock preserves their order; the released queue
+        then typically collapses into a single delivery burst.
         """
         state = self._state(src, dst)
         state.blocked = False
         held, state.held = state.held, []
-        if not held:
-            return 0
-        delays = self._delay_model.sample_batch(
-            self._rng, [(src, dst)] * len(held)
-        )
-        for (msg, kind), delay in zip(held, delays):
-            self._schedule_delivery(state, src, dst, msg, kind, delay)
+        for msg, kind in held:
+            self._schedule_delivery(state, src, dst, msg, kind)
         return len(held)
 
     def clear_holds(self) -> int:
@@ -433,15 +425,13 @@ class Network(_NetworkColdPaths):
         dst: int,
         msg: Message,
         kind: str,
-        delay: float,
     ) -> None:
-        """Queue one sampled delivery on ``state``'s channel.
+        """Sample a delay and queue one delivery on ``state``'s channel.
 
-        The caller supplies the delay (batch-sampled via
-        :meth:`~repro.sim.delays.DelayModel.sample_batch` when a blocked
-        channel releases its queue); :meth:`send` inlines this same logic
-        with its own per-message sample.
+        What a released message goes through; :meth:`send` inlines this
+        same logic.
         """
+        delay = self._delay_model.sample(self._rng, src, dst)
         if delay < 0:
             raise SimulationError(f"delay model produced negative delay {delay}")
         scheduler = self._scheduler

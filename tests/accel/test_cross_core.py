@@ -36,6 +36,7 @@ from repro.sim.delays import (
     ExponentialDelay,
     LogNormalDelay,
     ParetoDelay,
+    PerChannelDelay,
     UniformDelay,
 )
 from repro.sim.network import PureNetwork
@@ -139,34 +140,6 @@ def test_scheduler_past_error_text_matches():
 
 
 # ---------------------------------------------------------------------------
-# Component level: batch delay sampling (rng-stream identity)
-# ---------------------------------------------------------------------------
-
-DELAY_MODELS = [
-    UniformDelay(low=0.25, high=2.0),
-    ExponentialDelay(mean=1.3),
-    LogNormalDelay(median=0.8, sigma=0.6),
-    ParetoDelay(scale=0.4, alpha=1.7),
-]
-
-
-@pytest.mark.parametrize(
-    "model", DELAY_MODELS, ids=lambda m: type(m).__name__
-)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 64))
-@settings(max_examples=40, deadline=None)
-def test_batch_sampling_matches_pure_loop(model, seed, k):
-    """sample_batch == the pure per-pair loop, draws and rng state both."""
-    rng_batch = random.Random(seed)
-    rng_loop = random.Random(seed)
-    pairs = [(0, 1)] * k
-    batch = model.sample_batch(rng_batch, pairs)
-    loop = [model.sample(rng_loop, 0, 1) for _ in pairs]
-    assert batch == loop
-    assert rng_batch.getstate() == rng_loop.getstate()
-
-
-# ---------------------------------------------------------------------------
 # Component level: network delivery order
 # ---------------------------------------------------------------------------
 
@@ -217,32 +190,85 @@ def test_network_delivery_order_matches(plan, seed):
     assert stats["pure"] == stats["accel"]
 
 
+CORES = ((PureScheduler, PureNetwork), (AccelScheduler, AccelNetwork))
+
+
+def _release_held_plan(sched_cls, net_cls, model, rng, plan):
+    """Block C_{0,1}, send ``plan``, release the channel, run to the end;
+    returns the release count and the ``(src, dst, uid, kind, time)`` log."""
+    scheduler = sched_cls()
+    log: list = []
+    network = net_cls(
+        scheduler,
+        3,
+        delay_model=model,
+        rng=rng,
+        deliver=lambda s, d, m, k: log.append((s, d, m.uid, k, scheduler.now)),
+    )
+    network.block_channel(0, 1)
+    mints = [MessageMint(i) for i in range(3)]
+    for src, dst, kind in plan:
+        network.send(src, dst, mints[src].mint("x"), kind=kind)
+    released = network.release_channel(0, 1)
+    scheduler.run()
+    return released, log
+
+
 @given(send_plans, st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
 def test_network_release_channel_matches(plan, seed):
     """Held traffic released in a batch drains identically on both cores."""
-    deliveries: dict[str, list] = {}
-    for name, (sched_cls, net_cls) in (
-        ("pure", (PureScheduler, PureNetwork)),
-        ("accel", (AccelScheduler, AccelNetwork)),
-    ):
-        scheduler = sched_cls()
-        log: list = []
-        network = net_cls(
-            scheduler,
-            3,
-            delay_model=UniformDelay(low=0.1, high=1.4),
-            rng=random.Random(seed),
-            deliver=lambda s, d, m, k: log.append((s, d, m.uid, k)),
-        )
-        network.block_channel(0, 1)
-        mints = [MessageMint(i) for i in range(3)]
-        for src, dst, kind in plan:
-            network.send(src, dst, mints[src].mint("x"), kind=kind)
-        released = network.release_channel(0, 1)
-        scheduler.run()
-        deliveries[name] = [released, log]
-    assert deliveries["pure"] == deliveries["accel"]
+    model = UniformDelay(low=0.1, high=1.4)
+    runs = [
+        _release_held_plan(sched_cls, net_cls, model, random.Random(seed), plan)
+        for sched_cls, net_cls in CORES
+    ]
+    assert runs[0] == runs[1]
+
+
+# Every delay draw is ``delay_model.sample(rng, src, dst)`` on both cores;
+# a ``random.Random`` subclass rng and ``PerChannelDelay`` are the inputs
+# that once took a different path under the compiled core.
+
+
+class CountingRandom(random.Random):
+    """A ``Random`` subclass whose ``random()`` the samplers must call."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+DELAY_MODELS = [
+    UniformDelay(low=0.25, high=2.0),
+    ExponentialDelay(mean=1.3),
+    LogNormalDelay(median=0.8, sigma=0.6),
+    ParetoDelay(scale=0.4, alpha=1.7),
+    PerChannelDelay(
+        base=ExponentialDelay(mean=0.7),
+        slow_channels=(((0, 1), 3.0), ((2, 0), 0.0)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "model", DELAY_MODELS, ids=lambda m: type(m).__name__
+)
+@given(plan=send_plans, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_network_delay_draws_match_across_cores(model, plan, seed):
+    """Sends, a hold and its release consume the rng identically — same
+    delivery times, same final rng state, same number of draws — for a
+    plain ``Random`` and for a subclass."""
+    for rng_cls in (random.Random, CountingRandom):
+        runs = []
+        for sched_cls, net_cls in CORES:
+            rng = rng_cls(seed)
+            run = _release_held_plan(sched_cls, net_cls, model, rng, plan)
+            runs.append((run, rng.getstate(), getattr(rng, "draws", None)))
+        assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +298,46 @@ print("ok")
 @pytest.mark.parametrize("core", ["pure", "accel"])
 def test_history_builder_is_one_class_under_both_cores(core):
     proc = run_python(SRC, core, "-c", _BUILDER_PARITY.format(core=core))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+# ---------------------------------------------------------------------------
+# The delay models exist once too: the compiled core installs nothing on
+# them, and their module never consults the core selection
+# ---------------------------------------------------------------------------
+
+_DELAYS_UNTOUCHED = """
+import importlib.util, sys
+from pathlib import Path
+
+import repro
+path = Path(repro.__file__).parent / "sim" / "delays.py"
+spec = importlib.util.spec_from_file_location("standalone_delays", path)
+standalone = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(standalone)
+assert "repro._core" not in sys.modules, "delays.py imported the shim"
+assert not [name for name in sys.modules if name.startswith("repro._accel")]
+
+import repro.sim  # every core-selection block has run after this
+import repro.sim.delays as delays
+from repro._accel import _ccore
+
+assert repro.core_info()["core"] == "accel"
+assert "repro._accel.delays" not in sys.modules
+assert not hasattr(delays, "USE_ACCEL")
+for name, cls in vars(standalone).items():
+    if isinstance(cls, type) and issubclass(cls, standalone.DelayModel):
+        assert vars(getattr(delays, name)).keys() == vars(cls).keys(), name
+        assert "sample_batch" not in vars(getattr(delays, name)), name
+for name in ("_batch_sample", "_register_delay_fastpath", "_set_random_type"):
+    assert not hasattr(_ccore, name), name
+print("ok")
+"""
+
+
+def test_accel_installs_nothing_on_the_delay_models():
+    proc = run_python(SRC, "accel", "-c", _DELAYS_UNTOUCHED)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.delays import (
     ConstantDelay,
     ExponentialDelay,
@@ -142,4 +143,63 @@ class TestEdgeCases:
         for model in MODELS:
             assert model.sample(random.Random(5), 0, 1) == model.sample(
                 random.Random(5), 7, 3
+            )
+
+
+class TestParameterValidation:
+    """Parameters ``sample`` could not draw from are refused when the
+    model is built, as a one-line SimulationError naming the field — not
+    as a ZeroDivisionError/ValueError from inside a run's first send."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: ConstantDelay(-0.1), "ConstantDelay.delay"),
+            (lambda: UniformDelay(-0.5, 1.0), "UniformDelay.low"),
+            (lambda: UniformDelay(1.0, 0.5), "UniformDelay.high"),
+            (lambda: ExponentialDelay(0), "ExponentialDelay.mean"),
+            (lambda: ExponentialDelay(-1.0), "ExponentialDelay.mean"),
+            (lambda: LogNormalDelay(0, 0.5), "LogNormalDelay.median"),
+            (lambda: LogNormalDelay(1.0, -0.1), "LogNormalDelay.sigma"),
+            (lambda: ParetoDelay(-0.5, 1.5), "ParetoDelay.scale"),
+            (lambda: ParetoDelay(0.5, 0), "ParetoDelay.alpha"),
+            (lambda: ExponentialDelay(float("nan")), "ExponentialDelay.mean"),
+            (
+                lambda: PerChannelDelay(
+                    ConstantDelay(1.0), (((0, 1), 2.0), ((1, 0), -3.0))
+                ),
+                "PerChannelDelay.slow_channels",
+            ),
+        ],
+    )
+    def test_bad_parameter_names_its_field(self, build, field):
+        with pytest.raises(SimulationError) as excinfo:
+            build()
+        message = str(excinfo.value)
+        assert message.startswith(f"{field} must be ")
+        assert "\n" not in message
+
+    def test_boundary_values_are_accepted(self):
+        rng = random.Random(0)
+        for model in (
+            ConstantDelay(0.0),
+            UniformDelay(0.0, 0.0),
+            LogNormalDelay(1.0, 0.0),
+            ParetoDelay(0.0, 1.5),
+            PerChannelDelay(ConstantDelay(1.0), (((0, 1), 0.0),)),
+        ):
+            assert model.sample(rng, 0, 1) >= 0
+
+    def test_negative_factor_fails_while_building_the_world(self):
+        """Used to surface mid-run, as 'delay model produced negative
+        delay' from whichever send hit the slow channel first."""
+        from repro.protocols import SfsProcess
+        from repro.sim import build_world
+
+        with pytest.raises(SimulationError, match="slow_channels"):
+            build_world(
+                3,
+                lambda: SfsProcess(t=1),
+                PerChannelDelay(UniformDelay(), (((0, 1), -2.0),)),
+                seed=0,
             )

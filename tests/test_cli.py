@@ -185,6 +185,30 @@ class TestFuzz:
         ) == 2
         assert "fuzz failed" in capsys.readouterr().err
 
+    def test_fuzz_bad_delay_tuple_fails_in_one_line(self, capsys,
+                                                    monkeypatch):
+        # A scenario carrying a delay tuple the sampler cannot draw from
+        # (a corpus entry, a literal Scenario) used to be a traceback
+        # from inside the run's first send.
+        import re
+
+        from repro.analysis import fuzz as fuzz_mod
+
+        bad = {
+            "constant": (-1.0,),
+            "uniform": (1.0, 0.5),
+            "exponential": (0.0,),
+            "lognormal": (0.0, 0.5),
+            "pareto": (0.5, 0.0),
+        }
+        monkeypatch.setattr(
+            fuzz_mod, "_draw_delay_params", lambda family, rng: bad[family]
+        )
+        assert main(["fuzz", "--seed", "0", "--count", "2"]) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"fuzz failed: \w+Delay\.\w+ must be ", err)
+        assert err.count("\n") == 1
+
 
 class TestFuzzExecLayer:
     def test_backend_serial_prints_same_digest(self, capsys):
