@@ -95,6 +95,7 @@ def _race_inversions(factory, seed: int) -> int:
     world.inject_suspicion(3, 8, at=1.8)
     world.run_to_quiescence()
     history = world.history()
+    world.dispose()
     inversions = 0
     for p in range(n):
         first = history.failed_index.get((p, 7))
@@ -121,6 +122,7 @@ def _truncated_log(factory, seed: int) -> tuple[bool, bool]:
     world.inject_suspicion(2, 5, at=8.0)
     world.run_to_quiescence()
     history = ensure_crashes(world.history())
+    world.dispose()
     logged = sorted(t for (d, t) in history.failed_index if d == 5)
     truncated_inversion = logged == [8]
     return truncated_inversion, check_sfs(history, pending_ok=True).ok
@@ -238,6 +240,7 @@ def run_a1(
             world.run(until=80.0)
             world.run_to_quiescence(max_events=2_000_000)
             history = ensure_crashes(world.history())
+            world.dispose()
             if not check_sfs2d(history).ok:
                 violations += 1
         rows.append(
@@ -343,6 +346,7 @@ def run_e14(
                 violating_monitor=violation[1] if violation else None,
             )
         )
+        world.dispose()
     return rows
 
 # ----------------------------------------------------------------------
@@ -438,6 +442,7 @@ def run_e17(
                 decided_runs += 1
             if monitors.ok_so_far and not check_consensus(world):
                 clean += 1
+            world.dispose()
         rows.append(
             E17Row(
                 failure_model=model,
@@ -616,7 +621,7 @@ def run_monitor_case(
         (idx, trace.time_of_index(idx), name, repr(trace.event_at(idx)))
         for idx, name in monitors.violation_log
     )
-    return MonitorRunResult(
+    result = MonitorRunResult(
         eid=eid.lower(),
         seed=seed,
         events=monitors.events_seen,
@@ -625,6 +630,8 @@ def run_monitor_case(
         violations=violations,
         summary=monitors.summary(),
     )
+    world.dispose()
+    return result
 
 
 def run_monitor_job(job) -> MonitorRunResult:

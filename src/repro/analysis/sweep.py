@@ -8,9 +8,9 @@ combination, seed) — and each case is executed independently with all
 randomness derived from its own seed. Because cases share no state,
 execution order cannot affect results, so every backend of the unified
 execution layer (:mod:`repro.exec`) — the serial loop, the
-``multiprocessing`` pool, and the in-process ``inproc`` executor —
-produces **bit-identical rows**: same cases, same per-case results, same
-collection order.
+``multiprocessing`` pool, the in-process ``inproc`` executor and the
+multi-host ``remote`` fleet — produces **bit-identical rows**: same
+cases, same per-case results, same collection order.
 
 This module is a thin *planner* over :mod:`repro.exec`: it expands the
 request into cases, converts each case to a frozen
@@ -19,7 +19,12 @@ request into cases, converts each case to a frozen
 checkpoint/resume (``journal=``/``resume=``: a killed sweep restarts
 where it stopped, with a final digest bit-identical to an uninterrupted
 run's) and live result streaming (``sink=``: rows delivered in planned
-order as their prefix completes).
+order as their prefix completes). The execution layer also owns the
+cyclic collector: every case runs inside
+:func:`repro.exec.job.run_job`'s per-job pause on every backend, and the
+registered drivers ``dispose()`` the worlds they build (see
+:func:`~repro.analysis.experiments.seeded_driver`), so a sweep frees its
+worlds by reference count and this module has no collector code.
 
 Quick example::
 

@@ -8,7 +8,11 @@ Section 6 shows protocols (last-process-to-fail) that are incorrect exactly
 when cycles occur.
 
 The relation is represented as a :class:`networkx.DiGraph` whose edge
-``(i, j)`` means "i failed before j".
+``(i, j)`` means "i failed before j". networkx is imported inside the two
+functions that build or query that graph (:func:`failed_before_graph`,
+:func:`is_acyclic`), so only a process that asks for the graph pays for
+the import — the tracker, the monitors and every fuzz, journal and
+worker path never do.
 
 Two evaluation regimes share one transition core:
 
@@ -25,9 +29,12 @@ the property suite can cross-validate the tracker against it.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.history import History
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class FailedBeforeTracker:
@@ -120,6 +127,8 @@ def failed_before_pairs(history: History) -> list[tuple[int, int]]:
 
 def failed_before_graph(history: History) -> nx.DiGraph:
     """The failed-before relation as a digraph over process ids."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(history.processes)
     graph.add_edges_from(failed_before_pairs(history))
@@ -128,6 +137,8 @@ def failed_before_graph(history: History) -> nx.DiGraph:
 
 def is_acyclic(history: History) -> bool:
     """sFS2b: true iff the failed-before relation has no cycle."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(failed_before_graph(history))
 
 

@@ -31,16 +31,23 @@ scenarios); with a ``horizon`` it runs until virtual time reaches it
 whose monitors requested a scheduler stop
 (``World.attach_monitor(stop_on_violation=True)``) completes at the stop,
 exactly like a standalone run.
+
+World lifetime: every finished shard is ``dispose()``d — its reference
+cycles broken — so it frees by reference count, and :meth:`ShardedRunner.run`
+holds :func:`repro.exec.job.paused_cyclic_gc` (the execution layer's one
+collector pause; its other call site is :func:`~repro.exec.job.run_job`)
+for the batch. With nothing for the collector to find, its
+per-allocation bookkeeping is pure cost, and its timing can never reach a
+result.
 """
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterator, Sequence, TypeVar
+from typing import Callable, Generic, Sequence, TypeVar
 
 from repro.errors import SimulationError
+from repro.exec.job import paused_cyclic_gc
 from repro.sim.world import World
 
 R = TypeVar("R")
@@ -143,13 +150,9 @@ class ShardedRunner(Generic[R]):
         """
         self.stats.shards += len(specs)
         results: list[R | None] = [None] * len(specs)
-        # The cyclic collector is paused for the campaign: every finished
-        # shard's world is dispose()d — its reference cycles broken — so
-        # dead worlds free by refcount and the collector has nothing to
-        # find, while its per-allocation bookkeeping was costing a
-        # measurable slice of fuzz wall time. GC timing never affects
-        # simulation results, so digests are unchanged either way.
-        with _paused_cyclic_gc():
+        # _finish dispose()s each finished shard, so dead worlds free by
+        # refcount and the paused collector has nothing to find.
+        with paused_cyclic_gc():
             if self.stepping == "sequential":
                 self._run_sequential(specs, collect, results)
             else:
@@ -236,24 +239,3 @@ class ShardedRunner(Generic[R]):
                 f"shard {spec.key!r} exceeded {spec.max_events} events "
                 "without completing; likely a livelock in the scenario"
             )
-
-
-@contextmanager
-def _paused_cyclic_gc() -> Iterator[None]:
-    """Disable the cyclic garbage collector for the duration of a run.
-
-    Safe to nest (only the outermost frame that actually disabled it
-    re-enables it), and a no-op when the collector is already off.
-    Worlds are dispose()d as their shards finish, so pausing does not
-    grow the heap; whatever acyclic-looking garbage remains is swept by
-    the first collection after the run.
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-

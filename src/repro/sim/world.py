@@ -345,9 +345,11 @@ FailureModel`) of the failure semantics this world runs under; the
         garbage collector — and a sharded campaign discards one world
         per scenario, which made collector pauses a measurable share of
         fuzz wall time. ``dispose()`` unlinks the knots so a finished
-        world dies promptly by refcount instead, letting the runner pause
-        the cyclic collector for the whole campaign (see
-        :mod:`repro.sim.multiworld`).
+        world dies promptly by refcount instead, which is what lets the
+        execution layer pause the cyclic collector while jobs run (see
+        :func:`repro.exec.job.paused_cyclic_gc`). Whoever builds a world
+        disposes it: the sharded runner for its shards, every experiment
+        driver for its own.
 
         Results stay readable: :meth:`history`, recorded times, quorum
         records, and attached monitors are untouched. The world must not
@@ -360,6 +362,9 @@ FailureModel`) of the failure semantics this world runs under; the
         self.scheduler.clear_queue()
         for proc in self._processes:
             proc._world = None
+            # A timer's entry closes over its process (set_timer's guard)
+            # and its handle points at the scheduler.
+            proc._timers.clear()
         network._deliver_fn = None
         network._targets = None
         for state in network._channels.values():

@@ -107,6 +107,21 @@ class TestE7:
         assert sfs.runs_distinguishable == 0
         assert cheap.runs_distinguishable == cheap.runs_with_cycle
 
+    def test_a_broken_witness_builder_is_not_a_section_6_result(
+        self, monkeypatch
+    ):
+        """Only CannotRearrangeError means "distinguishable from
+        fail-stop"; any other exception is a bug and must surface."""
+        from repro.analysis import experiments
+        from repro.analysis.sweep import SweepCase, run_case
+
+        def broken(history):
+            raise TypeError("witness builder bug")
+
+        monkeypatch.setattr(experiments, "fail_stop_witness", broken)
+        with pytest.raises(TypeError, match="witness builder bug"):
+            run_case(SweepCase("e7", seed=1, params=(("n", 6),)))
+
 
 class TestE8:
     def test_sfs_correct_unilateral_broken(self):

@@ -1,5 +1,7 @@
 """Tests for the deterministic multi-seed sweep runner."""
 
+import gc
+
 import pytest
 
 from repro.analysis.sweep import (
@@ -74,6 +76,35 @@ class TestExecution:
         parallel = run_sweep("e7", jobs=2, **kwargs)
         assert serial == parallel
         assert rows_digest(serial) == rows_digest(parallel)
+
+    def test_rows_do_not_depend_on_the_collector(self):
+        """run_sweep pauses the cyclic collector per job (run_job);
+        run_case called directly does not. Same rows either way — with
+        at most one collection per paused job, and many when forced."""
+        kwargs = dict(seeds=range(3), params={"n": 9})
+        collections = 0
+
+        def count(phase, info):
+            nonlocal collections
+            collections += phase == "start"
+
+        thresholds = gc.get_threshold()
+        gc.collect()  # start both arms from an allocation count of zero
+        gc.callbacks.append(count)
+        try:
+            paused = run_sweep("e7", **kwargs)
+            while_paused, collections = collections, 0
+            gc.set_threshold(50)  # a young pass every 50 allocations
+            forced = [
+                row
+                for case in plan_cases("e7", **kwargs)
+                for row in run_case(case)
+            ]
+        finally:
+            gc.set_threshold(*thresholds)
+            gc.callbacks.remove(count)
+        assert forced == paused
+        assert while_paused <= 3 < collections
 
     def test_digest_is_order_sensitive(self):
         rows = run_sweep("e7", seeds=range(2), params={"n": 6})

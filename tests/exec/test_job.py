@@ -1,5 +1,6 @@
 """Tests for JobSpec and kind resolution (repro.exec.job)."""
 
+import gc
 import pickle
 
 import pytest
@@ -63,6 +64,49 @@ class TestResolution:
     def test_non_callable_rejected(self):
         with pytest.raises(SimulationError, match="not callable"):
             resolve_kind("toykinds:not_callable")
+
+
+class TestCollectorPause:
+    """run_job pauses the cyclic collector for the job and hands the
+    caller's collector state back, whatever the job did."""
+
+    JOB = JobSpec(kind="toykinds:collector_enabled", spec_id="x", seed=0)
+
+    @pytest.fixture(autouse=True)
+    def _collector_on(self):
+        assert gc.isenabled()  # pytest's default; the tests rely on it
+        yield
+        gc.enable()
+
+    def test_paused_during_the_job_and_restored_after(self):
+        assert run_job(self.JOB) is False
+        assert gc.isenabled()
+
+    def test_restored_after_a_raising_job(self):
+        with pytest.raises(RuntimeError, match="boom on seed 3"):
+            run_job(JobSpec(kind="toykinds:boom", spec_id="x", seed=3))
+        assert gc.isenabled()
+
+    def test_left_disabled_when_the_caller_had_it_disabled(self):
+        gc.disable()
+        assert run_job(self.JOB) is False
+        assert not gc.isenabled()
+
+    def test_nested_under_the_sharded_runner(self):
+        from repro.protocols import SfsProcess
+        from repro.sim import ShardedRunner, ShardSpec, build_world
+
+        def collect(spec, world):
+            # The inner pause must not re-enable the outer one on exit.
+            return run_job(self.JOB), gc.isenabled()
+
+        spec = ShardSpec(
+            key=0, build=lambda: build_world(4, lambda: SfsProcess(t=1))
+        )
+        assert ShardedRunner().run([spec, spec], collect) == [
+            (False, False), (False, False),
+        ]
+        assert gc.isenabled()
 
 
 class TestShardForm:

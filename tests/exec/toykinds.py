@@ -7,6 +7,7 @@ side-effect-free: the parallel executor resolves them by name inside
 worker processes.
 """
 
+import gc
 import time
 
 from repro.exec import JobSpec
@@ -27,6 +28,11 @@ def slow_square(job: JobSpec) -> int:
 def echo_params(job: JobSpec) -> tuple:
     """Returns the params tuple, for identity checks through pickling."""
     return job.params
+
+
+def collector_enabled(job: JobSpec) -> bool:
+    """Whether the cyclic collector is on while the job runs."""
+    return gc.isenabled()
 
 
 def boom(job: JobSpec) -> None:

@@ -1,6 +1,7 @@
 """A run-then-``dispose()``d world dies by reference counting alone.
 
-``ShardedRunner`` pauses the cyclic collector for a whole campaign on the
+The execution layer pauses the cyclic collector while jobs run
+(``ShardedRunner.run`` for shards, ``run_job`` for whole jobs) on the
 strength of this property, so it is checked with the collector off: once
 the last outside reference to a disposed world is dropped, no ``World``,
 ``Scheduler``, ``Network``, queued ``_Entry`` or delivery ``_Burst``
@@ -8,17 +9,20 @@ survives, and a forced collection afterwards finds nothing.
 
 The check runs in a child interpreter per event core (``REPRO_CORE``),
 which also keeps pytest's own garbage out of the census.
+
+The same census enforces the driver contract (``seeded_driver``: dispose
+what you build): with the collector off, every registered experiment
+driver and every monitored scenario must leave no world behind. The test
+walks the registry, so a driver added later without ``dispose()`` fails
+it by id — as the throwaway driver it registers for the purpose does.
 """
 
 import gc
-import os
-import subprocess
+import json
 import sys
-from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 SCENARIOS = 4
 
 
@@ -70,27 +74,92 @@ def check_disposed_worlds_are_freed(failure_model: str) -> None:
         gc.enable()
 
 
+def drivers_leaving_worlds_behind() -> dict[str, list[str]]:
+    """Census after each driver: ``{id: type names still alive}``.
+
+    Covers every id in the sweep registry — plus ``leaky``, registered
+    here, which drops its world — the two unseeded drivers that build
+    worlds (E3, E6) and every monitored scenario.
+    """
+    from repro.analysis.experiments import run_e3, run_e6, seeded_driver
+    from repro.analysis.extensions import (
+        MONITOR_JOB_KIND,
+        MONITOR_SCENARIOS,
+        run_monitor_job,
+    )
+    from repro.analysis.sweep import SweepCase, available_experiments, run_case
+    from repro.exec import JobSpec
+    from repro.protocols.sfs import SfsProcess
+    from repro.sim.world import build_world
+
+    @seeded_driver("leaky")
+    def run_leaky(seeds=(0,)):
+        world = build_world(4, lambda: SfsProcess(t=1), seed=seeds[0])
+        world.inject_suspicion(0, 1, at=1.0)
+        world.run_to_quiescence()
+        return []  # the world is dropped, not disposed
+
+    runs = {
+        eid: (lambda eid=eid: run_case(SweepCase(eid, seed=1)))
+        for eid in available_experiments()
+    }
+    runs["e3"] = lambda: run_e3(ks=(2,))
+    runs["e6"] = lambda: run_e6(ns=(4,))
+    for case in MONITOR_SCENARIOS:
+        runs[f"monitor:{case}"] = lambda case=case: run_monitor_job(
+            JobSpec(MONITOR_JOB_KIND, case, seed=1)
+        )
+
+    types = _core_types()
+    leaks: dict[str, list[str]] = {}
+    gc.collect()
+    gc.disable()
+    try:
+        assert _alive(types) == []
+        for name, run in runs.items():
+            run()
+            alive = _alive(types)
+            if alive:
+                leaks[name] = sorted({type(obj).__name__ for obj in alive})
+            del alive
+            gc.collect()  # one driver's leak is not charged to the next
+    finally:
+        gc.enable()
+    return leaks
+
+
+def _run_child(core, what):
+    # Imported here: this file is also the child's script, where the
+    # tests package is not importable.
+    from tests.conftest import SRC, run_python
+
+    if core == "accel":
+        pytest.importorskip("repro._accel._ccore")
+    proc = run_python(SRC, core, __file__, core, what)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 @pytest.mark.parametrize("failure_model", ["fail-stop", "crash-recovery"])
 @pytest.mark.parametrize("core", ["pure", "accel"])
 def test_disposed_world_is_freed_by_refcount_alone(core, failure_model):
-    if core == "accel":
-        pytest.importorskip("repro._accel._ccore")
-    env = dict(os.environ, REPRO_CORE=core)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, __file__, core, failure_model],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"{core} {failure_model} freed"
+    assert _run_child(core, failure_model) == f"{core} {failure_model} freed"
+
+
+@pytest.mark.parametrize("core", ["pure", "accel"])
+def test_only_the_driver_that_does_not_dispose_leaves_worlds_behind(core):
+    leaks = json.loads(_run_child(core, "drivers"))
+    assert list(leaks) == ["leaky"]  # every in-repo driver is clean
+    assert {"World", "Scheduler", "Network"} <= set(leaks["leaky"])
 
 
 if __name__ == "__main__":
     import repro
 
-    expected_core, model = sys.argv[1:]
+    expected_core, what = sys.argv[1:]
     assert repro.core_info()["core"] == expected_core
-    check_disposed_worlds_are_freed(model)
-    print(expected_core, model, "freed")
+    if what == "drivers":
+        print(json.dumps(drivers_leaving_worlds_behind()))
+    else:
+        check_disposed_worlds_are_freed(what)
+        print(expected_core, what, "freed")

@@ -1,5 +1,9 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -553,3 +557,53 @@ class TestReproCoreErrors:
             "repro: REPRO_CORE=accel but the compiled core is unavailable"
         )
         assert proc.stderr.count("\n") == 1
+
+
+class TestImportBudget:
+    """networkx (~0.13 s and ~14 MB per process) is imported inside the
+    two functions that use it (``failed_before_graph``, ``is_acyclic``),
+    so fuzz runs, journal resumes and remote workers never load it."""
+
+    FUZZ = ("fuzz", "--seed", "0", "--count", "5")
+
+    def test_fuzz_and_journal_paths_leave_networkx_unimported(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import sys
+            from repro.__main__ import main
+            fuzz = list({self.FUZZ!r})
+            journaled = fuzz + ["--journal", sys.argv[1]]
+            assert main(fuzz) == 0
+            assert main(journaled) == 0
+            assert main(journaled + ["--resume"]) == 0
+            assert "networkx" not in sys.modules
+            assert main(["sweep", "e7", "--seeds", "2", "--param", "n=6"]) == 0
+            assert "networkx" in sys.modules  # the oracle is still wired
+        """)
+        proc = run_python(SRC, None, "-c", script, str(tmp_path / "j.jsonl"))
+        assert proc.returncode == 0, proc.stderr
+        assert "all 5 scenarios restored from journal" in proc.stdout
+
+    def test_spawned_workers_run_with_networkx_unimportable(self, tmp_path):
+        """A worker's ``sys.modules`` cannot be read from here, so every
+        process of the fleet gets a ``sitecustomize`` that turns any
+        ``import networkx`` into an error; the run must not notice."""
+        (tmp_path / "sitecustomize.py").write_text(
+            "import sys\nsys.modules['networkx'] = None\n"
+        )
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)])
+        )
+
+        def repro(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                env=env, capture_output=True, text=True, cwd=tmp_path,
+            )
+
+        remote = repro(*self.FUZZ, "--backend", "remote", "--workers", "2")
+        assert remote.returncode == 0, remote.stderr
+        assert "digest=" in remote.stdout
+        # Control: the block is live, and E7 still reaches the oracle.
+        sweep = repro("sweep", "e7", "--seeds", "2", "--param", "n=6")
+        assert sweep.returncode != 0
+        assert "networkx" in sweep.stderr
