@@ -16,8 +16,6 @@ A full reproduction of Sabel & Marzullo (Cornell TR 94-1413 / PODC 1994):
 * :mod:`repro.runtime` — an asyncio runtime for wall-clock validation.
 """
 
-import platform
-
 from repro._version import __version__
 from repro.errors import (
     BoundsError,
@@ -36,6 +34,8 @@ def core_info() -> dict:
     ``"auto"`` when detected; ``accel_import_error`` explains, in auto
     mode, why the extension was unavailable (else ``None``).
     """
+    import platform
+
     from repro import _core
 
     return {

@@ -134,10 +134,10 @@ def _cmd_version(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.analysis import analyze
-    from repro.core import ensure_crashes
-    from repro.protocols import SfsProcess
-    from repro.sim import build_world
+    from repro.analysis.checker import analyze
+    from repro.core.indistinguishability import ensure_crashes
+    from repro.protocols.sfs import SfsProcess
+    from repro.sim.world import build_world
 
     world = build_world(args.n, lambda: SfsProcess(t=args.t), seed=args.seed)
     world.inject_crash(args.n - 2, at=0.5)
@@ -167,9 +167,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        print_table,
-        run_a1,
+    from repro.analysis.experiments import (
         run_e1,
         run_e2,
         run_e3,
@@ -180,8 +178,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         run_e8,
         run_e9,
         run_e10,
-        run_e11,
     )
+    from repro.analysis.extensions import run_a1, run_e11
+    from repro.analysis.report import print_table
 
     small = range(8)
     drivers = {
@@ -291,6 +290,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("sweep failed: --workers only applies to --backend remote",
               file=sys.stderr)
         return 2
+    if args.jobs < 1 or (args.jobs > 1 and args.backend not in (None, "parallel")):
+        print("sweep failed: --jobs takes a worker count >= 1, and more than "
+              "one only with --backend parallel", file=sys.stderr)
+        return 2
     sink = None
     if args.stream:
         sink = _StreamSink(
@@ -329,7 +332,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         run_monitor_case,
     )
     from repro.errors import ReproError
-    from repro.exec import JobSpec, make_executor, run_jobs
+    from repro.exec.core import run_jobs
+    from repro.exec.executors import make_executor
+    from repro.exec.job import JobSpec
 
     eid = args.eid.lower()
     if eid not in MONITOR_SCENARIOS:
@@ -446,6 +451,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print("fuzz failed: --workers only applies to --backend remote",
               file=sys.stderr)
         return 2
+    if args.jobs is not None and (backend != "parallel" or args.jobs < 1):
+        print("fuzz failed: --jobs takes a worker count >= 1 and only "
+              "applies to --backend parallel", file=sys.stderr)
+        return 2
     stepping = {**DEFAULT_STEPPING, **given}
     sink = None
     if args.stream:
@@ -480,7 +489,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             runner = ShardedRunner(**stepping)
         common = dict(
             seed=args.seed, count=args.count, config=config, runner=runner,
-            backend=backend, jobs=args.jobs, remote_workers=args.workers,
+            backend=backend, jobs=args.jobs or 2, remote_workers=args.workers,
             journal=args.journal, resume=args.resume, sink=sink,
         )
         adaptive = None
@@ -759,8 +768,8 @@ def main(argv: list[str] | None = None) -> int:
              "are identical for any window)",
     )
     fuzz.add_argument(
-        "--jobs", type=int, default=2,
-        help="worker processes for --backend parallel",
+        "--jobs", type=int, default=None,
+        help="worker processes, --backend parallel only (default: 2)",
     )
     fuzz.add_argument(
         "--stream", action="store_true",

@@ -45,15 +45,15 @@ from repro.core.failure_models import FAILURE_MODEL_NAMES, get_failure_model
 from repro.detectors.heartbeat import HeartbeatDriver
 from repro.detectors.phi_accrual import PhiAccrualDriver
 from repro.errors import SimulationError
-from repro.exec import (
+from repro.exec.core import run_jobs
+from repro.exec.executors import (
     EXEC_BACKENDS,
     Executor,
-    JobSpec,
-    ResultSink,
     effective_backend,
     make_executor,
-    run_jobs,
 )
+from repro.exec.job import JobSpec
+from repro.exec.sink import ResultSink
 from repro.protocols.generic import GenericOneRoundProcess
 from repro.protocols.recovery import make_recovering
 from repro.protocols.sfs import SfsProcess

@@ -64,14 +64,10 @@ import repro.analysis.extensions  # noqa: F401  (registers e11/a1/e14)
 from repro.analysis.experiments import SEEDED_DRIVERS
 from repro.analysis.report import format_table
 from repro.errors import SimulationError
-from repro.exec import (
-    EXEC_BACKENDS,
-    JobSpec,
-    ResultSink,
-    effective_backend,
-    make_executor,
-    run_jobs,
-)
+from repro.exec.core import run_jobs
+from repro.exec.executors import EXEC_BACKENDS, effective_backend, make_executor
+from repro.exec.job import JobSpec
+from repro.exec.sink import ResultSink
 
 SWEEP_JOB_KIND = "repro.analysis.sweep:run_sweep_job"
 """Entrypoint string sweep jobs carry (see :mod:`repro.exec.job`)."""

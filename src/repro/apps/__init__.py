@@ -12,45 +12,39 @@
   pluggable failure-model layer (experiment E17).
 """
 
-from repro.apps.ben_or import (
-    DECIDE,
-    BenOrProcess,
-    check_consensus,
-    decided_values,
-    decision_events,
-)
-from repro.apps.election import (
-    BECOME_LEADER,
-    ElectionProcess,
-    LeadershipProfile,
-    leaders_at_every_state,
-    leadership_profile,
-    max_concurrent_leaders,
-)
-from repro.apps.last_to_fail import (
-    FailureLog,
-    RecoveryVerdict,
-    collect_logs,
-    recover_last_to_fail,
-    simulated_crash_order,
-    two_process_counterexample_shape,
-    verdict_is_correct,
-)
-from repro.apps.membership import (
-    VIEW_CHANGE,
-    MembershipProcess,
-    MembershipReport,
-    check_exclusion_propagation,
-    check_membership,
-)
-from repro.apps.snapshot import (
-    LocalSnapshot,
-    Marker,
-    SnapshotProcess,
-    assemble_global_snapshot,
-    cut_indices,
-    verify_consistent_cut,
-)
+from repro._lazy import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(globals(), {
+    "DECIDE": "ben_or",
+    "BenOrProcess": "ben_or",
+    "check_consensus": "ben_or",
+    "decided_values": "ben_or",
+    "decision_events": "ben_or",
+    "BECOME_LEADER": "election",
+    "ElectionProcess": "election",
+    "LeadershipProfile": "election",
+    "leaders_at_every_state": "election",
+    "leadership_profile": "election",
+    "max_concurrent_leaders": "election",
+    "FailureLog": "last_to_fail",
+    "RecoveryVerdict": "last_to_fail",
+    "collect_logs": "last_to_fail",
+    "recover_last_to_fail": "last_to_fail",
+    "simulated_crash_order": "last_to_fail",
+    "two_process_counterexample_shape": "last_to_fail",
+    "verdict_is_correct": "last_to_fail",
+    "VIEW_CHANGE": "membership",
+    "MembershipProcess": "membership",
+    "MembershipReport": "membership",
+    "check_exclusion_propagation": "membership",
+    "check_membership": "membership",
+    "LocalSnapshot": "snapshot",
+    "Marker": "snapshot",
+    "SnapshotProcess": "snapshot",
+    "assemble_global_snapshot": "snapshot",
+    "cut_indices": "snapshot",
+    "verify_consistent_cut": "snapshot",
+})
 
 __all__ = [
     "BenOrProcess",

@@ -15,21 +15,22 @@ which is how the multi-host dispatch coordinator
 (:mod:`repro.exec.remote`) watches its workers on wall-clock time.
 """
 
-from repro.detectors.base import (
-    HEARTBEAT,
-    ClockSource,
-    ManualClock,
-    MonotonicClock,
-    PeerMonitor,
-    SuspicionDriver,
-    SuspicionLog,
-)
-from repro.detectors.heartbeat import HeartbeatDriver, HeartbeatMonitor
-from repro.detectors.phi_accrual import (
-    PhiAccrualDriver,
-    PhiAccrualEstimator,
-    PhiAccrualMonitor,
-)
+from repro._lazy import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(globals(), {
+    "HEARTBEAT": "base",
+    "ClockSource": "base",
+    "ManualClock": "base",
+    "MonotonicClock": "base",
+    "PeerMonitor": "base",
+    "SuspicionDriver": "base",
+    "SuspicionLog": "base",
+    "HeartbeatDriver": "heartbeat",
+    "HeartbeatMonitor": "heartbeat",
+    "PhiAccrualDriver": "phi_accrual",
+    "PhiAccrualEstimator": "phi_accrual",
+    "PhiAccrualMonitor": "phi_accrual",
+})
 
 __all__ = [
     "HEARTBEAT",

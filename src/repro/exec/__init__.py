@@ -26,35 +26,39 @@ Design invariant, inherited from the paper's methodology: every job is a
 pure function of its spec, so *nothing* in this layer — backend choice,
 chunking, shard stepping, a kill and resume, sink attachment — can change
 a result, only when and where it is computed. The tests pin that down as
-bit-identical digests across every axis.
+bit-identical digests across every axis. A lazy namespace
+(:mod:`repro._lazy`): ``repro.exec.remote`` — sockets, subprocesses, the
+detectors — loads when one of its four names is first read, not before.
 """
 
-from repro.exec.core import run_jobs
-from repro.exec.executors import (
-    EXEC_BACKENDS,
-    Executor,
-    InprocExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-    effective_backend,
-    make_executor,
-)
-from repro.exec.job import (
-    JobSpec,
-    job_digest,
-    plan_digest,
-    resolve_kind,
-    run_job,
-    shard_form,
-)
-from repro.exec.journal import Journal, partition_jobs
-from repro.exec.remote import (
-    RemoteExecutor,
-    RemoteStats,
-    parse_worker_spec,
-    run_worker,
-)
-from repro.exec.sink import CallbackSink, CollectSink, ResultSink, TeeSink
+from repro._lazy import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(globals(), {
+    "run_jobs": "core",
+    "EXEC_BACKENDS": "executors",
+    "Executor": "executors",
+    "InprocExecutor": "executors",
+    "ParallelExecutor": "executors",
+    "SerialExecutor": "executors",
+    "effective_backend": "executors",
+    "make_executor": "executors",
+    "JobSpec": "job",
+    "job_digest": "job",
+    "plan_digest": "job",
+    "resolve_kind": "job",
+    "run_job": "job",
+    "shard_form": "job",
+    "Journal": "journal",
+    "partition_jobs": "journal",
+    "RemoteExecutor": "remote",
+    "RemoteStats": "remote",
+    "parse_worker_spec": "remote",
+    "run_worker": "remote",
+    "CallbackSink": "sink",
+    "CollectSink": "sink",
+    "ResultSink": "sink",
+    "TeeSink": "sink",
+})
 
 __all__ = [
     "JobSpec",

@@ -31,7 +31,6 @@ they arrive.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 from typing import Any, Callable, Sequence
 
@@ -96,6 +95,8 @@ class ParallelExecutor(Executor):
     def submit(self, pending: Pending, on_result: OnResult) -> None:
         if not pending:
             return
+        import multiprocessing
+
         # Prefer fork only on Linux: it is cheap there, while macOS
         # defaults to spawn for a reason (forked children can abort in
         # system frameworks). Results are identical either way — every
@@ -223,9 +224,9 @@ def make_executor(
                 "the remote executor cannot take a local run override "
                 "(jobs execute on remote workers)"
             )
-        # Imported lazily: the remote module pulls in sockets, selectors
-        # and the detectors package, none of which the in-process
-        # backends need.
+        # Imported lazily, and (repro.exec being a lazy namespace) only
+        # here and in the worker command: sockets, selectors, subprocess
+        # and the detectors load when a fleet is asked for, not before.
         from repro.exec.remote import RemoteExecutor, parse_worker_spec
 
         return RemoteExecutor(**parse_worker_spec(remote_workers))

@@ -78,13 +78,9 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import repro
-from repro.detectors import (
-    ClockSource,
-    HeartbeatMonitor,
-    MonotonicClock,
-    PeerMonitor,
-    PhiAccrualMonitor,
-)
+from repro.detectors.base import ClockSource, MonotonicClock, PeerMonitor
+from repro.detectors.heartbeat import HeartbeatMonitor
+from repro.detectors.phi_accrual import PhiAccrualMonitor
 from repro.errors import SimulationError
 from repro.exec.executors import Executor, OnResult, Pending
 from repro.exec.job import JobSpec, job_digest, run_job

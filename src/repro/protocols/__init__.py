@@ -10,19 +10,26 @@
   cheap model: everything but sFS2b.
 """
 
-from repro.protocols.base import DetectionProcess
-from repro.protocols.generic import GenericOneRoundProcess
-from repro.protocols.payloads import Ack, Susp, is_protocol_payload
-from repro.protocols.quorum_policy import FixedQuorum, QuorumPolicy, WaitForAll
-from repro.protocols.recovery import is_recovering, make_recovering
-from repro.protocols.sfs import SfsProcess
-from repro.protocols.transitive import (
-    KSusp,
-    TransitiveSfsProcess,
-    transitivity_gaps,
-    transitivity_ratio,
-)
-from repro.protocols.unilateral import UnilateralProcess
+from repro._lazy import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(globals(), {
+    "DetectionProcess": "base",
+    "GenericOneRoundProcess": "generic",
+    "Ack": "payloads",
+    "Susp": "payloads",
+    "is_protocol_payload": "payloads",
+    "FixedQuorum": "quorum_policy",
+    "QuorumPolicy": "quorum_policy",
+    "WaitForAll": "quorum_policy",
+    "is_recovering": "recovery",
+    "make_recovering": "recovery",
+    "SfsProcess": "sfs",
+    "KSusp": "transitive",
+    "TransitiveSfsProcess": "transitive",
+    "transitivity_gaps": "transitive",
+    "transitivity_ratio": "transitive",
+    "UnilateralProcess": "unilateral",
+})
 
 __all__ = [
     "DetectionProcess",

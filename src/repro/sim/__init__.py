@@ -24,34 +24,41 @@ Quick example::
     history = world.history()
 """
 
-from repro.sim.adversary import Adversary
-from repro.sim.clock import LamportClock, VectorClock
-from repro.sim.delays import (
-    ConstantDelay,
-    DelayModel,
-    ExponentialDelay,
-    LogNormalDelay,
-    ParetoDelay,
-    PerChannelDelay,
-    UniformDelay,
-)
-from repro.sim.failures import (
-    FAULT_KINDS,
-    Fault,
-    FaultKindSpec,
-    apply_faults,
-    mutual_suspicion_plan,
-    random_byzantine_plan,
-    random_fault_plan,
-    random_recovery_plan,
-)
-from repro.sim.multiworld import RunnerStats, ShardSpec, ShardedRunner
-from repro.sim.network import Network
-from repro.sim.process import SimProcess
-from repro.sim.scheduler import Scheduler, TimerHandle
-from repro.sim.storage import StableStore, StorageHub
-from repro.sim.trace import TimedEvent, TraceRecorder
-from repro.sim.world import World, build_world
+from repro._lazy import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(globals(), {
+    "Adversary": "adversary",
+    "LamportClock": "clock",
+    "VectorClock": "clock",
+    "ConstantDelay": "delays",
+    "DelayModel": "delays",
+    "ExponentialDelay": "delays",
+    "LogNormalDelay": "delays",
+    "ParetoDelay": "delays",
+    "PerChannelDelay": "delays",
+    "UniformDelay": "delays",
+    "FAULT_KINDS": "failures",
+    "Fault": "failures",
+    "FaultKindSpec": "failures",
+    "apply_faults": "failures",
+    "mutual_suspicion_plan": "failures",
+    "random_byzantine_plan": "failures",
+    "random_fault_plan": "failures",
+    "random_recovery_plan": "failures",
+    "RunnerStats": "multiworld",
+    "ShardSpec": "multiworld",
+    "ShardedRunner": "multiworld",
+    "Network": "network",
+    "SimProcess": "process",
+    "Scheduler": "scheduler",
+    "TimerHandle": "scheduler",
+    "StableStore": "storage",
+    "StorageHub": "storage",
+    "TimedEvent": "trace",
+    "TraceRecorder": "trace",
+    "World": "world",
+    "build_world": "world",
+})
 
 __all__ = [
     "Scheduler",

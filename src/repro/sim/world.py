@@ -220,8 +220,15 @@ FailureModel`) of the failure semantics this world runs under; the
     # Fault/scenario injection
     # ------------------------------------------------------------------
 
+    def _check_pids(self, *pids: int) -> None:
+        """Refuse a pid now that a deferred callback would index later."""
+        for pid in pids:
+            if pid not in range(self.n):
+                raise SimulationError(f"no process {pid!r} in a world of {self.n}")
+
     def inject_crash(self, pid: int, at: float) -> None:
         """Schedule a genuine crash of ``pid`` at virtual time ``at``."""
+        self._check_pids(pid)
         self.scheduler.schedule_at(at, self._processes[pid].crash_now)
 
     def inject_suspicion(self, pid: int, target: int, at: float) -> None:
@@ -232,6 +239,7 @@ FailureModel`) of the failure semantics this world runs under; the
         """
         if pid == target:
             raise SimulationError("a process does not suspect itself")
+        self._check_pids(pid, target)
 
         def fire() -> None:
             proc = self._processes[pid]
@@ -251,6 +259,7 @@ FailureModel`) of the failure semantics this world runs under; the
                 f"failure model {self.model.name!r} does not allow "
                 f"recovery (use failure_model='crash-recovery')"
             )
+        self._check_pids(pid)
         self.scheduler.schedule_at(at, self._processes[pid].recover_now)
 
     def inject_compromise(self, pid: int, at: float) -> None:
@@ -383,6 +392,8 @@ def build_world(
     failure_model: str | FailureModel = "fail-stop",
 ) -> World:
     """Build a world of ``n`` identical processes from a factory."""
+    if not isinstance(n, int) or n < 1:
+        raise SimulationError(f"a world needs n >= 1 processes (an int), got {n!r}")
     return World(
         [factory() for _ in range(n)],
         delay_model,

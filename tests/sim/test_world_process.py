@@ -161,6 +161,27 @@ class TestInjection:
         with pytest.raises(SimulationError):
             world.inject_suspicion(0, 0, at=1.0)
 
+    @pytest.mark.parametrize("pid", [2, -1, "x"])
+    def test_out_of_range_pid_refused_at_injection_time(self, pid):
+        """Not later, as an IndexError out of ``Scheduler.run`` (or, for
+        ``-1``, a crash silently injected into the last process)."""
+        world = build_world(2, Echoer, failure_model="crash-recovery")
+        for inject in (
+            lambda: world.inject_crash(pid, at=1.0),
+            lambda: world.inject_recover(pid, at=1.0),
+            lambda: world.inject_suspicion(pid, 0, at=1.0),
+            lambda: world.inject_suspicion(0, pid, at=1.0),
+        ):
+            with pytest.raises(SimulationError, match="no process"):
+                inject()
+        assert world.scheduler.pending == 0  # nothing was queued
+        assert world.run_to_quiescence() == 0
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5, "abc", None])
+    def test_build_world_refuses_a_bad_process_count(self, n):
+        with pytest.raises(SimulationError, match="n >= 1"):
+            build_world(n, Echoer)
+
     def test_internal_events_recorded(self):
         class Marker(SimProcess):
             def on_start(self):

@@ -94,6 +94,38 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "sweep failed" in err and "seeds" in err
 
+    @pytest.mark.parametrize("backend", ["serial", "inproc", "parallel"])
+    @pytest.mark.parametrize("n, says", [("1", "no process 1"),
+                                         ("abc", "n >= 1")])
+    def test_sweep_bad_world_size_fails_in_one_line(
+        self, capsys, backend, n, says
+    ):
+        # n=1 used to surface as an IndexError from inside Scheduler.run
+        # (the deferred suspicion indexing process 1), n=abc as a
+        # TypeError from build_world's range().
+        jobs = ["--jobs", "2"] if backend == "parallel" else []
+        assert main(
+            ["sweep", "e7", "--seeds", "2", "--param", f"n={n}",
+             "--backend", backend, *jobs]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sweep failed: ") and says in err
+        assert len(err.splitlines()) == 1
+
+    def test_sweep_jobs_refused_where_they_would_not_apply(self, capsys):
+        args = ["sweep", "e7", "--seeds", "2", "--param", "n=6"]
+        refused = [["--jobs", "0"], ["--jobs", "-3"]] + [
+            ["--backend", backend, "--jobs", "2"]
+            for backend in ("serial", "inproc", "remote")
+        ]
+        for extra in refused:
+            assert main(args + extra) == 2, extra
+            err = capsys.readouterr().err
+            assert err.startswith("sweep failed: --jobs takes a worker")
+            assert len(err.splitlines()) == 1
+        # One worker is what those backends are; it stays accepted.
+        assert main(args + ["--backend", "inproc", "--jobs", "1"]) == 0
+
 
 class TestSweepList:
     def test_list_prints_registered_experiments(self, capsys):
@@ -383,6 +415,26 @@ class TestFuzzAdaptive:
             err = capsys.readouterr().err
             assert "--batch" in err and "--adaptive" in err
 
+    def test_jobs_requires_the_parallel_backend(self, capsys):
+        # --jobs had a real default (2), so it was silently dropped on
+        # every other backend; detection is by presence now, so the old
+        # default's value is refused too.
+        fuzz = ["fuzz", "--count", "3", "--jobs", "2"]
+        for backend in (None, "serial", "inproc", "remote"):
+            extra = ["--backend", backend] if backend else []
+            assert main(fuzz + extra) == 2, backend
+            err = capsys.readouterr().err
+            assert "--jobs" in err and "--backend parallel" in err
+            assert len(err.splitlines()) == 1
+        for value in ("0", "-3"):
+            assert main(
+                ["fuzz", "--count", "3", "--backend", "parallel",
+                 "--jobs", value]
+            ) == 2
+            err = capsys.readouterr().err
+            assert "--jobs" in err and ">= 1" in err
+            assert len(err.splitlines()) == 1
+
 
 class TestFuzzShrinkAndCorpus:
     @pytest.fixture()
@@ -560,28 +612,83 @@ class TestReproCoreErrors:
 
 
 class TestImportBudget:
-    """networkx (~0.13 s and ~14 MB per process) is imported inside the
-    two functions that use it (``failed_before_graph``, ``is_acyclic``),
-    so fuzz runs, journal resumes and remote workers never load it."""
+    """A command imports what it runs. The package ``__init__``s are lazy
+    namespaces and ``src/`` imports from defining submodules, so a fuzz
+    run, a journal resume and a worker load neither the experiment
+    drivers, the apps, the remote fleet and its sockets, nor networkx
+    (~0.13 s and ~14 MB per process; imported inside the two functions
+    that use it, ``failed_before_graph`` and ``is_acyclic``)."""
 
     FUZZ = ("fuzz", "--seed", "0", "--count", "5")
+    # Prefixes: none of these, nor a submodule of one, may be loaded.
+    NEVER_ON_THE_FUZZ_PATH = (
+        "repro.apps",
+        *(f"repro.analysis.{name}" for name in (
+            "experiments", "extensions", "checker", "sweep", "metrics",
+            "report",
+        )),
+        "repro.exec.remote",
+        *(f"repro.core.{name}" for name in (
+            "indistinguishability", "runs", "semantics",
+        )),
+        "multiprocessing", "socket", "selectors", "subprocess", "platform",
+        "networkx",
+    )
+    MAX_REPRO_MODULES = 54  # 68 with eager package __init__s, 52 without
+    # Children run under the suite's own core (CI runs this class once
+    # per core); the compiled core adds three modules to the count.
+    CORE = os.environ.get("REPRO_CORE") or None
 
     def test_fuzz_and_journal_paths_leave_networkx_unimported(self, tmp_path):
         script = textwrap.dedent(f"""
-            import sys
+            import contextlib, io, re, sys
             from repro.__main__ import main
+
+            def loaded(*prefixes):
+                return sorted(
+                    name for name in sys.modules
+                    if any(name == p or name.startswith(p + ".")
+                           for p in prefixes)
+                )
+
+            def digest(argv):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(argv) == 0
+                return re.search("^digest=(.+)$", out.getvalue(), re.M)[1]
+
             fuzz = list({self.FUZZ!r})
             journaled = fuzz + ["--journal", sys.argv[1]]
             assert main(fuzz) == 0
             assert main(journaled) == 0
             assert main(journaled + ["--resume"]) == 0
-            assert "networkx" not in sys.modules
+            assert loaded(*{self.NEVER_ON_THE_FUZZ_PATH!r}) == []
+            ours = loaded("repro")
+            assert len(ours) <= {self.MAX_REPRO_MODULES}, ours
+            # Controls: the pool and the oracle are still wired.
+            pooled = digest(fuzz + ["--backend", "parallel", "--jobs", "2"])
+            assert pooled == digest(fuzz)
+            assert loaded("multiprocessing")
             assert main(["sweep", "e7", "--seeds", "2", "--param", "n=6"]) == 0
-            assert "networkx" in sys.modules  # the oracle is still wired
+            assert loaded("repro.analysis.experiments") and loaded("networkx")
         """)
-        proc = run_python(SRC, None, "-c", script, str(tmp_path / "j.jsonl"))
+        proc = run_python(
+            SRC, self.CORE, "-c", script, str(tmp_path / "j.jsonl")
+        )
         assert proc.returncode == 0, proc.stderr
         assert "all 5 scenarios restored from journal" in proc.stdout
+
+    def test_a_worker_imports_no_simulator_before_its_first_job(self):
+        """``import repro.exec.remote`` is all ``python -m repro worker``
+        loads until a job names its runner."""
+        proc = run_python(
+            SRC, self.CORE, "-c",
+            "import sys, repro.exec.remote\n"
+            "print(*(name for name in sys.modules if name.startswith(("
+            "'repro.analysis', 'repro.sim', 'repro.apps', 'networkx'))))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_spawned_workers_run_with_networkx_unimportable(self, tmp_path):
         """A worker's ``sys.modules`` cannot be read from here, so every
