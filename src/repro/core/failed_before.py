@@ -7,12 +7,14 @@ acyclic; the paper shows (Theorem 2, Condition 2) that acyclicity is
 Section 6 shows protocols (last-process-to-fail) that are incorrect exactly
 when cycles occur.
 
-The relation is represented as a :class:`networkx.DiGraph` whose edge
-``(i, j)`` means "i failed before j". networkx is imported inside the two
-functions that build or query that graph (:func:`failed_before_graph`,
-:func:`is_acyclic`), so only a process that asks for the graph pays for
-the import — the tracker, the monitors and every fuzz, journal and
-worker path never do.
+The relation is a digraph on at most *n* process ids, held as the pair
+list :func:`failed_before_pairs` returns — edge ``(i, j)`` means "i failed
+before j" — and everything the paper asks of it (acyclicity, transitivity,
+maximal elements) is a short walk over a dict of successor sets. The
+package therefore needs no graph library: :func:`failed_before_graph` is
+the one function that imports networkx, for callers who want the relation
+as a :class:`networkx.DiGraph` to draw or query (``pip install
+repro[graph]``), and nothing in ``src/`` calls it.
 
 Two evaluation regimes share one transition core:
 
@@ -23,8 +25,10 @@ Two evaluation regimes share one transition core:
   the relation acquires, which by construction is the cycle the batch fold
   reports for any extension of the same prefix.
 
-:func:`is_acyclic` deliberately stays on the independent networkx path so
-the property suite can cross-validate the tracker against it.
+:func:`is_acyclic` deliberately shares nothing with the tracker: it peels
+sources (Kahn's topological sort) where the tracker searches depth-first
+for a path back, so the property suite's tracker-vs-``is_acyclic`` check
+compares two algorithms, and the tests hold both against networkx.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.history import History
+from repro.errors import SimulationError
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -126,8 +131,18 @@ def failed_before_pairs(history: History) -> list[tuple[int, int]]:
 
 
 def failed_before_graph(history: History) -> nx.DiGraph:
-    """The failed-before relation as a digraph over process ids."""
-    import networkx as nx
+    """The failed-before relation as a :class:`networkx.DiGraph`.
+
+    Opt-in: the only function of the package that needs networkx (the
+    ``graph`` extra); the predicates below work on the pair list.
+    """
+    try:
+        import networkx as nx
+    except ImportError:
+        raise SimulationError(
+            "failed_before_graph needs networkx, which the package does not "
+            "require: install the 'graph' extra (pip install repro[graph])"
+        ) from None
 
     graph = nx.DiGraph()
     graph.add_nodes_from(history.processes)
@@ -135,11 +150,34 @@ def failed_before_graph(history: History) -> nx.DiGraph:
     return graph
 
 
-def is_acyclic(history: History) -> bool:
-    """sFS2b: true iff the failed-before relation has no cycle."""
-    import networkx as nx
+def _successors(history: History) -> dict[int, set[int]]:
+    """``i -> {j : i failed before j}``, keyed by every process with an edge."""
+    succ: dict[int, set[int]] = {}
+    for i, j in failed_before_pairs(history):
+        succ.setdefault(i, set()).add(j)
+    return succ
 
-    return nx.is_directed_acyclic_graph(failed_before_graph(history))
+
+def is_acyclic(history: History) -> bool:
+    """sFS2b: true iff the failed-before relation has no cycle.
+
+    Kahn's algorithm: repeatedly remove a process that no remaining
+    process failed before; acyclic iff every process gets removed.
+    """
+    succ = _successors(history)
+    indegree = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for j in targets:
+            indegree[j] = indegree.get(j, 0) + 1
+    sources = [p for p, d in indegree.items() if d == 0]
+    removed = 0
+    while sources:
+        removed += 1
+        for j in succ.get(sources.pop(), ()):
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                sources.append(j)
+    return removed == len(indegree)
 
 
 def find_cycle(history: History) -> list[tuple[int, int]] | None:
@@ -152,8 +190,8 @@ def find_cycle(history: History) -> list[tuple[int, int]] | None:
     A thin fold over :class:`FailedBeforeTracker`, so the batch answer is
     — by construction — the cycle a streaming monitor locks onto while
     observing the same detections one event at a time. Cross-validated
-    against the independent networkx path (:func:`is_acyclic`) in the
-    property suite.
+    against the independent source-peeling path (:func:`is_acyclic`) in
+    the property suite.
     """
     tracker = FailedBeforeTracker()
     for i, j in failed_before_pairs(history):
@@ -169,12 +207,12 @@ def is_transitive(history: History) -> bool:
     recovery. This predicate lets experiments measure how often transitivity
     happens to hold.
     """
-    graph = failed_before_graph(history)
-    for a, b in graph.edges:
-        for _, c in graph.out_edges(b):
-            if not graph.has_edge(a, c):
-                return False
-    return True
+    succ = _successors(history)
+    return all(
+        succ.get(b, frozenset()) <= after_a
+        for after_a in succ.values()
+        for b in after_a
+    )
 
 
 def last_failed_candidates(history: History) -> frozenset[int]:
@@ -185,8 +223,5 @@ def last_failed_candidates(history: History) -> frozenset[int]:
     detected — if any process executed ``failed(p)``, something outlived
     ``p`` and ``p`` was not last.
     """
-    graph = failed_before_graph(history)
-    crashed = history.crashed_processes()
-    return frozenset(
-        p for p in crashed if not any(True for _ in graph.successors(p))
-    )
+    detected = {i for i, _ in failed_before_pairs(history)}
+    return history.crashed_processes() - detected

@@ -81,7 +81,7 @@ import repro
 from repro.detectors.base import ClockSource, MonotonicClock, PeerMonitor
 from repro.detectors.heartbeat import HeartbeatMonitor
 from repro.detectors.phi_accrual import PhiAccrualMonitor
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.exec.executors import Executor, OnResult, Pending
 from repro.exec.job import JobSpec, job_digest, run_job
 
@@ -361,14 +361,18 @@ def _serve(sock: socket.socket, name: str) -> int:
             index, job = queue.popleft()
             try:
                 result = run_job(job)
-            except Exception:
+            except Exception as exc:
+                # A job the library itself refused (a parameter out of
+                # range, a violated bound) is the one line every other
+                # backend reports; anything else is a bug in a runner
+                # and keeps its traceback.
+                if isinstance(exc, ReproError):
+                    message = str(exc)
+                else:
+                    message = traceback.format_exc(limit=20)
                 _send_frame(
                     sock,
-                    {
-                        "kind": "error",
-                        "index": index,
-                        "message": traceback.format_exc(limit=20),
-                    },
+                    {"kind": "error", "index": index, "message": message},
                     lock,
                 )
                 continue
@@ -727,7 +731,7 @@ class RemoteExecutor(Executor):
         if kind == "error":
             raise SimulationError(
                 f"remote worker {session.name} failed job "
-                f"{frame.get('index')}:\n{frame.get('message')}"
+                f"{frame.get('index')}: {frame.get('message')}"
             )
         if kind != "result":
             raise SimulationError(

@@ -92,9 +92,9 @@ class GenericOneRoundProcess(DetectionProcess):
     def _check_quorum(self, target: int) -> None:
         if self.crashed or target in self.detected:
             return
-        acks = frozenset(self._acks.get(target, ()))
+        acks = self._acks.get(target, ())
         if len(acks) >= self.quorum_size:
-            self.execute_failed(target, acks)
+            self.execute_failed(target, frozenset(acks))
 
     def acks_for(self, target: int) -> frozenset[int]:
         """Current confirmation set for an open round."""

@@ -17,6 +17,7 @@ at the protocol level) to demonstrate the bound empirically.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from repro.core.bounds import min_quorum_size
@@ -28,8 +29,8 @@ class QuorumPolicy:
     def satisfied(
         self,
         n: int,
-        confirmations: frozenset[int],
-        suspected: frozenset[int],
+        confirmations: AbstractSet[int],
+        suspected: AbstractSet[int],
     ) -> bool:
         """Whether the quorum for one detection is complete.
 
@@ -39,6 +40,9 @@ class QuorumPolicy:
                 (always contains the detector itself).
             suspected: processes the detector currently believes faulty
                 (the target itself plus any concurrent suspicions).
+
+        Both may be the caller's live sets (a quorum check runs on every
+        delivered confirmation): read them, never keep or mutate them.
         """
         raise NotImplementedError
 
@@ -67,8 +71,8 @@ class FixedQuorum(QuorumPolicy):
     def satisfied(
         self,
         n: int,
-        confirmations: frozenset[int],
-        suspected: frozenset[int],
+        confirmations: AbstractSet[int],
+        suspected: AbstractSet[int],
     ) -> bool:
         del suspected
         return len(confirmations) >= self.resolved_size(n)
@@ -84,8 +88,8 @@ class WaitForAll(QuorumPolicy):
     def satisfied(
         self,
         n: int,
-        confirmations: frozenset[int],
-        suspected: frozenset[int],
+        confirmations: AbstractSet[int],
+        suspected: AbstractSet[int],
     ) -> bool:
         required = frozenset(range(n)) - suspected
         return required <= confirmations

@@ -145,11 +145,13 @@ class SfsProcess(DetectionProcess):
     def _check_quorum(self, target: int) -> None:
         if self.crashed or target in self.detected:
             return
-        confirmations = frozenset(self._confirmations.get(target, ()))
-        suspected = frozenset(self.suspected | self.detected)
+        # The live set: a round is n^2 deliveries and each one lands here,
+        # so only the quorum that gets recorded is copied (and frozen).
+        confirmations = self._confirmations.get(target, frozenset())
+        suspected = self.suspected | self.detected
         assert self._policy is not None
         if self._policy.satisfied(self.n, confirmations, suspected):
-            self.execute_failed(target, confirmations)
+            self.execute_failed(target, frozenset(confirmations))
             self.flush_deferred()
 
     def on_detect(self, target: int) -> None:

@@ -112,8 +112,8 @@ class TransitiveSfsProcess(SfsProcess):
     def _check_quorum(self, target: int) -> None:
         if self.crashed or target in self.detected:
             return
-        confirmations = frozenset(self._confirmations.get(target, ()))
-        suspected = frozenset(self.suspected | self.detected)
+        confirmations = self._confirmations.get(target, frozenset())
+        suspected = self.suspected | self.detected
         if self.policy.satisfied(self.n, confirmations, suspected):
             self._ready.add(target)
         self._drain_ready()

@@ -275,6 +275,7 @@ FailureModel`) of the failure semantics this world runs under; the
                 f"failure model {self.model.name!r} does not allow "
                 f"compromise (use failure_model='byzantine-crash')"
             )
+        self._check_pids(pid)
         if self._byz_rng is None:
             self._byz_rng = random.Random(f"repro-byz:{self._seed}")
 
@@ -302,8 +303,13 @@ FailureModel`) of the failure semantics this world runs under; the
         (self-detection, quorum-less detection cycles) into otherwise
         clean scenarios and assert the monitors catch them. Skipped at
         fire time if ``pid`` has already crashed (a crashed process
-        records nothing).
+        records nothing). Only ``pid``, the process that acts, must
+        exist; ``target`` is left unchecked on purpose — a record naming
+        a process the system does not have is a violation for the
+        ``valid`` monitor to flag, not for the injector to refuse.
         """
+        self._check_pids(pid)
+
         def fire() -> None:
             if not self._processes[pid].crashed:
                 self.trace.record_failed(self.scheduler.now, pid, target)
@@ -318,8 +324,11 @@ FailureModel`) of the failure semantics this world runs under; the
         minted — a well-formedness violation (Definition 1's send/recv
         matching) the ``valid`` monitor must flag. The forged sequence
         number is drawn far above any mintable one so it cannot collide
-        with real traffic.
+        with real traffic. As with :meth:`inject_forged_detection`, only
+        the acting ``pid`` must exist; ``src`` is unchecked on purpose.
         """
+        self._check_pids(pid)
+
         def fire() -> None:
             if not self._processes[pid].crashed:
                 phantom = Message(src, 1_000_000_000 + pid, "phantom")

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.failed_before (Definition 3, sFS2b)."""
 
+import random
+
 from repro.core.events import crash, failed
 from repro.core.failed_before import (
     failed_before_graph,
@@ -84,6 +86,86 @@ class TestLastFailedCandidates:
     def test_non_crashed_not_candidates(self):
         h = History([failed(1, 0), crash(0)], n=2)
         assert last_failed_candidates(h) == frozenset()
+
+
+def _random_history(seed: int) -> History:
+    """A seeded detection/crash soup, not a legal run: self-detections,
+    repeated detections, detectors that never crash, crashed processes
+    nobody detects and processes that appear in no event at all."""
+    rng = random.Random(seed)
+    n = rng.choice((1, 2, 3, 5, 8, 13, 32, 64))
+    active = rng.sample(range(n), rng.randrange(1, n + 1))
+    # The share of edges that respect one fixed order: 1.0 is a DAG by
+    # construction (however dense), 0.5 is cyclic as soon as it is dense.
+    ordered = rng.choice((1.0, 0.95, 0.5))
+    self_detections = rng.random() < 0.15
+    events = []
+    for _ in range(rng.randrange(rng.choice((n, 2 * n, n * n // 2)) + 2)):
+        detector, target = rng.choice(active), rng.choice(active)
+        if detector == target and not self_detections:
+            continue
+        if rng.random() < ordered:
+            detector, target = max(detector, target), min(detector, target)
+        events.append(failed(detector, target))
+        if rng.random() < 0.2:
+            events.append(failed(detector, target))  # detected twice
+    for pid in range(n):
+        if rng.random() < 0.5:
+            events.insert(rng.randrange(len(events) + 1), crash(pid))
+    return History(events, n=n)
+
+
+class TestAgainstNetworkx:
+    """The stdlib predicates against networkx, the tests' own oracle: the
+    graph is built here from the pair list, not by the code under test."""
+
+    SEEDS = range(240)
+
+    def _oracle(self, history):
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(history.processes)
+        graph.add_edges_from(failed_before_pairs(history))
+        return nx, graph
+
+    def test_acyclicity_agrees_and_matches_find_cycle(self):
+        verdicts = set()
+        for seed in self.SEEDS:
+            history = _random_history(seed)
+            nx, graph = self._oracle(history)
+            expected = nx.is_directed_acyclic_graph(graph)
+            assert is_acyclic(history) == expected, f"seed {seed}"
+            assert (find_cycle(history) is None) == expected, f"seed {seed}"
+            verdicts.add(expected)
+        assert verdicts == {True, False}  # the soup reaches both sides
+
+    def test_transitivity_agrees(self):
+        verdicts = set()
+        for seed in self.SEEDS:
+            history = _random_history(seed)
+            nx, graph = self._oracle(history)
+            # Transitive iff its own closure. a -> b -> a demands the
+            # loop a -> a, which reflexive=False adds exactly then.
+            closure = nx.transitive_closure(graph, reflexive=False)
+            expected = set(closure.edges) == set(graph.edges)
+            assert is_transitive(history) == expected, f"seed {seed}"
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_last_failed_candidates_agree(self):
+        nonempty = 0
+        for seed in self.SEEDS:
+            history = _random_history(seed)
+            _, graph = self._oracle(history)
+            expected = {
+                p for p in history.crashed_processes()
+                if graph.out_degree(p) == 0
+            }
+            assert last_failed_candidates(history) == expected, f"seed {seed}"
+            assert isinstance(last_failed_candidates(history), frozenset)
+            nonempty += bool(expected)
+        assert nonempty > len(self.SEEDS) // 4
 
 
 class TestFailedBeforeTracker:

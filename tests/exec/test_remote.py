@@ -151,8 +151,13 @@ class TestInThreadWorkers:
             accept=1, listen=f"127.0.0.1:{port}", heartbeat_interval=0.1
         )
         jobs = [JobSpec(kind=BOOM, spec_id="b", seed=1)]
-        with pytest.raises(SimulationError, match="bomber.*failed job 0"):
+        with pytest.raises(
+            SimulationError, match="bomber.*failed job 0"
+        ) as info:
             run_jobs(jobs, executor=executor)
+        # Not a ReproError: a bug in a runner keeps its traceback.
+        assert "Traceback" in str(info.value)
+        assert "RuntimeError: boom on seed 1" in str(info.value)
 
     def test_unreachable_host_is_a_friendly_error(self):
         port = _free_port()  # nothing listens here

@@ -177,6 +177,38 @@ class TestInjection:
         assert world.scheduler.pending == 0  # nothing was queued
         assert world.run_to_quiescence() == 0
 
+    @pytest.mark.parametrize("pid", [2, -1, "x"])
+    def test_out_of_range_acting_pid_refused_by_the_other_injectors(self, pid):
+        """``inject_compromise(99)`` used to compromise nobody in silence;
+        the two sabotage injectors raised ``IndexError`` from their
+        deferred closure inside ``Scheduler.run``."""
+        world = build_world(2, Echoer, failure_model="byzantine-crash")
+        for inject in (
+            lambda: world.inject_compromise(pid, at=1.0),
+            lambda: world.inject_forged_detection(pid, 0, at=1.0),
+            lambda: world.inject_phantom_recv(pid, 0, at=1.0),
+        ):
+            with pytest.raises(SimulationError, match="no process") as info:
+                inject()
+            assert "\n" not in str(info.value)
+        assert world.scheduler.pending == 0  # nothing was queued
+        assert world.run_to_quiescence() == 0
+        assert world.compromised == frozenset()
+
+    def test_sabotage_may_name_a_peer_that_does_not_exist(self):
+        """Only the acting process is checked: a record that names a
+        process the system does not have is the violation itself, and
+        flagging it is the ``valid`` monitor's job."""
+        world = build_world(2, Echoer)
+        world.inject_forged_detection(0, 99, at=1.0)
+        world.inject_phantom_recv(1, 99, at=2.0)
+        world.run_to_quiescence()
+        history = world.history()
+        assert list(history.failed_index) == [(0, 99)]
+        assert [
+            (e.proc, e.src) for e in history if isinstance(e, RecvEvent)
+        ] == [(1, 99)]
+
     @pytest.mark.parametrize("n", [0, -2, 2.5, "abc", None])
     def test_build_world_refuses_a_bad_process_count(self, n):
         with pytest.raises(SimulationError, match="n >= 1"):

@@ -94,7 +94,9 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "sweep failed" in err and "seeds" in err
 
-    @pytest.mark.parametrize("backend", ["serial", "inproc", "parallel"])
+    @pytest.mark.parametrize(
+        "backend", ["serial", "inproc", "parallel", "remote"]
+    )
     @pytest.mark.parametrize("n, says", [("1", "no process 1"),
                                          ("abc", "n >= 1")])
     def test_sweep_bad_world_size_fails_in_one_line(
@@ -102,15 +104,16 @@ class TestSweep:
     ):
         # n=1 used to surface as an IndexError from inside Scheduler.run
         # (the deferred suspicion indexing process 1), n=abc as a
-        # TypeError from build_world's range().
-        jobs = ["--jobs", "2"] if backend == "parallel" else []
+        # TypeError from build_world's range() — and on ``remote`` both
+        # arrived as the worker's twenty-frame traceback.
+        fleet = {"parallel": ["--jobs", "2"], "remote": ["--workers", "2"]}
         assert main(
             ["sweep", "e7", "--seeds", "2", "--param", f"n={n}",
-             "--backend", backend, *jobs]
+             "--backend", backend, *fleet.get(backend, [])]
         ) == 1
         err = capsys.readouterr().err
         assert err.startswith("sweep failed: ") and says in err
-        assert len(err.splitlines()) == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_sweep_jobs_refused_where_they_would_not_apply(self, capsys):
         args = ["sweep", "e7", "--seeds", "2", "--param", "n=6"]
@@ -615,11 +618,20 @@ class TestImportBudget:
     """A command imports what it runs. The package ``__init__``s are lazy
     namespaces and ``src/`` imports from defining submodules, so a fuzz
     run, a journal resume and a worker load neither the experiment
-    drivers, the apps, the remote fleet and its sockets, nor networkx
-    (~0.13 s and ~14 MB per process; imported inside the two functions
-    that use it, ``failed_before_graph`` and ``is_acyclic``)."""
+    drivers, the apps nor the remote fleet and its sockets — and no
+    command loads networkx (~0.13 s and ~14 MB per process): the
+    failed-before predicates are stdlib, and the one function that hands
+    the relation out as a ``DiGraph``, ``failed_before_graph``, is
+    called by nothing in ``src/``."""
 
     FUZZ = ("fuzz", "--seed", "0", "--count", "5")
+    # The sweeps that judge the relation: is_acyclic (E7, E5) and
+    # last_failed_candidates (E8).
+    SWEEPS = (
+        ("sweep", "e7", "--seeds", "2", "--param", "n=6"),
+        ("sweep", "e8", "--seeds", "2"),
+        ("sweep", "e5", "--seeds", "2"),
+    )
     # Prefixes: none of these, nor a submodule of one, may be loaded.
     NEVER_ON_THE_FUZZ_PATH = (
         "repro.apps",
@@ -665,18 +677,44 @@ class TestImportBudget:
             assert loaded(*{self.NEVER_ON_THE_FUZZ_PATH!r}) == []
             ours = loaded("repro")
             assert len(ours) <= {self.MAX_REPRO_MODULES}, ours
-            # Controls: the pool and the oracle are still wired.
+            # Control: the pool is still wired.
             pooled = digest(fuzz + ["--backend", "parallel", "--jobs", "2"])
             assert pooled == digest(fuzz)
             assert loaded("multiprocessing")
-            assert main(["sweep", "e7", "--seeds", "2", "--param", "n=6"]) == 0
-            assert loaded("repro.analysis.experiments") and loaded("networkx")
         """)
         proc = run_python(
             SRC, self.CORE, "-c", script, str(tmp_path / "j.jsonl")
         )
         assert proc.returncode == 0, proc.stderr
         assert "all 5 scenarios restored from journal" in proc.stdout
+
+    def test_sweeps_that_judge_the_relation_leave_networkx_unimported(self):
+        script = textwrap.dedent(f"""
+            import sys
+            from repro.__main__ import main
+
+            for sweep in {self.SWEEPS!r}:
+                assert main(list(sweep)) == 0
+            assert "repro.analysis.experiments" in sys.modules
+            assert "repro.apps.last_to_fail" in sys.modules
+            assert "networkx" not in sys.modules
+            # Control: the opt-in function still loads it, and its graph
+            # is the pair list.
+            from repro.core.events import failed
+            from repro.core.failed_before import (
+                failed_before_graph, failed_before_pairs,
+            )
+            from repro.core.history import History
+
+            history = History([failed(1, 0), failed(2, 1)], n=4)
+            graph = failed_before_graph(history)
+            assert type(graph) is sys.modules["networkx"].DiGraph
+            assert sorted(graph.nodes) == [0, 1, 2, 3]
+            assert sorted(graph.edges) == [(0, 1), (1, 2)]
+            assert sorted(graph.edges) == sorted(failed_before_pairs(history))
+        """)
+        proc = run_python(SRC, self.CORE, "-c", script)
+        assert proc.returncode == 0, proc.stderr
 
     def test_a_worker_imports_no_simulator_before_its_first_job(self):
         """``import repro.exec.remote`` is all ``python -m repro worker``
@@ -690,10 +728,13 @@ class TestImportBudget:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
 
-    def test_spawned_workers_run_with_networkx_unimportable(self, tmp_path):
+    def test_spawned_workers_run_with_networkx_unimportable(
+        self, tmp_path, capsys
+    ):
         """A worker's ``sys.modules`` cannot be read from here, so every
         process of the fleet gets a ``sitecustomize`` that turns any
-        ``import networkx`` into an error; the run must not notice."""
+        ``import networkx`` into an error; no run may notice, and every
+        sweep prints the digest it prints in this (unblocked) process."""
         (tmp_path / "sitecustomize.py").write_text(
             "import sys\nsys.modules['networkx'] = None\n"
         )
@@ -701,16 +742,39 @@ class TestImportBudget:
             os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)])
         )
 
-        def repro(*argv):
+        def blocked(*argv):
             return subprocess.run(
-                [sys.executable, "-m", "repro", *argv],
+                [sys.executable, *argv],
                 env=env, capture_output=True, text=True, cwd=tmp_path,
             )
 
-        remote = repro(*self.FUZZ, "--backend", "remote", "--workers", "2")
+        def digest_line(stdout):
+            return [ln for ln in stdout.splitlines() if "digest=" in ln]
+
+        fleet = ("--backend", "remote", "--workers", "2")
+        remote = blocked("-m", "repro", *self.FUZZ, *fleet)
         assert remote.returncode == 0, remote.stderr
         assert "digest=" in remote.stdout
-        # Control: the block is live, and E7 still reaches the oracle.
-        sweep = repro("sweep", "e7", "--seeds", "2", "--param", "n=6")
-        assert sweep.returncode != 0
-        assert "networkx" in sweep.stderr
+        for sweep in self.SWEEPS:
+            assert main(list(sweep)) == 0
+            expected = digest_line(capsys.readouterr().out)
+            assert len(expected) == 1
+            for backend in ((), fleet):
+                proc = blocked("-m", "repro", *sweep, *backend)
+                assert proc.returncode == 0, proc.stderr
+                assert digest_line(proc.stdout) == expected, (sweep, backend)
+        # Control: the block is live, and the one function that wants
+        # the library says so in one line naming the extra.
+        graph = blocked(
+            "-c",
+            "from repro.core.failed_before import failed_before_graph\n"
+            "from repro.core.history import History\n"
+            "from repro.errors import SimulationError\n"
+            "try:\n"
+            "    failed_before_graph(History([], n=2))\n"
+            "except SimulationError as exc:\n"
+            "    print(exc)\n",
+        )
+        assert graph.returncode == 0, graph.stderr
+        assert len(graph.stdout.splitlines()) == 1
+        assert "networkx" in graph.stdout and "repro[graph]" in graph.stdout
