@@ -48,17 +48,19 @@ def test_bench_fuzz_shard_throughput(benchmark):
 
 def test_bench_fuzz_deterministic_across_stepping(benchmark):
     """Same seed, different stepping/quantum: byte-identical reports."""
-    baseline = run_fuzz(seed=0, count=FUZZ_COUNT)
+    baseline = run_fuzz(seed=0, count=FUZZ_COUNT)  # sequential, 512
 
-    def run_sequential():
+    def run_interleaved():
         return run_fuzz(
             seed=0, count=FUZZ_COUNT,
-            runner=ShardedRunner(stepping="sequential"),
+            runner=ShardedRunner(
+                stepping="round_robin", quantum=64, window=8
+            ),
         )
 
-    sequential = benchmark.pedantic(run_sequential, rounds=1, iterations=1)
-    assert sequential == baseline
-    assert sequential.digest() == baseline.digest()
+    interleaved = benchmark.pedantic(run_interleaved, rounds=1, iterations=1)
+    assert interleaved == baseline
+    assert interleaved.digest() == baseline.digest()
     attach_rows(benchmark, [f"digest={baseline.digest()[:16]}"])
 
 

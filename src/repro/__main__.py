@@ -12,18 +12,18 @@ Commands:
 * ``experiment EID`` — run one experiment driver (e1..e11, a1) at reduced
   scale and print its table.
 * ``sweep EID`` — run a deterministic multi-seed sweep of one seeded
-  experiment, optionally on a process pool (``--jobs``) or fully
-  in-process (``--backend inproc``); all backends print bit-identical
-  rows and the same content digest.
+  experiment, optionally on a process pool (``--jobs``) or a worker
+  fleet (``--backend remote``); all backends print bit-identical rows
+  and the same content digest.
   ``--early-stop`` aborts each case at its first streaming-monitor
   violation (supported drivers only, e.g. e14); ``--list`` prints the
   registered sweepable experiments.
 * ``fuzz`` — generate seeded adversarial scenarios (topology, faults,
-  adversary schedules, detectors, protocols) and run them through the
-  sharded multi-world engine with streaming monitors, flagging any
-  scenario whose streaming and batch verdicts disagree or that violates
-  a property its configuration must satisfy. Fully reproducible: the
-  same ``--seed``/``--count`` print the same digest.
+  adversary schedules, detectors, protocols) and run them, one world at
+  a time, with streaming monitors attached, flagging any scenario whose
+  streaming and batch verdicts disagree or that violates a property its
+  configuration must satisfy. Fully reproducible: the same
+  ``--seed``/``--count`` print the same digest.
 * ``monitor EID`` — run one monitored scenario with streaming
   analyze-on-append conformance monitors, printing each safety
   violation live at the event where its verdict locks; ``--stop``
@@ -36,17 +36,23 @@ Commands:
   :mod:`repro.exec.remote`.
 
 ``sweep``, ``fuzz``, and ``monitor`` all execute through the unified
-execution layer (:mod:`repro.exec`) and share its flags: ``--backend``
-picks the executor (results are bit-identical on all of them),
+execution layer (:mod:`repro.exec`) and share its checkpoint flags:
 ``--journal PATH`` checkpoints every completed case to a JSONL file as
 it lands, and ``--resume`` restores journaled cases instead of
 re-running them — a killed run resumed at any case boundary prints the
 same digest as an uninterrupted one. ``sweep``/``fuzz`` additionally
-take ``--stream`` to print each result live, in deterministic order, as
-the finished prefix grows, and ``--backend remote`` with ``--workers``
-(an integer to spawn local worker processes, or ``host:port,...`` to
-dial out) dispatches the plan to a fleet watched by the repo's own
-failure detectors — still bit-identical.
+take ``--backend`` to pick the executor (results are bit-identical on
+all of them; ``monitor`` prints from inside its one run, so it has no
+choice to offer), ``--stream`` to print each result live, in
+deterministic order, as the finished prefix grows, and ``--backend
+remote`` with ``--workers`` (an integer to spawn local worker processes,
+or ``host:port,...`` to dial out) dispatches the plan to a fleet watched
+by the repo's own failure detectors — still bit-identical.
+
+A :class:`~repro.errors.ReproError` out of any command (parameters the
+paper's bounds rule out, a pid that does not exist, a journal written
+for another plan) is one ``<command> failed: ...`` line on stderr and a
+non-zero exit code, never a traceback.
 """
 
 from __future__ import annotations
@@ -87,16 +93,16 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _add_exec_flags(
-    parser: "argparse.ArgumentParser",
-    backends: tuple[str, ...] = ("serial", "parallel", "inproc", "remote"),
-    backend_help: str = "execution backend; results are bit-identical "
-    "on every backend",
+    parser: "argparse.ArgumentParser", backend_help: str | None = None
 ) -> None:
-    """The execution-layer flags shared by sweep, fuzz, and monitor."""
-    parser.add_argument(
-        "--backend", choices=backends, default=None, help=backend_help
-    )
-    if "remote" in backends:
+    """The execution-layer flags shared by sweep, fuzz, and monitor
+    (which runs in this process only: no ``backend_help``, no
+    ``--backend``)."""
+    if backend_help is not None:
+        parser.add_argument(
+            "--backend", choices=("serial", "parallel", "inproc", "remote"),
+            default=None, help=backend_help,
+        )
         parser.add_argument(
             "--workers", metavar="N|HOST:PORT,...", default=None,
             help="--backend remote fleet: an integer spawns that many "
@@ -160,6 +166,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     from repro.analysis.report import print_table
     from repro.core.bounds import bounds_table
 
+    if args.n < 1:
+        print("bounds: N must be at least 1", file=sys.stderr)
+        return 2
     ts = [args.t] if args.t is not None else None
     rows = bounds_table([args.n], ts=ts)
     print_table(f"Theorem 7 / Corollary 8 bounds for n={args.n}", rows)
@@ -343,8 +352,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         return 2
 
     # Live printing happens from *inside* the run via a trace observer,
-    # so the monitor's executors are the in-process ones; a run restored
-    # from the journal instead re-renders its recorded violation lines.
+    # so the job runs in this process, on the serial executor; a run
+    # restored from the journal re-renders its recorded violation lines.
     printed = 0
     ran = False
 
@@ -393,7 +402,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         params=tuple(params),
     )
     try:
-        executor = make_executor(args.backend or "serial", run=live_run)
+        executor = make_executor("serial", run=live_run)
         (result,) = run_jobs(
             [job],
             executor=executor,
@@ -417,7 +426,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.analysis.fuzz import (
         DEFAULT_CONFIG,
-        DEFAULT_STEPPING,
         FuzzConfig,
         run_adaptive_fuzz,
         run_fuzz,
@@ -434,19 +442,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print("fuzz failed: --batch only applies to --adaptive",
               file=sys.stderr)
         return 2
-    given = {
-        name: getattr(args, name)
-        for name in DEFAULT_STEPPING
-        if getattr(args, name) is not None
-    }
-    if backend != "inproc" and given:
-        print(
-            f"fuzz failed: {', '.join('--' + name for name in given)} only "
-            f"apply to --backend inproc (the sharded engine), not "
-            f"{backend!r}",
-            file=sys.stderr,
-        )
-        return 2
     if args.workers is not None and backend != "remote":
         print("fuzz failed: --workers only applies to --backend remote",
               file=sys.stderr)
@@ -455,7 +450,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print("fuzz failed: --jobs takes a worker count >= 1 and only "
               "applies to --backend parallel", file=sys.stderr)
         return 2
-    stepping = {**DEFAULT_STEPPING, **given}
     sink = None
     if args.stream:
         def render(index, total, job, outcome):
@@ -484,9 +478,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             ),
             failure_model=args.failure_model,
         )
-        runner = None
-        if backend == "inproc":
-            runner = ShardedRunner(**stepping)
+        # Passed in only to read its stats back for the engine line.
+        runner = ShardedRunner() if backend == "inproc" else None
         common = dict(
             seed=args.seed, count=args.count, config=config, runner=runner,
             backend=backend, jobs=args.jobs or 2, remote_workers=args.workers,
@@ -503,10 +496,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"fuzz failed: {exc}", file=sys.stderr)
         return 2
-    mode = stepping["stepping"] if backend == "inproc" else backend
     label = " adaptive" if adaptive is not None else ""
     print(f"== fuzz seed={args.seed} count={args.count} "
-          f"({mode}{label}) ==")
+          f"({backend}{label}) ==")
     print(adaptive.summary() if adaptive is not None else report.summary())
     if runner is not None:
         # The runner only saw scenarios that actually executed; the
@@ -519,8 +511,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 f" ({restored} of {report.count} scenarios restored "
                 "from journal)" if restored else ""
             )
-            print(f"engine: {stats.events} scheduler events, "
-                  f"peak {stats.peak_live_shards} live shards{note}")
+            print(f"engine: {stats.events} scheduler events{note}")
         elif restored:
             print(f"engine: idle — all {report.count} scenarios "
                   "restored from journal")
@@ -569,6 +560,10 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     from repro.core.bounds import min_quorum_size
 
     k = args.k
+    if k < 2:
+        print("cycle: K must be at least 2 (a cycle of failed-before "
+              "edges needs two processes)", file=sys.stderr)
+        return 2
     n = args.n if args.n is not None else 3 * k
     available = n - (-(-n // k))
     legal = min_quorum_size(n, k)
@@ -683,8 +678,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_exec_flags(
         sweep,
         backend_help="execution backend (default: parallel when "
-                     "--jobs > 1, else serial); inproc skips process "
-                     "spawn — all three are bit-identical",
+                     "--jobs > 1, else serial; sweep cases have no shard "
+                     "form, so inproc is the serial loop) — all four "
+                     "are bit-identical",
     )
     sweep.set_defaults(fn=_cmd_sweep)
 
@@ -714,18 +710,13 @@ def main(argv: list[str] | None = None) -> int:
         help="print every recorded event, not just violations",
     )
     monitor.add_argument("--max-events", type=int, default=1_000_000)
-    _add_exec_flags(
-        monitor,
-        backends=("serial", "inproc"),
-        backend_help="execution backend (in-process only: live violation "
-                     "printing streams from inside the run)",
-    )
+    _add_exec_flags(monitor)
     monitor.set_defaults(fn=_cmd_monitor)
 
     fuzz = sub.add_parser(
         "fuzz",
-        help="run generated adversarial scenarios through the sharded "
-             "multi-world engine with streaming monitors attached",
+        help="run generated adversarial scenarios with streaming "
+             "monitors attached",
     )
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--count", type=int, default=200,
@@ -746,26 +737,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fault vocabulary to fuzz with: fail-stop crashes, "
              "crash-recovery churn (protocols run under the black-box "
              "wrapper), or bounded-Byzantine interference",
-    )
-    # Stepping controls default to None sentinels so the backend guard
-    # in _cmd_fuzz detects presence, not value; the effective defaults
-    # (round_robin / 512 / 64) are resolved there, in one place.
-    fuzz.add_argument(
-        "--stepping", choices=("round_robin", "sequential"),
-        default=None,
-        help="shard stepping policy, --backend inproc only (default: "
-             "round_robin; results are identical either way)",
-    )
-    fuzz.add_argument(
-        "--quantum", type=int, default=None,
-        help="events per shard per round-robin turn, --backend inproc "
-             "only (default: 512)",
-    )
-    fuzz.add_argument(
-        "--window", type=int, default=None,
-        help="max worlds alive at once under round-robin, --backend "
-             "inproc only (default: 64; bounds peak memory; results "
-             "are identical for any window)",
     )
     fuzz.add_argument(
         "--jobs", type=int, default=None,
@@ -802,10 +773,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_exec_flags(
         fuzz,
-        backend_help="execution backend (default: inproc, the sharded "
-                     "multi-world engine; serial runs scenarios whole, "
-                     "parallel fans them to --jobs workers — digests "
-                     "are bit-identical on all three)",
+        backend_help="execution backend (default: inproc, one batch "
+                     "through the multi-world engine, which also prints "
+                     "the engine: line; serial runs scenarios as whole "
+                     "jobs, parallel fans them to --jobs workers, remote "
+                     "to --workers — digests are bit-identical on all "
+                     "four)",
     )
     fuzz.set_defaults(fn=_cmd_fuzz)
 
@@ -847,7 +820,16 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ImportError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-    return args.fn(args)
+    from repro.errors import ReproError
+
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        # For the commands with no handler of their own (demo, bounds,
+        # experiment, cycle): bad parameters are one line, as they are
+        # from sweep, fuzz, monitor and worker.
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main()

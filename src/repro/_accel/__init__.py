@@ -1,13 +1,13 @@
 """Optional compiled event core.
 
-This package wraps the C extension ``repro._accel._ccore`` — two
-kernels: the scheduler and the network hot path — with one thin Python
-module that completes the pure network's public surface (``network``);
-the scheduler types are used straight from ``_ccore``. It is selected at
-import time by :mod:`repro._core` (``REPRO_CORE=accel|pure``, default:
-accel when the extension is importable) — nothing should import it
-directly except the shim, the canonical modules' core-selection blocks,
-and the cross-core tests.
+This package guards the C extension ``repro._accel._ccore`` — two
+kernels: the scheduler and the network hot path. The canonical modules'
+core-selection blocks use its types straight from ``_ccore``
+(``repro.sim.network`` subclasses ``NetworkCore`` there to complete the
+pure network's public surface). It is selected at import time by
+:mod:`repro._core` (``REPRO_CORE=accel|pure``, default: accel when the
+extension is importable) — nothing should import it directly except the
+shim, those core-selection blocks, and the cross-core tests.
 
 The pure-Python modules remain the **authoritative reference**: every
 behaviour here, down to counter visibility, rng stream consumption, and

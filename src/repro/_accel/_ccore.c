@@ -886,23 +886,6 @@ error:
 }
 
 static PyObject *
-Scheduler__peek(SchedulerObject *self, PyObject *noarg)
-{
-    PyObject *queue = self->queue;
-    while (PyList_GET_SIZE(queue) > 0 &&
-           ((EntryObject *)PyList_GET_ITEM(queue, 0))->cancelled) {
-        PyObject *popped = heap_pop(queue);
-        if (popped == NULL)
-            return NULL;
-        Py_DECREF(popped);
-        self->cancelled_in_heap -= 1;
-    }
-    if (PyList_GET_SIZE(queue) > 0)
-        return Py_NewRef(PyList_GET_ITEM(queue, 0));
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Scheduler__on_cancel(SchedulerObject *self, PyObject *entry)
 {
     if (!Entry_CheckExact(entry)) {
@@ -1018,7 +1001,6 @@ static PyMethodDef Scheduler_methods[] = {
      METH_NOARGS, "Queued, uncancelled, non-periodic callbacks (O(1))."},
     {"clear_queue", (PyCFunction)Scheduler_clear_queue, METH_NOARGS,
      "Drop every queued callback (end-of-life cycle breaking)."},
-    {"_peek", (PyCFunction)Scheduler__peek, METH_NOARGS, NULL},
     {"_on_cancel", (PyCFunction)Scheduler__on_cancel, METH_O, NULL},
     {"_compact", (PyCFunction)Scheduler__compact, METH_NOARGS, NULL},
     {NULL}

@@ -52,7 +52,7 @@ from repro.exec.executors import (
     effective_backend,
     make_executor,
 )
-from repro.exec.job import JobSpec
+from repro.exec.job import JobSpec, run_job
 from repro.exec.sink import ResultSink
 from repro.protocols.generic import GenericOneRoundProcess
 from repro.protocols.recovery import make_recovering
@@ -74,7 +74,7 @@ from repro.sim.failures import (
     random_fault_plan,
     random_recovery_plan,
 )
-from repro.sim.multiworld import ShardSpec, ShardedRunner
+from repro.sim.multiworld import ShardSpec, ShardedRunner, run_shard
 from repro.sim.world import World
 
 PROTOCOLS = ("sfs", "transitive", "generic", "unilateral")
@@ -819,25 +819,31 @@ def _scenario_shard(scenario: Scenario):
     return spec, (lambda spec, world: judge_world(spec.key, world))
 
 
-def run_fuzz_job(job: JobSpec) -> FuzzOutcome:
-    """Execution-layer entrypoint: run and judge one scenario, whole.
+def _run_whole(scenario: Scenario) -> FuzzOutcome:
+    """Run and judge one scenario to completion, as its own shard.
 
-    This is the serial/parallel form. It runs the scenario as a
-    one-shard :class:`~repro.sim.multiworld.ShardedRunner` pass so that
-    completion and livelock-valve semantics are the shard form's *by
-    construction* — not merely equivalent, the same code — keeping every
-    backend bit-identical even at the valve boundary. Module-level so
-    the parallel executor can resolve it by name in worker processes.
+    :func:`~repro.sim.multiworld.run_shard` is what the ``inproc``
+    executor's runner calls per scenario, so completion and
+    livelock-valve semantics are the shard form's *by construction* —
+    not merely equivalent, the same code — keeping every backend
+    bit-identical even at the valve boundary.
     """
-    spec, collect = _fuzz_job_shard(job)
-    (outcome,) = ShardedRunner(stepping="sequential").run(
-        [spec], collect=collect
-    )
+    outcome, _events = run_shard(*_scenario_shard(scenario))
     return outcome
 
 
+def run_fuzz_job(job: JobSpec) -> FuzzOutcome:
+    """Execution-layer entrypoint: run and judge one scenario, whole.
+
+    This is the serial/parallel/remote form (see :func:`_run_whole`).
+    Module-level so the parallel executor can resolve it by name in
+    worker processes.
+    """
+    return _run_whole(job_scenario(job))
+
+
 def _fuzz_job_shard(job: JobSpec):
-    """Shard form: lets the ``inproc`` executor step scenarios through
+    """Shard form: lets the ``inproc`` executor run scenarios through
     :class:`~repro.sim.multiworld.ShardedRunner` (see
     :func:`repro.exec.job.shard_form`)."""
     return _scenario_shard(job_scenario(job))
@@ -848,11 +854,7 @@ run_fuzz_job.to_shard = _fuzz_job_shard
 
 def run_scenario_job(job: JobSpec) -> FuzzOutcome:
     """Execution-layer entrypoint for literal-scenario jobs."""
-    spec, collect = _scenario_job_shard(job)
-    (outcome,) = ShardedRunner(stepping="sequential").run(
-        [spec], collect=collect
-    )
-    return outcome
+    return _run_whole(job.param("scenario"))
 
 
 def _scenario_job_shard(job: JobSpec):
@@ -866,19 +868,16 @@ run_scenario_job.to_shard = _scenario_job_shard
 def run_scenario(scenario: Scenario) -> FuzzOutcome:
     """Run and judge one materialised scenario in this process.
 
-    The convenience form of :func:`run_scenario_job` — same one-shard
-    path, so the outcome is bit-identical to what any backend would
-    produce for the same scenario.
+    The convenience form of :func:`run_scenario_job`, through
+    :func:`~repro.exec.job.run_job` — so the collector is paused and the
+    outcome is bit-identical to what any backend would produce for the
+    same scenario.
     """
-    return run_scenario_job(scenario_spec_job(scenario))
+    return run_job(scenario_spec_job(scenario))
 
 FUZZ_BACKENDS = EXEC_BACKENDS
 """Valid ``backend`` arguments for :func:`run_fuzz` — the execution
 layer's registered executors, by reference (one registry, no copies)."""
-
-DEFAULT_STEPPING = {"stepping": "round_robin", "quantum": 512, "window": 64}
-"""How the ``inproc`` backend's :class:`ShardedRunner` steps scenarios
-when the caller passes no ``runner`` (also the CLI flags' defaults)."""
 
 
 def _fuzz_executor(
@@ -899,8 +898,6 @@ def _fuzz_executor(
             f"runner= or backend={backend!r}"
         )
     backend = effective_backend(backend, n_jobs, jobs)
-    if backend == "inproc" and runner is None:
-        runner = ShardedRunner(**DEFAULT_STEPPING)
     # make_executor rejects unknown backend names.
     return make_executor(
         backend, workers=jobs, chunksize=chunksize, runner=runner,
@@ -926,9 +923,9 @@ def run_fuzz(
     Scenarios are planned as frozen jobs and executed through
     :mod:`repro.exec`. The default backend is ``"inproc"``: scenarios run
     as shards of a :class:`~repro.sim.multiworld.ShardedRunner` (pass
-    ``runner`` to control stepping or to read back
-    :class:`~repro.sim.multiworld.RunnerStats` afterwards; the default is
-    :data:`DEFAULT_STEPPING`). ``"serial"`` runs each scenario whole in
+    ``runner`` to read back :class:`~repro.sim.multiworld.RunnerStats`
+    afterwards or to step them differently; the default is the engine's
+    own, one world at a time). ``"serial"`` runs each scenario whole in
     this process, ``"parallel"`` fans them out to a pool of ``jobs``
     workers, and ``"remote"`` dispatches them to the worker fleet
     ``remote_workers`` configures (see

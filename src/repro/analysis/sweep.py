@@ -278,10 +278,12 @@ def run_sweep(
 
     * ``"serial"`` — one case after another in this process.
     * ``"parallel"`` — a ``multiprocessing`` pool of ``jobs`` workers.
-    * ``"inproc"`` — one case after another in this process through the
-      multi-world engine; preferable to ``parallel`` whenever per-case
-      cost is small enough that process spawn/pickle overhead dominates
-      (measured crossover: ``benchmarks/bench_e15_multiworld.py``).
+    * ``"inproc"`` — for a sweep, ``"serial"`` under another name: sweep
+      cases advertise no shard form, so the ``inproc`` executor runs
+      them whole, one after another (either is preferable to
+      ``parallel`` whenever per-case cost is small enough that process
+      spawn/pickle overhead dominates; measured crossover:
+      ``benchmarks/bench_e15_multiworld.py``).
     * ``"remote"`` — multi-host dispatch to worker processes configured
       by ``remote_workers`` (see :mod:`repro.exec.remote`); the
       coordinator watches the fleet with the repo's own failure

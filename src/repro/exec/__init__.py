@@ -54,10 +54,8 @@ __getattr__, __dir__ = lazy_namespace(globals(), {
     "RemoteStats": "remote",
     "parse_worker_spec": "remote",
     "run_worker": "remote",
-    "CallbackSink": "sink",
     "CollectSink": "sink",
     "ResultSink": "sink",
-    "TeeSink": "sink",
 })
 
 __all__ = [
@@ -80,8 +78,6 @@ __all__ = [
     "make_executor",
     "ResultSink",
     "CollectSink",
-    "CallbackSink",
-    "TeeSink",
     "Journal",
     "partition_jobs",
     "run_jobs",

@@ -14,19 +14,18 @@ and fuzz subsystems, now shared by everything that fans out work:
   streamed back as journal-shaped lines while the coordinator watches
   the workers with the repo's own failure detectors.
 * :class:`InprocExecutor` — in this process. Jobs that advertise
-  a shard form (see :mod:`repro.exec.job`) are stepped cooperatively
-  through :class:`~repro.sim.multiworld.ShardedRunner` — the multi-world
-  engine is the *implementation* of this executor, not a separate code
-  path — so many simulated worlds are in flight at once while spawn and
-  pickle costs stay at zero.
+  a shard form (see :mod:`repro.exec.job`) are handed, as one batch, to
+  a :class:`~repro.sim.multiworld.ShardedRunner`, which by default runs
+  each world to completion in turn; jobs without one run exactly as on
+  :class:`SerialExecutor`.
 
 Every executor delivers ``(index, result)`` pairs to a callback as jobs
-complete; completion *order* is the executor's own business (round-robin
-shard stepping finishes out of order by design) and is laundered back
-into planned order by :func:`repro.exec.core.run_jobs` before results
-reach sinks or callers. Because job runners are pure, the executor choice
-can never change the results — only how fast, and in what interleaving,
-they arrive.
+complete; completion *order* is the executor's own business (a pool, a
+fleet, or a caller's interleaving runner may finish out of order) and is
+laundered back into planned order by :func:`repro.exec.core.run_jobs`
+before results reach sinks or callers. Because job runners are pure, the
+executor choice can never change the results — only how fast, and in
+what interleaving, they arrive.
 """
 
 from __future__ import annotations
@@ -117,34 +116,26 @@ class InprocExecutor(Executor):
     """In-process execution over the sharded multi-world engine.
 
     When every pending job advertises a shard form, their worlds are
-    built and stepped by the wrapped
-    :class:`~repro.sim.multiworld.ShardedRunner` (its stepping policy,
-    quantum, and window decide the interleaving; results are identical
-    for all of them). Jobs without a shard form — experiment drivers that
-    build and run worlds internally — run whole, one after another,
-    which is exactly the sequential degenerate of shard stepping.
+    built and run by the wrapped
+    :class:`~repro.sim.multiworld.ShardedRunner` (whatever its stepping
+    policy, results are identical). Jobs without a shard form —
+    experiment drivers that build and run worlds internally — run
+    whole, one after another: the :class:`SerialExecutor` loop.
 
     Args:
-        runner: the engine to step shard-form jobs with; a fresh
-            sequential :class:`~repro.sim.multiworld.ShardedRunner` when
-            omitted. Callers that want stepping/quantum/window control or
-            post-run :class:`~repro.sim.multiworld.RunnerStats` pass
-            their own.
-        run: substitute job-running callable for the whole-job path (see
-            :class:`SerialExecutor`).
+        runner: the engine to run shard-form jobs with; a fresh
+            :class:`~repro.sim.multiworld.ShardedRunner` (sequential:
+            one world at a time) when omitted. Callers that want its
+            :class:`~repro.sim.multiworld.RunnerStats` afterwards, or
+            another stepping policy, pass their own.
     """
 
     name = "inproc"
 
-    def __init__(
-        self,
-        runner=None,
-        run: Callable[[JobSpec], Any] | None = None,
-    ):
+    def __init__(self, runner=None):
         from repro.sim.multiworld import ShardedRunner
 
         self.runner = runner if runner is not None else ShardedRunner()
-        self._run = run or run_job
 
     def submit(self, pending: Pending, on_result: OnResult) -> None:
         if not pending:
@@ -154,7 +145,7 @@ class InprocExecutor(Executor):
             self._submit_shards(pending, forms, on_result)
         else:
             for index, job in pending:
-                on_result(index, self._run(job))
+                on_result(index, run_job(job))
 
     def _submit_shards(self, pending, forms, on_result: OnResult) -> None:
         specs = []
@@ -200,30 +191,26 @@ def make_executor(
     :func:`~repro.exec.remote.parse_worker_spec`): an integer spawns that
     many local worker subprocesses; a ``"host:port,host:port"`` string
     dials out to workers already listening. It is rejected for every
-    other backend rather than silently ignored.
+    other backend rather than silently ignored, as is ``run`` (see
+    :class:`SerialExecutor`) for every backend but ``"serial"``.
     """
     if remote_workers is not None and backend != "remote":
         raise SimulationError(
             "remote worker addresses only apply to the 'remote' backend "
             f"(got backend {backend!r})"
         )
+    if run is not None and backend != "serial":
+        raise SimulationError(
+            "only the serial executor takes a local run override "
+            f"(got backend {backend!r})"
+        )
     if backend == "serial":
         return SerialExecutor(run=run)
     if backend == "parallel":
-        if run is not None:
-            raise SimulationError(
-                "the parallel executor cannot take a local run override "
-                "(jobs execute in worker processes)"
-            )
         return ParallelExecutor(workers=workers, chunksize=chunksize)
     if backend == "inproc":
-        return InprocExecutor(runner=runner, run=run)
+        return InprocExecutor(runner=runner)
     if backend == "remote":
-        if run is not None:
-            raise SimulationError(
-                "the remote executor cannot take a local run override "
-                "(jobs execute on remote workers)"
-            )
         # Imported lazily, and (repro.exec being a lazy namespace) only
         # here and in the worker command: sockets, selectors, subprocess
         # and the detectors load when a fleet is asked for, not before.

@@ -25,10 +25,11 @@ A job runner may additionally advertise a *shard form* by carrying a
     run_my_job.to_shard = _my_job_shard
 
 ``to_shard(job)`` returns a ``(ShardSpec, collect)`` pair; the ``inproc``
-executor uses it to step many jobs' worlds cooperatively through
-:class:`~repro.sim.multiworld.ShardedRunner` instead of running each job
-to completion in turn. The two forms must produce equal results — shard
-stepping is an executor's freedom, never an observable.
+executor uses it to hand a whole batch of jobs' worlds to one
+:class:`~repro.sim.multiworld.ShardedRunner` (whose stepping policy is
+its own business) instead of calling each job's runner in turn. The two
+forms must produce equal results — shard stepping is an executor's
+freedom, never an observable.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ wrap fragile I/O should catch their own errors.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any
 
 from repro.exec.job import JobSpec
 
@@ -61,32 +61,3 @@ class CollectSink(ResultSink):
 
     def close(self) -> None:
         self.closed = True
-
-
-class CallbackSink(ResultSink):
-    """Adapts a plain ``fn(index, job, result)`` callable to the protocol."""
-
-    def __init__(self, fn: Callable[[int, JobSpec, Any], None]):
-        self._fn = fn
-
-    def emit(self, index: int, job: JobSpec, result: Any) -> None:
-        self._fn(index, job, result)
-
-
-class TeeSink(ResultSink):
-    """Fans every sink call out to several sinks, in order."""
-
-    def __init__(self, sinks: Sequence[ResultSink]):
-        self._sinks = list(sinks)
-
-    def open(self, total: int) -> None:
-        for sink in self._sinks:
-            sink.open(total)
-
-    def emit(self, index: int, job: JobSpec, result: Any) -> None:
-        for sink in self._sinks:
-            sink.emit(index, job, result)
-
-    def close(self) -> None:
-        for sink in self._sinks:
-            sink.close()

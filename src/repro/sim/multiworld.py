@@ -10,19 +10,22 @@ task.
 
 Shards share **no mutable simulation state**: each world derives all
 nondeterminism from its own seed, so stepping policy cannot affect
-results. The runner exploits that freedom two ways:
+results. The runner has two:
 
-* ``stepping="sequential"`` — run each shard to completion in spec order.
-  Maximum locality, minimum peak memory.
+* ``stepping="sequential"`` (the default) — run each shard to completion
+  in spec order, one world alive at a time: :func:`run_shard`, which is
+  also what a whole fuzz job calls (:mod:`repro.analysis.fuzz`), so the
+  shard form and the whole-job form of a scenario are the same code.
 * ``stepping="round_robin"`` — interleave shards in fixed event quanta
-  within a bounded window of live shards. Keeps many worlds in flight,
-  which is the shape an analyze-while-simulating consumer (streaming
-  monitor dashboards, the fuzzer's progress accounting) wants.
+  within a bounded window of live shards. Kept as engine API: the tests
+  (``tests/sim/test_multiworld.py``, the stepping-invariance properties)
+  and ``benchmarks/record/layers.py::api_run`` exercise it, nothing in
+  ``src/`` selects it, and on every fuzz workload of record it measured
+  3–9 MB larger than ``sequential`` and slower or tied
+  (``docs/performance.md`` § PR 20).
 
 Both policies produce **bit-identical per-shard results** (guarded by
-``tests/sim/test_multiworld.py``); the fuzzer
-(:mod:`repro.analysis.fuzz`) and the benchmark
-(``benchmarks/bench_e15_multiworld.py``) ride whichever fits.
+``tests/sim/test_multiworld.py``).
 
 Completion semantics per shard mirror the two ways scenarios are driven:
 with ``horizon=None`` a shard runs to quiescence (injected-fault
@@ -55,6 +58,11 @@ R = TypeVar("R")
 STEPPING_POLICIES = ("sequential", "round_robin")
 """Valid ``stepping`` arguments for :class:`ShardedRunner`."""
 
+DEFAULT_QUANTUM = 512
+"""Events a shard runs between two checks of its livelock valve. Paths
+that must agree at the valve (the ``inproc`` shard form and the whole-job
+form of a fuzz scenario) agree because both run on this value."""
+
 
 @dataclass(frozen=True)
 class ShardSpec:
@@ -82,11 +90,75 @@ class ShardSpec:
 
 @dataclass
 class _LiveShard:
-    index: int
     spec: ShardSpec
     world: World
+    index: int = 0
     events: int = 0
     done: bool = False
+
+
+def _build(spec: ShardSpec, index: int = 0) -> _LiveShard:
+    world = spec.build()
+    world.start()
+    return _LiveShard(spec, world, index)
+
+
+def _advance(shard: _LiveShard, quantum: int) -> None:
+    """Execute up to ``quantum`` events; flags ``shard.done``."""
+    spec = shard.spec
+    scheduler = shard.world.scheduler
+    if spec.horizon is not None:
+        executed = scheduler.run(until=spec.horizon, max_events=quantum)
+        # run() breaking before the quantum was spent means it ran out
+        # of work admissible before the horizon (or a monitor halt).
+        shard.done = executed < quantum or scheduler._stop_requested
+    else:
+        executed = 0
+        while executed < quantum:
+            # Direct attribute reads: this guard runs once per stepped
+            # event across every shard, so the property/method hops of
+            # stop_requested / pending_nonperiodic() were pure loop tax.
+            if (
+                scheduler._stop_requested
+                or scheduler._pending_nonperiodic == 0
+                or not scheduler.step()
+            ):
+                shard.done = True
+                break
+            executed += 1
+    shard.events += executed
+    if shard.events > spec.max_events and not shard.done:
+        raise SimulationError(
+            f"shard {spec.key!r} exceeded {spec.max_events} events "
+            "without completing; likely a livelock in the scenario"
+        )
+
+
+def _finish(shard: _LiveShard, collect: Callable[[ShardSpec, World], R]) -> R:
+    result = collect(shard.spec, shard.world)
+    # dispose() unlinks the world's reference cycles, so the dead shard
+    # frees by refcount even with the cyclic collector paused.
+    shard.world.dispose()
+    return result
+
+
+def run_shard(
+    spec: ShardSpec,
+    collect: Callable[[ShardSpec, World], R],
+    quantum: int = DEFAULT_QUANTUM,
+) -> tuple[R, int]:
+    """One shard from build to dispose: ``(collect's result, events run)``.
+
+    What ``stepping="sequential"`` does per spec, and what a job that *is*
+    one shard (a fuzz scenario run whole) calls directly — so completion,
+    monitor-halt and livelock-valve semantics are the same code on every
+    path. Does not touch the collector: :meth:`ShardedRunner.run` and
+    :func:`~repro.exec.job.run_job` hold the pause around it.
+    """
+    shard = _build(spec)
+    while not shard.done:
+        _advance(shard, quantum)
+    return _finish(shard, collect), shard.events
 
 
 @dataclass
@@ -106,7 +178,8 @@ class ShardedRunner(Generic[R]):
     Args:
         stepping: ``"sequential"`` or ``"round_robin"`` (see module
             docstring). Results are bit-identical either way.
-        quantum: events granted to a shard per round-robin turn.
+        quantum: events granted to a shard per turn (the livelock valve
+            is checked between turns under either policy).
         window: maximum shards alive at once under round-robin (default:
             all of them). Completed shards are disposed before the next
             shard in the window starts.
@@ -115,7 +188,7 @@ class ShardedRunner(Generic[R]):
     def __init__(
         self,
         stepping: str = "sequential",
-        quantum: int = 512,
+        quantum: int = DEFAULT_QUANTUM,
         window: int | None = None,
     ):
         if stepping not in STEPPING_POLICIES:
@@ -132,10 +205,6 @@ class ShardedRunner(Generic[R]):
         self.window = window
         self.stats = RunnerStats()
 
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
-
     def run(
         self,
         specs: Sequence[ShardSpec],
@@ -150,7 +219,7 @@ class ShardedRunner(Generic[R]):
         """
         self.stats.shards += len(specs)
         results: list[R | None] = [None] * len(specs)
-        # _finish dispose()s each finished shard, so dead worlds free by
+        # Every finished shard is dispose()d, so dead worlds free by
         # refcount and the paused collector has nothing to find.
         with paused_cyclic_gc():
             if self.stepping == "sequential":
@@ -159,30 +228,12 @@ class ShardedRunner(Generic[R]):
                 self._run_round_robin(specs, collect, results)
         return results  # type: ignore[return-value]
 
-    def _build(self, spec: ShardSpec, index: int) -> _LiveShard:
-        world = spec.build()
-        world.start()
-        return _LiveShard(index=index, spec=spec, world=world)
-
-    def _finish(
-        self,
-        shard: _LiveShard,
-        collect: Callable[[ShardSpec, World], R],
-        results: list[R | None],
-    ) -> None:
-        results[shard.index] = collect(shard.spec, shard.world)
-        # dispose() unlinks the world's reference cycles, so the dead
-        # shard frees by refcount even with the cyclic collector paused.
-        shard.world.dispose()
-
     def _run_sequential(self, specs, collect, results) -> None:
         if specs:
             self.stats.peak_live_shards = 1
         for index, spec in enumerate(specs):
-            shard = self._build(spec, index)
-            while not shard.done:
-                self._advance(shard, self.quantum)
-            self._finish(shard, collect, results)
+            results[index], events = run_shard(spec, collect, self.quantum)
+            self.stats.events += events
 
     def _run_round_robin(self, specs, collect, results) -> None:
         pending = list(enumerate(specs))
@@ -192,50 +243,16 @@ class ShardedRunner(Generic[R]):
         while pending or live:
             while pending and len(live) < window:
                 index, spec = pending.pop()
-                live.append(self._build(spec, index))
+                live.append(_build(spec, index))
             self.stats.peak_live_shards = max(
                 self.stats.peak_live_shards, len(live)
             )
             still_live: list[_LiveShard] = []
             for shard in live:
-                self._advance(shard, self.quantum)
+                _advance(shard, self.quantum)
                 if shard.done:
-                    self._finish(shard, collect, results)
+                    self.stats.events += shard.events
+                    results[shard.index] = _finish(shard, collect)
                 else:
                     still_live.append(shard)
             live = still_live
-
-    # ------------------------------------------------------------------
-    # One shard, one quantum
-    # ------------------------------------------------------------------
-
-    def _advance(self, shard: _LiveShard, quantum: int) -> None:
-        """Execute up to ``quantum`` events; flags ``shard.done``."""
-        spec = shard.spec
-        scheduler = shard.world.scheduler
-        if spec.horizon is not None:
-            executed = scheduler.run(until=spec.horizon, max_events=quantum)
-            # run() breaking before the quantum was spent means it ran out
-            # of work admissible before the horizon (or a monitor halt).
-            shard.done = executed < quantum or scheduler._stop_requested
-        else:
-            executed = 0
-            while executed < quantum:
-                # Direct attribute reads: this guard runs once per stepped
-                # event across every shard, so the property/method hops of
-                # stop_requested / pending_nonperiodic() were pure loop tax.
-                if (
-                    scheduler._stop_requested
-                    or scheduler._pending_nonperiodic == 0
-                    or not scheduler.step()
-                ):
-                    shard.done = True
-                    break
-                executed += 1
-        shard.events += executed
-        self.stats.events += executed
-        if shard.events > spec.max_events and not shard.done:
-            raise SimulationError(
-                f"shard {spec.key!r} exceeded {spec.max_events} events "
-                "without completing; likely a livelock in the scenario"
-            )

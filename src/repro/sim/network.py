@@ -213,7 +213,7 @@ class _NetworkColdPaths:
     """The adversary and introspection methods of ``Network``.
 
     Off the hot path, so written once: the pure ``Network`` below and the
-    compiled one (``repro._accel.network``) both inherit them and supply
+    compiled one (at the bottom of this module) both inherit them and supply
     ``_hold_predicates``, ``_channels``, ``_delay_model``, ``_rng``,
     ``_state`` and ``_schedule_delivery``.
     """
@@ -538,9 +538,52 @@ Pure_ChannelState = _ChannelState
 
 from repro._core import USE_ACCEL  # noqa: E402
 
-if USE_ACCEL:
-    from repro._accel.network import (  # noqa: E402,F811
-        Network,
+if USE_ACCEL:  # pragma: no cover - the coverage job measures the pure core
+    from repro._accel._ccore import (  # noqa: E402,F811
+        NetworkCore,
         _Burst,
         _ChannelState,
     )
+
+    class Network(NetworkCore, _NetworkColdPaths):  # noqa: F811
+        """All n^2 channels (including self-channels, used by Section 5).
+
+        The hot path — ``send``, burst formation, and burst draining —
+        lives in the C ``NetworkCore``; this subclass supplies the
+        constructor defaults and the unbatched delivery entry.
+        """
+
+        def __init__(
+            self,
+            scheduler,
+            n: int,
+            delay_model: DelayModel | None = None,
+            rng: random.Random | None = None,
+            deliver: DeliverFn | None = None,
+            batch: bool = True,
+        ):
+            super().__init__(
+                scheduler,
+                n,
+                delay_model or UniformDelay(),
+                rng or random.Random(0),
+                deliver,
+                batch,
+            )
+
+        def _open_unbatched(
+            self, state, src, dst, msg, kind, due, periodic
+        ) -> None:
+            """Per-message delivery entry for ``batch=False`` (cold path)."""
+
+            def deliver() -> None:
+                state.delivered += 1
+                self.messages_delivered += 1
+                deliver_fn = self._deliver_fn
+                assert deliver_fn is not None
+                deliver_fn(src, dst, msg, kind)
+
+            self.delivery_entries += 1
+            self._scheduler.schedule_callback_at(
+                due, deliver, periodic=periodic
+            )

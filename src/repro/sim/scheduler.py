@@ -442,13 +442,6 @@ class Scheduler:
             entry.callback()
             executed += 1
 
-    def _peek(self) -> _Entry | None:
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heappop(queue)
-            self._cancelled_in_heap -= 1
-        return queue[0][2] if queue else None
-
     def clear_queue(self) -> None:
         """Park every queued callback and empty the heap (end of life).
 

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 pytest.importorskip("repro._accel._ccore")
 
 from repro._accel._ccore import Scheduler as AccelScheduler
-from repro._accel.network import Network as AccelNetwork
 from repro.core.messages import MessageMint
 from repro.sim.delays import (
     ExponentialDelay,
@@ -39,11 +38,20 @@ from repro.sim.delays import (
     PerChannelDelay,
     UniformDelay,
 )
+from repro.sim.network import Network as AccelNetwork
 from repro.sim.network import PureNetwork
 from repro.sim.scheduler import PureScheduler
 from tests.conftest import SRC, run_python, stage_src
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+# The compiled Network is defined where the core is selected
+# (repro.sim.network's ``if USE_ACCEL:`` block), so a process forced to
+# REPRO_CORE=pure has no such class to hold against the pure one.
+needs_accel_network = pytest.mark.skipif(
+    AccelNetwork is PureNetwork,
+    reason="REPRO_CORE=pure: this process never defines the compiled Network",
+)
 
 
 def _run_cli(core: str, *argv: str) -> str:
@@ -154,6 +162,7 @@ send_plans = st.lists(
 )
 
 
+@needs_accel_network
 @given(send_plans, st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_network_delivery_order_matches(plan, seed):
@@ -214,6 +223,7 @@ def _release_held_plan(sched_cls, net_cls, model, rng, plan):
     return released, log
 
 
+@needs_accel_network
 @given(send_plans, st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
 def test_network_release_channel_matches(plan, seed):
@@ -253,6 +263,7 @@ DELAY_MODELS = [
 ]
 
 
+@needs_accel_network
 @pytest.mark.parametrize(
     "model", DELAY_MODELS, ids=lambda m: type(m).__name__
 )
@@ -351,6 +362,7 @@ def _surface(obj) -> set[str]:
     return {name for name in dir(obj) if not name.startswith("__")}
 
 
+@needs_accel_network
 def test_scheduler_network_and_entry_surfaces_match():
     """Both cores expose the same attribute names, private ones included,
     so state kept on one side only (a cache, a free list) shows up here."""
@@ -369,6 +381,7 @@ def test_scheduler_network_and_entry_surfaces_match():
     assert _surface(accel_net) - _surface(pure_net) == {"_open_unbatched"}
 
 
+@needs_accel_network
 @pytest.mark.parametrize(
     "name",
     [

@@ -243,6 +243,38 @@ class TestExecutionLayer:
         assert inproc == serial
         assert inproc.digest() == serial.digest()
 
+    def test_whole_jobs_build_no_runner(self, monkeypatch):
+        # The serial/parallel/remote form of a scenario calls the
+        # engine's run-one-shard code directly; a runner (with its stats,
+        # results list and collector pause) per job is what it replaced.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a whole fuzz job built a ShardedRunner")
+
+        monkeypatch.setattr(ShardedRunner, "__init__", refuse)
+        report = run_fuzz(seed=0, count=30, backend="serial")
+        assert report.digest() == FUZZ30_FAIL_STOP_DIGEST
+
+    def test_default_runner_runs_one_world_at_a_time(self, monkeypatch):
+        # No runner passed: the engine's own default, not a second one
+        # kept by the fuzzer.
+        import repro.analysis.fuzz as fuzz_module
+
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(make_executor(*args, **kwargs))
+            return built[-1]
+
+        make_executor = fuzz_module.make_executor
+        monkeypatch.setattr(fuzz_module, "make_executor", spy)
+        report = run_fuzz(seed=0, count=30)
+        assert report.digest() == FUZZ30_FAIL_STOP_DIGEST
+        (executor,) = built
+        assert executor.name == "inproc"
+        assert executor.runner.stepping == "sequential"
+        assert executor.runner.stats.shards == 30
+        assert executor.runner.stats.peak_live_shards == 1
+
     def test_parallel_with_one_worker_normalises_to_serial(self):
         # Same guard run_sweep has: a one-worker pool is pure overhead
         # for bit-identical outcomes, so it must not spawn at all.

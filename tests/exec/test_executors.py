@@ -92,8 +92,13 @@ class TestExecutors:
         assert seen == [0, 1, 2]
 
     def test_parallel_rejects_run_override(self):
-        with pytest.raises(SimulationError, match="run override"):
-            make_executor("parallel", run=lambda job: None)
+        # inproc too: a job it runs whole goes to run_job, as a shard
+        # form's world goes to the runner — neither is a seam for one.
+        for backend in ("parallel", "inproc"):
+            with pytest.raises(SimulationError, match="run override"):
+                make_executor(backend, run=lambda job: None)
+        with pytest.raises(TypeError):
+            InprocExecutor(run=lambda job: None)
 
     def test_errors_propagate(self):
         jobs = [JobSpec(kind="toykinds:boom", spec_id="b", seed=1)]

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,6 +22,45 @@ class TestDemo:
     def test_demo_parameters(self, capsys):
         assert main(["demo", "--n", "6", "--t", "2", "--seed", "1"]) == 0
         assert "n=6 t=2" in capsys.readouterr().out
+
+
+class TestBadParametersAreOneLine:
+    """demo, bounds, experiment and cycle have no ReproError handler of
+    their own; main() renders one for them, as sweep, fuzz, monitor and
+    worker render theirs."""
+
+    CASES = {
+        "cycle 0": (2, "cycle: K must be at least 2"),
+        "cycle 1": (2, "cycle: K must be at least 2"),
+        "cycle 2 --n 1": (1, "cycle failed: quorum size must be at least 1"),
+        "demo --n 2": (1, "demo failed: n=2 cannot tolerate t=2"),
+        "demo --n 3 --t 5": (1, "demo failed: n=3 cannot tolerate t=5"),
+        "bounds 0": (2, "bounds: N must be at least 1"),
+        "bounds -3": (2, "bounds: N must be at least 1"),
+    }
+
+    @pytest.mark.parametrize("command", CASES)
+    def test_exit_code_and_one_stderr_line(self, command, capsys):
+        code, start = self.CASES[command]
+        assert main(command.split()) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(start)
+        assert captured.err.count("\n") == 1
+
+    def test_a_repro_error_from_an_experiment_driver(self, capsys,
+                                                     monkeypatch):
+        from repro.analysis import experiments
+        from repro.errors import BoundsError
+
+        def refuse():
+            raise BoundsError("n=2 is too small")
+
+        monkeypatch.setattr(experiments, "run_e3", refuse)
+        assert main(["experiment", "e3"]) == 1
+        assert capsys.readouterr().err == (
+            "experiment failed: n=2 is too small\n"
+        )
 
 
 class TestBounds:
@@ -200,14 +240,18 @@ class TestFuzz:
         assert first == capsys.readouterr().out
 
     def test_fuzz_stepping_invisible_in_report(self, capsys):
+        # Two genuinely different paths to one digest: the default steps
+        # the plan as one batch of shards, --backend serial runs each
+        # scenario as a whole job.
         args = ["fuzz", "--seed", "5", "--count", "8"]
         assert main(args) == 0
-        round_robin = capsys.readouterr().out
-        assert main(args + ["--stepping", "sequential"]) == 0
-        sequential = capsys.readouterr().out
-        digest = [l for l in round_robin.splitlines() if "digest=" in l]
+        shards = capsys.readouterr().out
+        assert main(args + ["--backend", "serial"]) == 0
+        whole_jobs = capsys.readouterr().out
+        digest = [l for l in shards.splitlines() if "digest=" in l]
+        assert len(digest) == 1
         assert digest == [
-            l for l in sequential.splitlines() if "digest=" in l
+            l for l in whole_jobs.splitlines() if "digest=" in l
         ]
 
     def test_fuzz_restricted_protocols(self, capsys):
@@ -229,8 +273,6 @@ class TestFuzz:
         # A scenario carrying a delay tuple the sampler cannot draw from
         # (a corpus entry, a literal Scenario) used to be a traceback
         # from inside the run's first send.
-        import re
-
         from repro.analysis import fuzz as fuzz_mod
 
         bad = {
@@ -247,6 +289,41 @@ class TestFuzz:
         err = capsys.readouterr().err
         assert re.match(r"fuzz failed: \w+Delay\.\w+ must be ", err)
         assert err.count("\n") == 1
+
+
+class TestDeletedFlags:
+    """One way to run in process: the flags that selected another are
+    gone, not accepted and ignored."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--count", "2", "--stepping", "sequential"],
+            ["fuzz", "--count", "2", "--quantum", "8"],
+            ["fuzz", "--count", "2", "--window", "8"],
+            ["monitor", "demo", "--backend", "inproc"],
+        ],
+        ids=" ".join,
+    )
+    def test_deleted_flags_are_argparse_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fuzz", "monitor"])
+    def test_help_names_no_deleted_flag(self, command, capsys):
+        gone = {
+            "fuzz": ("--stepping", "--quantum", "--window"),
+            "monitor": ("--backend",),
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert "--journal" in text
+        for flag in gone:
+            assert flag not in text
 
 
 class TestFuzzExecLayer:
@@ -297,22 +374,6 @@ class TestFuzzExecLayer:
         out = capsys.readouterr().out
         assert "[scenario 1/4]" in out and "[scenario 4/4]" in out
 
-    def test_stepping_flags_rejected_on_non_inproc_backends(self, capsys):
-        # --stepping/--quantum/--window configure the sharded engine;
-        # dropping them silently would imply they applied. Detection is
-        # by presence, so even an explicitly-passed default is rejected.
-        assert main(
-            ["fuzz", "--count", "2", "--backend", "serial",
-             "--window", "8"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "--window" in err and "inproc" in err
-        assert main(
-            ["fuzz", "--count", "2", "--backend", "parallel",
-             "--stepping", "round_robin"]
-        ) == 2
-        assert "--stepping" in capsys.readouterr().err
-
     def test_resumed_run_reports_restored_scenarios(self, capsys, tmp_path):
         path = str(tmp_path / "fuzz.jsonl")
         assert main(
@@ -339,8 +400,10 @@ class TestFuzzAdaptive:
         assert "batches: 2" in out
         assert "coverage=" in out
         assert "digest=" in out
-        # One runner steps every batch, so its stats cover the campaign.
-        assert "engine: " in out and "peak 4 live shards" in out
+        # One runner runs every batch, so its stats cover the campaign.
+        engine = [l for l in out.splitlines() if l.startswith("engine: ")]
+        assert len(engine) == 1
+        assert re.fullmatch(r"engine: \d+ scheduler events", engine[0])
 
     def test_adaptive_replays_identically(self, capsys):
         args = ["fuzz", "--seed", "4", "--count", "6",
@@ -513,13 +576,6 @@ class TestMonitorExecLayer:
     def test_resume_without_journal_fails_cleanly(self, capsys):
         assert main(["monitor", "demo", "--resume"]) == 1
         assert "monitor failed" in capsys.readouterr().err
-
-    def test_backend_inproc_matches_serial(self, capsys):
-        args = ["monitor", "demo", "--seed", "3"]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--backend", "inproc"]) == 0
-        assert serial == capsys.readouterr().out
 
 
 class TestCycle:

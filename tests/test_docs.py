@@ -20,3 +20,22 @@ def test_docs_check_passes():
 def test_docs_suite_exists():
     for path in ("README.md", "docs/architecture.md", "docs/performance.md"):
         assert os.path.exists(os.path.join(REPO_ROOT, path)), path
+
+
+def test_profile_core_pins_no_rate():
+    """The warn-only ``--check`` against a committed events/s number is
+    gone (the gate on the event core is ``benchmarks/record/run.py``):
+    the flag is argparse's usage error and the pin file does not exist."""
+    result = subprocess.run(
+        [sys.executable, os.path.join(REPO_ROOT, "tools", "profile_core.py"),
+         "--check"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "unrecognized arguments: --check" in result.stderr
+    assert not os.path.exists(
+        os.path.join(REPO_ROOT, "benchmarks", "results",
+                     "BENCH_profile_core.json")
+    )

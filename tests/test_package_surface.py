@@ -107,8 +107,7 @@ SURFACE = {
         remote:RemoteExecutor remote:RemoteStats remote:parse_worker_spec
         remote:run_worker executors:EXEC_BACKENDS executors:effective_backend
         executors:make_executor sink:ResultSink sink:CollectSink
-        sink:CallbackSink sink:TeeSink journal:Journal journal:partition_jobs
-        core:run_jobs
+        journal:Journal journal:partition_jobs core:run_jobs
     """,
     "repro.apps": """
         ben_or:BenOrProcess ben_or:DECIDE ben_or:decided_values
@@ -183,11 +182,12 @@ class TestSurface:
             exec(f"from {package} import no_such_name")
 
 
-# Lazy __init__s change who imports repro.sim.network first, and
-# repro._accel.network appends to Network.__bases__ after a
-# bottom-of-module import that only works in one order per entry point.
+# Lazy __init__s change who imports repro.sim.network first. The compiled
+# Network is a class statement in that module's own core-selection block
+# (repro._accel._ccore imports nothing from repro, so there is no order
+# to get right), and there is no repro._accel.network to import instead.
 _IMPORTED_FIRST = """
-import importlib, sys
+import importlib.util, sys
 core, first = sys.argv[1:]
 module = importlib.import_module(first)
 for name in getattr(module, "__all__", ()):  # a package: in table order
@@ -196,14 +196,26 @@ import repro
 from repro.sim import network, scheduler
 assert repro.core_info()["core"] == core
 if core == "accel":
-    from repro._accel import _ccore, network as accel_network
-    assert network.Network is accel_network.Network
+    from repro._accel import _ccore
+    assert network.Network.__mro__ == (
+        network.Network, _ccore.NetworkCore, network._NetworkColdPaths, object
+    )
+    assert network.Network.__module__ == "repro.sim.network"
     assert scheduler.Scheduler is _ccore.Scheduler
+    assert importlib.util.find_spec("repro._accel.network") is None
 else:
     assert network.Network is network.PureNetwork
     assert scheduler.Scheduler is scheduler.PureScheduler
     assert "repro._accel" not in sys.modules
-assert network._NetworkColdPaths in network.Network.__mro__
+cold = [
+    name for name, value in vars(network._NetworkColdPaths).items()
+    if callable(value)
+]
+assert len(cold) == 9, cold
+for name in cold:
+    assert getattr(network.Network, name) is getattr(network.PureNetwork, name)
+assert not hasattr(scheduler.Scheduler, "_peek")
+assert not hasattr(scheduler.PureScheduler, "_peek")
 assert repro.sim.Network is network.Network
 assert repro.sim.Scheduler is scheduler.Scheduler
 """

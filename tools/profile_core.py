@@ -9,31 +9,19 @@ Two jobs, one harness:
       PYTHONPATH=src python tools/profile_core.py
       PYTHONPATH=src python tools/profile_core.py --top 25
 
-* **Check mode** (``--check``): time the workload *without* the profiler
-  (best-of-N, min wall time) and compare its events/sec against the
-  committed baseline at ``benchmarks/results/BENCH_profile_core.json``.
-  A throughput drop beyond ``--tolerance`` (default 30%) exits non-zero,
-  so CI catches an accidental deoptimization of the event core. Noisy
-  shared runners can demote the failure to a warning by setting
-  ``PERF_SMOKE_WARN_ONLY=1``. Re-pin the baseline (after an intentional
-  perf change, on the machine of record) with ``--update-baseline``.
-
-  The baseline is stamped with the event core (``pure``/``accel``) and
-  Python version that produced it; a check run under a different
-  configuration refuses the comparison (the rates measure different
-  code) instead of reporting a phantom regression or improvement.
-
 * **A/B mode** (``--ab``): time the workload under *both* cores (each in
   a subprocess with ``REPRO_CORE`` forced) and print the speedup — the
   number the compiled-core PRs quote::
 
       PYTHONPATH=src python tools/profile_core.py --ab
 
-``--failure-model`` runs the same batch under another failure model for
-the profile table and ``--ab`` (the table that found PR 13's per-delivery
-deep copy is ``--failure-model crash-recovery --seed 3 --count 180``).
-The pinned baseline is fail-stop, so ``--check`` and
-``--update-baseline`` refuse any other model.
+``--failure-model`` runs the same batch under another failure model (the
+table that found PR 13's per-delivery deep copy is ``--failure-model
+crash-recovery --seed 3 --count 180``).
+
+Neither mode is a gate. The gate on the event core is the benchmark of
+record (``benchmarks/record/run.py``, run three times by the tier-1 CI
+job; ``REPRO_CORE=pure`` in front of one of them is the A/B of record).
 
 The workload is the E15 fuzz batch (``run_fuzz(seed=0, count=80)``) —
 80 deterministic scenarios across every protocol, exercising scheduler,
@@ -57,9 +45,6 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE_PATH = (
-    REPO_ROOT / "benchmarks" / "results" / "BENCH_profile_core.json"
-)
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
@@ -110,90 +95,6 @@ def profile_workload(seed: int, count: int, top: int, model: str) -> str:
     stats.sort_stats("tottime")
     stats.print_stats(top)
     return out.getvalue()
-
-
-def run_check(args: argparse.Namespace) -> int:
-    if args.failure_model != DEFAULT_MODEL:
-        print(
-            f"the pinned baseline is {DEFAULT_MODEL}; --check and "
-            "--update-baseline do not take --failure-model "
-            f"{args.failure_model}",
-            file=sys.stderr,
-        )
-        return 1
-    tags = core_tags()
-    best, events = time_workload(
-        args.seed, args.count, args.repeats, DEFAULT_MODEL
-    )
-    rate = events / best
-    print(
-        f"workload: run_fuzz(seed={args.seed}, count={args.count})  "
-        f"core={tags['core']}  events={events}  best={best:.3f}s  "
-        f"rate={rate:,.0f} events/s"
-    )
-    if args.update_baseline:
-        BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    "workload": {"seed": args.seed, "count": args.count},
-                    "events": events,
-                    "best_s": round(best, 6),
-                    "events_per_sec": round(rate, 1),
-                    **tags,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-        return 0
-    if not BASELINE_PATH.exists():
-        print(
-            f"no baseline at {BASELINE_PATH}; run with --update-baseline "
-            "to pin one",
-            file=sys.stderr,
-        )
-        return 1
-    baseline = json.loads(BASELINE_PATH.read_text())
-    base_rate = baseline["events_per_sec"]
-    for key in ("core", "python"):
-        pinned = baseline.get(key)
-        if pinned is not None and pinned != tags[key]:
-            # Different core or interpreter = different code under the
-            # stopwatch; comparing would report phantom drift.
-            print(
-                f"baseline was pinned under {key}={pinned} but this run "
-                f"has {key}={tags[key]}; not comparable — match the "
-                "configuration or re-pin with --update-baseline",
-                file=sys.stderr,
-            )
-            return 1
-    if baseline.get("events") not in (None, events):
-        # The workload itself changed (different event count): rates are
-        # no longer comparable and the pin must be refreshed on purpose.
-        print(
-            f"baseline event count {baseline['events']} != measured "
-            f"{events}; the workload changed — re-pin with "
-            "--update-baseline",
-            file=sys.stderr,
-        )
-        return 1
-    floor = base_rate * (1.0 - args.tolerance)
-    verdict = (
-        f"baseline {base_rate:,.0f} events/s, floor {floor:,.0f} "
-        f"(-{args.tolerance:.0%}), measured {rate:,.0f}"
-    )
-    if rate >= floor:
-        print(f"OK: {verdict}")
-        return 0
-    message = f"REGRESSION: {verdict}"
-    if os.environ.get("PERF_SMOKE_WARN_ONLY"):
-        print(f"warning (PERF_SMOKE_WARN_ONLY set): {message}")
-        return 0
-    print(message, file=sys.stderr)
-    return 1
 
 
 def run_ab(args: argparse.Namespace) -> int:
@@ -277,30 +178,13 @@ def main(argv: list[str] | None = None) -> int:
         "--failure-model",
         choices=FAILURE_MODEL_NAMES,
         default=DEFAULT_MODEL,
-        help="failure model of the fuzz batch (profile table and --ab "
-        "only; the --check baseline is fail-stop)",
+        help="failure model of the fuzz batch",
     )
     parser.add_argument(
         "--repeats",
         type=int,
         default=3,
-        help="timing repeats (best is kept) in --check mode",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed fractional events/sec drop before --check fails",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare events/sec against the committed baseline",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="re-pin the committed baseline from this machine",
+        help="timing repeats (best is kept) in --ab mode",
     )
     parser.add_argument(
         "--ab",
@@ -319,8 +203,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_time_json(args)
     if args.ab:
         return run_ab(args)
-    if args.check or args.update_baseline:
-        return run_check(args)
 
     model = args.failure_model
     best, events = time_workload(args.seed, args.count, 1, model)
