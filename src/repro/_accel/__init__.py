@@ -46,7 +46,8 @@ if _source.exists() and (
 # Hand the extension the exception type it raises. This module stays
 # import-light on purpose — the canonical modules import it from their
 # bottom-of-module core-selection blocks, so pulling in repro.core or
-# repro.sim here would be circular.
+# repro.sim here would be circular. (The class NetworkCore.fanout mints
+# is handed over by repro.sim.network, which has it imported already.)
 _ccore._install_error(SimulationError)
 
 __all__ = ["_ccore"]

@@ -12,6 +12,8 @@
  * Layout mirrors the pure modules:
  *   _Entry / TimerHandle / Scheduler   <- repro.sim.scheduler
  *   _ChannelState / _Burst / NetworkCore <- repro.sim.network
+ * NetworkCore has two ways in, send() for one message and fanout() for
+ * one per destination; both run network_send_one() per message.
  *
  * setup.py defines REPRO_CCORE_SHA256, the sha256 of this file, and the
  * module exports it as _SOURCE_SHA256 so repro._accel can refuse a build
@@ -27,11 +29,14 @@
 
 static PyObject *g_sim_error;        /* repro.errors.SimulationError */
 static PyObject *g_noop;             /* parked-entry callback */
+static PyObject *g_message_type;     /* repro.core.messages.Message */
+static PyObject *g_empty_tuple, *g_one;
 
 /* interned strings */
 static PyObject *s_app, *s_protocol, *s_system;
 static PyObject *s_sample, *s_deliver;
 static PyObject *s_open_unbatched;
+static PyObject *s_sender, *s_seq, *s_payload, *s_next_seq;
 
 static PyObject *ERR(void)
 {
@@ -1739,30 +1744,32 @@ network_queue_delivery(NetworkCoreObject *self, ChannelStateObject *state,
                                  periodic);
 }
 
-static PyObject *
-NetworkCore_send(NetworkCoreObject *self, PyObject *args, PyObject *kwds)
+/* The per-message send body, shared by send() and fanout(): universe /
+ * delivery-callback / kind checks, per-channel and per-kind counters,
+ * blocked-channel and hold-predicate test, then network_queue_delivery
+ * (delay draw, FIFO clamp, burst join). Returns 0, or -1 with an
+ * exception set and the message not accepted. */
+static int
+network_send_one(NetworkCoreObject *self, Py_ssize_t src, Py_ssize_t dst,
+                 PyObject *msg, PyObject *kind)
 {
-    static char *kwlist[] = {"src", "dst", "msg", "kind", NULL};
-    Py_ssize_t src, dst;
-    PyObject *msg, *kind = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "nnO|O", kwlist,
-                                     &src, &dst, &msg, &kind))
-        return NULL;
-    if (kind == NULL)
-        kind = s_app;
-    if (src < 0 || src >= self->n || dst < 0 || dst >= self->n)
-        return PyErr_Format(ERR(), "send outside process universe: %zd->%zd",
-                            src, dst);
+    if (src < 0 || src >= self->n || dst < 0 || dst >= self->n) {
+        PyErr_Format(ERR(), "send outside process universe: %zd->%zd",
+                     src, dst);
+        return -1;
+    }
     if (self->deliver_fn == NULL || self->deliver_fn == Py_None) {
         PyErr_SetString(ERR(), "network has no delivery callback installed");
-        return NULL;
+        return -1;
     }
     int kind_idx = kind_index(kind);
-    if (kind_idx < 0)
-        return PyErr_Format(ERR(), "unknown message kind %R", kind);
+    if (kind_idx < 0) {
+        PyErr_Format(ERR(), "unknown message kind %R", kind);
+        return -1;
+    }
     ChannelStateObject *state = network_state(self, src, dst);
     if (state == NULL)
-        return NULL;
+        return -1;
     state->sent += 1;
     switch (kind_idx) {
     case 0: self->sent_app += 1; break;
@@ -1774,28 +1781,123 @@ NetworkCore_send(NetworkCoreObject *self, PyObject *args, PyObject *kwds)
         PyList_GET_SIZE(self->hold_predicates) > 0) {
         held = network_matches_hold(self, src, dst, msg);
         if (held < 0)
-            return NULL;
+            return -1;
     }
     if (held) {
         state->blocked = 1;
         PyObject *pair = PyTuple_Pack(2, msg, kind);
         if (pair == NULL)
-            return NULL;
+            return -1;
         if (!PyList_Check(state->held)) {
             Py_DECREF(pair);
             PyErr_SetString(PyExc_TypeError, "channel held queue not a list");
-            return NULL;
+            return -1;
         }
         int r = PyList_Append(state->held, pair);
         Py_DECREF(pair);
-        if (r < 0)
-            return NULL;
-        Py_RETURN_NONE;
+        return r;
     }
-    if (network_queue_delivery(self, state, src, dst, msg, kind,
-                               kind_idx == 2) < 0)
+    return network_queue_delivery(self, state, src, dst, msg, kind,
+                                  kind_idx == 2);
+}
+
+static PyObject *
+NetworkCore_send(NetworkCoreObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"src", "dst", "msg", "kind", NULL};
+    Py_ssize_t src, dst;
+    PyObject *msg, *kind = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "nnO|O", kwlist,
+                                     &src, &dst, &msg, &kind))
+        return NULL;
+    if (network_send_one(self, src, dst, msg, kind ? kind : s_app) < 0)
         return NULL;
     Py_RETURN_NONE;
+}
+
+/* Message(sender, seq, payload) without re-entering Python: allocate the
+ * instance and fill its three slots through PyObject_GenericSetAttr —
+ * what the frozen dataclass's generated __init__ does with
+ * object.__setattr__ (Message defines no __post_init__). */
+static PyObject *
+mint_message(PyObject *sender, PyObject *seq, PyObject *payload)
+{
+    PyTypeObject *type = (PyTypeObject *)g_message_type;
+    PyObject *msg = type->tp_new(type, g_empty_tuple, NULL);
+    if (msg == NULL)
+        return NULL;
+    if (PyObject_GenericSetAttr(msg, s_sender, sender) < 0 ||
+        PyObject_GenericSetAttr(msg, s_seq, seq) < 0 ||
+        PyObject_GenericSetAttr(msg, s_payload, payload) < 0) {
+        Py_DECREF(msg);
+        return NULL;
+    }
+    return msg;
+}
+
+/* fanout(src, dsts, mint, payload, kind): one message per destination,
+ * minted from `mint` and sent in destination order through
+ * network_send_one — n sends, minus the n Python calls. A message that
+ * is refused leaves mint._next_seq where the last accepted one put it. */
+static PyObject *
+NetworkCore_fanout(NetworkCoreObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"src", "dsts", "mint", "payload", "kind", NULL};
+    Py_ssize_t src;
+    PyObject *dsts, *mint, *payload, *kind;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "nOOOO", kwlist,
+                                     &src, &dsts, &mint, &payload, &kind))
+        return NULL;
+    if (g_message_type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "repro._accel._ccore has no Message type; import "
+                        "repro.sim.network (which calls _install_message) "
+                        "first");
+        return NULL;
+    }
+    PyObject *minted = NULL, *sender = NULL, *seq = NULL;
+    PyObject *fast = PySequence_Fast(dsts, "fanout needs a sequence of "
+                                           "destinations");
+    if (fast == NULL)
+        return NULL;
+    minted = PyList_New(0);
+    sender = minted ? PyObject_GetAttr(mint, s_sender) : NULL;
+    seq = sender ? PyObject_GetAttr(mint, s_next_seq) : NULL;
+    if (seq == NULL)
+        goto error;
+    /* The size is re-read each round: the per-message body calls back
+     * into Python (hold predicates, the delay model). */
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
+        Py_ssize_t dst = PyNumber_AsSsize_t(
+            PySequence_Fast_GET_ITEM(fast, i), PyExc_OverflowError);
+        if (dst == -1 && PyErr_Occurred())
+            goto error;
+        PyObject *msg = mint_message(sender, seq, payload);
+        if (msg == NULL)
+            goto error;
+        int r = network_send_one(self, src, dst, msg, kind);
+        if (r == 0)
+            r = PyList_Append(minted, msg);
+        Py_DECREF(msg);
+        if (r < 0)
+            goto error;
+        PyObject *next = PyNumber_Add(seq, g_one);
+        if (next == NULL)
+            goto error;
+        Py_SETREF(seq, next);
+        if (PyObject_SetAttr(mint, s_next_seq, seq) < 0)
+            goto error;
+    }
+    Py_DECREF(fast);
+    Py_DECREF(sender);
+    Py_DECREF(seq);
+    return minted;
+error:
+    Py_DECREF(fast);
+    Py_XDECREF(minted);
+    Py_XDECREF(sender);
+    Py_XDECREF(seq);
+    return NULL;
 }
 
 static PyObject *
@@ -1880,6 +1982,9 @@ static PyMethodDef NetworkCore_methods[] = {
     {"send", (PyCFunction)NetworkCore_send,
      METH_VARARGS | METH_KEYWORDS,
      "Accept a message for eventual FIFO delivery on C_{src,dst}."},
+    {"fanout", (PyCFunction)NetworkCore_fanout,
+     METH_VARARGS | METH_KEYWORDS,
+     "Mint and send one message per destination, in order."},
     {"_schedule_delivery", (PyCFunction)NetworkCore__schedule_delivery,
      METH_VARARGS | METH_KEYWORDS,
      "Sample a delay and queue one delivery on the channel."},
@@ -1963,11 +2068,24 @@ mod_install_error(PyObject *module, PyObject *error)
     Py_RETURN_NONE;
 }
 
+static PyObject *
+mod_install_message(PyObject *module, PyObject *type)
+{
+    if (!PyType_Check(type)) {
+        PyErr_SetString(PyExc_TypeError, "_install_message needs a class");
+        return NULL;
+    }
+    Py_XSETREF(g_message_type, Py_NewRef(type));
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef module_methods[] = {
     {"_noop", (PyCFunction)mod_noop, METH_NOARGS,
      "Callback of entries parked by clear_queue."},
     {"_install_error", (PyCFunction)mod_install_error, METH_O,
      "Install SimulationError (the exception raised by the core)."},
+    {"_install_message", (PyCFunction)mod_install_message, METH_O,
+     "Install Message (the class NetworkCore.fanout mints)."},
     {NULL}
 };
 
@@ -1994,7 +2112,15 @@ PyInit__ccore(void)
     INTERN(s_sample, "sample");
     INTERN(s_deliver, "deliver");
     INTERN(s_open_unbatched, "_open_unbatched");
+    INTERN(s_sender, "sender");
+    INTERN(s_seq, "seq");
+    INTERN(s_payload, "payload");
+    INTERN(s_next_seq, "_next_seq");
 #undef INTERN
+    g_empty_tuple = PyTuple_New(0);
+    g_one = PyLong_FromLong(1);
+    if (g_empty_tuple == NULL || g_one == NULL)
+        return NULL;
     if (PyType_Ready(&Entry_Type) < 0 ||
         PyType_Ready(&TimerHandle_Type) < 0 ||
         PyType_Ready(&Scheduler_Type) < 0 ||

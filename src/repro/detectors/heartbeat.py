@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable
 
-from repro.core.messages import Message
 from repro.detectors.base import (
     HEARTBEAT,
     ClockSource,
@@ -113,16 +112,7 @@ class HeartbeatDriver(SuspicionDriver, SuspicionLog):
         def beat() -> bool:
             if process.crashed or process.incarnation != incarnation:
                 return False
-            # process.send, inlined for the n-1 sends of one beat: mint
-            # and hand to the network directly (system traffic is never
-            # recorded or intercepted — same shortcut send() takes).
-            mint = process._mint
-            network = process.world.network
-            pid = process.pid
-            for peer in process.peers:
-                msg = Message(mint.sender, mint._next_seq, HEARTBEAT)
-                mint._next_seq += 1
-                network.send(pid, peer, msg, "system")
+            process.broadcast(HEARTBEAT, kind="system")
             return True
 
         PeriodicLoop(scheduler, interval, beat).start()

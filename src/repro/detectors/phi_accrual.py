@@ -22,7 +22,6 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Hashable
 
-from repro.core.messages import Message
 from repro.detectors.base import (
     HEARTBEAT,
     ClockSource,
@@ -234,15 +233,7 @@ class PhiAccrualDriver(SuspicionDriver, SuspicionLog):
         def beat() -> bool:
             if process.crashed or process.incarnation != incarnation:
                 return False
-            # process.send, inlined for the n-1 sends of one beat (see
-            # HeartbeatDriver._schedule_beat).
-            mint = process._mint
-            network = process.world.network
-            pid = process.pid
-            for peer in process.peers:
-                msg = Message(mint.sender, mint._next_seq, HEARTBEAT)
-                mint._next_seq += 1
-                network.send(pid, peer, msg, "system")
+            process.broadcast(HEARTBEAT, kind="system")
             return True
 
         PeriodicLoop(scheduler, interval, beat).start()

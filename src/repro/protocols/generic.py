@@ -62,10 +62,12 @@ class GenericOneRoundProcess(DetectionProcess):
             raise ProtocolError("a process does not suspect itself")
         self.suspected.add(target)
         self._acks.setdefault(target, {self.pid})  # in our own quorum
-        for dst in self.peers:
-            if dst == target and not self.notify_target:
-                continue
-            self.send(dst, Susp(target), kind="protocol")
+        notified = self.peers
+        if not self.notify_target:
+            notified = [dst for dst in notified if dst != target]
+        self.world.network.fanout(
+            self.pid, notified, self._mint, Susp(target), "protocol"
+        )
         self._check_quorum(target)
 
     def on_protocol_message(self, src: int, payload, msg: Message) -> None:

@@ -34,9 +34,10 @@ from repro.errors import ProtocolError
 from repro.sim.process import SimProcess
 
 #: Instance attributes that do NOT survive a crash (or must never be
-#: overwritten by a restore): simulator wiring, timer handles, the
-#: message mint, lifecycle flags, the detector driver object (restarted,
-#: not restored), and deferred-but-unconsumed application traffic.
+#: overwritten by a restore): simulator wiring (the cached broadcast
+#: target lists with it), timer handles, the message mint, lifecycle
+#: flags, the detector driver object (restarted, not restored), and
+#: deferred-but-unconsumed application traffic.
 VOLATILE_ATTRS = frozenset(
     {
         "pid",
@@ -44,6 +45,8 @@ VOLATILE_ATTRS = frozenset(
         "incarnation",
         "_world",
         "_mint",
+        "_peers",
+        "_everyone",
         "_timers",
         "_timer_prune_at",
         "_detector",
@@ -113,6 +116,19 @@ def make_recovering(cls: type) -> type:
                 # incarnation so a later self can discard it as stale.
                 self.stable.put(("yolmt:self", msg.uid), self.incarnation)
             return msg
+
+        def broadcast(
+            self, payload, include_self: bool = False, kind: str = "app"
+        ) -> list[Message]:
+            sent = super().broadcast(payload, include_self, kind)
+            if include_self and kind != "app" and sent:
+                # A fan-out does not pass through send(): stamp its
+                # self-addressed copy here (destinations are 0..n-1 in
+                # order, so that copy is the one at index pid).
+                self.stable.put(
+                    ("yolmt:self", sent[self.pid].uid), self.incarnation
+                )
+            return sent
 
         def deliver(self, src: int, msg: Message, kind: str) -> None:
             if not self.crashed and src == self.pid:

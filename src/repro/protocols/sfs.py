@@ -43,6 +43,9 @@ from repro.protocols.payloads import Susp
 from repro.protocols.quorum_policy import FixedQuorum, QuorumPolicy, WaitForAll
 
 
+_NO_CONFIRMATIONS: frozenset[int] = frozenset()
+
+
 class SfsProcess(DetectionProcess):
     """A process running the simulated-fail-stop echo protocol.
 
@@ -78,6 +81,9 @@ class SfsProcess(DetectionProcess):
         self.defer_app = defer_app
         # Confirmations per target: who has echoed '"target failed"' to us.
         self._confirmations: dict[int, set[int]] = {}
+        # FixedQuorum's threshold, resolved at bind time; None for a
+        # policy that has to be asked (see _quorum_reached).
+        self._fixed_size: int | None = None
 
     def bind(self, world, pid: int) -> None:
         super().bind(world, pid)
@@ -93,6 +99,8 @@ class SfsProcess(DetectionProcess):
             check_protocol_parameters(
                 self.n, self._policy.t, self._policy.resolved_size(self.n)
             )
+        if type(self._policy) is FixedQuorum:
+            self._fixed_size = self._policy.resolved_size(self.n)
 
     @property
     def policy(self) -> QuorumPolicy:
@@ -137,21 +145,38 @@ class SfsProcess(DetectionProcess):
             #  x executes crash_x."
             self.crash_now()
             return
-        self._confirmations.setdefault(target, set()).add(src)
+        confirmations = self._confirmations.get(target)
+        if confirmations is None:
+            confirmations = self._confirmations[target] = set()
+        confirmations.add(src)
         # Receiving '"y failed"' means we suspect y too (echo = ack).
         self.suspect(target)
         self._check_quorum(target)
 
+    def _quorum_reached(self, target: int) -> bool:
+        """Whether ``target``'s round has the confirmations it waits for.
+
+        A round is n^2 deliveries and each one lands here, so the common
+        policy is a length test on the live set; only a policy that reads
+        the suspected set (:class:`WaitForAll`) has it built.
+        """
+        confirmations = self._confirmations.get(target, _NO_CONFIRMATIONS)
+        size = self._fixed_size
+        if size is not None:
+            return len(confirmations) >= size
+        assert self._policy is not None
+        return self._policy.satisfied(
+            self.n, confirmations, self.suspected | self.detected
+        )
+
     def _check_quorum(self, target: int) -> None:
         if self.crashed or target in self.detected:
             return
-        # The live set: a round is n^2 deliveries and each one lands here,
-        # so only the quorum that gets recorded is copied (and frozen).
-        confirmations = self._confirmations.get(target, frozenset())
-        suspected = self.suspected | self.detected
-        assert self._policy is not None
-        if self._policy.satisfied(self.n, confirmations, suspected):
-            self.execute_failed(target, frozenset(confirmations))
+        if self._quorum_reached(target):
+            # Only the quorum that gets recorded is copied (and frozen).
+            self.execute_failed(
+                target, frozenset(self._confirmations.get(target, ()))
+            )
             self.flush_deferred()
 
     def on_detect(self, target: int) -> None:

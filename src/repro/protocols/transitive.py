@@ -105,16 +105,17 @@ class TransitiveSfsProcess(SfsProcess):
             prerequisites.add(known_target)
             if known_target not in self.detected:
                 self.suspect(known_target)
-        self._confirmations.setdefault(target, set()).add(src)
+        confirmations = self._confirmations.get(target)
+        if confirmations is None:
+            confirmations = self._confirmations[target] = set()
+        confirmations.add(src)
         self.suspect(target)
         self._check_quorum(target)
 
     def _check_quorum(self, target: int) -> None:
         if self.crashed or target in self.detected:
             return
-        confirmations = self._confirmations.get(target, frozenset())
-        suspected = self.suspected | self.detected
-        if self.policy.satisfied(self.n, confirmations, suspected):
+        if self._quorum_reached(target):
             self._ready.add(target)
         self._drain_ready()
 

@@ -42,6 +42,18 @@ recently scheduled entry (nothing else has entered the scheduler since)
 and the newcomer must have the same due time and periodic class, so the
 batched path produces **bit-identical event traces** to the per-message
 path (``batch=False``, guarded by ``tests/sim/test_determinism.py``).
+
+A *fan-out* (:meth:`Network.fanout`) is the one multi-destination entry:
+the Section 5 broadcast, a heartbeat beat. It mints one message per
+destination and hands each to the per-message send body in destination
+order, so it is n sends by construction — the same checks and counters,
+the same hold test, one ``delay_model.sample`` draw per accepted message
+in the same rng order, the same FIFO clamp. Bursts come out equal too,
+because the join rule looks only at the channel's pending burst and the
+scheduler's last sequence number, both of which each message leaves
+exactly as a lone ``send`` would. What it saves is the per-destination
+Python call chain above the network (and, in the compiled core, the
+``Message.__init__`` call), not any of the work below it.
 """
 
 from __future__ import annotations
@@ -49,9 +61,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heappush
-from typing import Callable
+from typing import Callable, Hashable, Sequence
 
-from repro.core.messages import Message
+from repro.core.messages import Message, MessageMint
 from repro.errors import SimulationError
 from repro.sim.delays import DelayModel, UniformDelay
 from repro.sim.scheduler import Scheduler, _Entry
@@ -418,6 +430,31 @@ class Network(_NetworkColdPaths):
             return
         self._open_delivery(state, src, dst, msg, kind, due, periodic)
 
+    def fanout(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        mint: MessageMint,
+        payload: Hashable,
+        kind: str,
+    ) -> list[Message]:
+        """Mint one message per destination and :meth:`send` each, in order.
+
+        Returns the minted messages. A refused message (say, a
+        destination outside the universe) raises out of the loop with
+        the earlier ones accepted and ``mint`` advanced past exactly
+        those.
+        """
+        send = self.send
+        sender = mint.sender
+        minted = []
+        for dst in dsts:
+            msg = Message(sender, mint._next_seq, payload)
+            send(src, dst, msg, kind)
+            mint._next_seq += 1
+            minted.append(msg)
+        return minted
+
     def _schedule_delivery(
         self,
         state: _ChannelState,
@@ -543,13 +580,16 @@ if USE_ACCEL:  # pragma: no cover - the coverage job measures the pure core
         NetworkCore,
         _Burst,
         _ChannelState,
+        _install_message,
     )
+
+    _install_message(Message)  # the class NetworkCore.fanout mints
 
     class Network(NetworkCore, _NetworkColdPaths):  # noqa: F811
         """All n^2 channels (including self-channels, used by Section 5).
 
-        The hot path — ``send``, burst formation, and burst draining —
-        lives in the C ``NetworkCore``; this subclass supplies the
+        The hot path — ``send``, ``fanout``, burst formation, and burst
+        draining — lives in the C ``NetworkCore``; this subclass supplies the
         constructor defaults and the unbatched delivery entry.
         """
 

@@ -55,6 +55,7 @@ class SimProcess:
         self._timers: list[TimerHandle] = []
         self._timer_prune_at = _TIMER_PRUNE_FLOOR
         self._peers: list[int] | None = None
+        self._everyone: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -65,7 +66,9 @@ class SimProcess:
         self._world = world
         self.pid = pid
         self._mint = MessageMint(pid)
-        self._peers = None  # recomputed lazily against the new world
+        # Broadcast target lists, recomputed lazily against the new world.
+        self._peers = None
+        self._everyone = None
 
     @property
     def world(self) -> "World":
@@ -166,7 +169,9 @@ class SimProcess:
             raise ProtocolError("process used before bind()")
         # MessageMint.mint, inlined: one minted message per send makes
         # the mint call pure per-event overhead (uniqueness semantics
-        # are unchanged — same counter, same Message).
+        # are unchanged — same counter, same Message). This and
+        # MessageMint.mint are the only point-to-point minting sites;
+        # everything multi-destination is minted by Network.fanout.
         mint = self._mint
         msg = Message(mint.sender, mint._next_seq, payload)
         mint._next_seq += 1
@@ -187,13 +192,29 @@ class SimProcess:
         The Section 5 protocol broadcasts *including itself* — the
         self-delivery is what puts the detector in its own quorum.
         """
-        targets = list(range(self.n)) if include_self else self.peers
-        sent = []
-        for dst in targets:
-            msg = self.send(dst, payload, kind=kind)
-            if msg is not None:
-                sent.append(msg)
-        return sent
+        if include_self:
+            # Cached like ``peers`` (do not mutate): the Section 5 echo
+            # broadcasts once per process per suspicion.
+            targets = self._everyone
+            if targets is None:
+                targets = self._everyone = list(range(self.n))
+        else:
+            targets = self.peers
+        if kind == "app":
+            # Modelled traffic goes message by message through send() ->
+            # World.transmit, where recording and byzantine interception
+            # live.
+            sent = []
+            for dst in targets:
+                msg = self.send(dst, payload)
+                if msg is not None:
+                    sent.append(msg)
+            return sent
+        if self.crashed:
+            return []
+        return self.world.network.fanout(
+            self.pid, targets, self._mint, payload, kind
+        )
 
     def set_timer(
         self, delay: float, callback: Callable[[], None], periodic: bool = False

@@ -16,8 +16,10 @@ configuration is covered by the rest of the suite.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -30,8 +32,10 @@ from hypothesis import strategies as st
 pytest.importorskip("repro._accel._ccore")
 
 from repro._accel._ccore import Scheduler as AccelScheduler
-from repro.core.messages import MessageMint
+from repro.core.messages import Message, MessageMint
+from repro.errors import SimulationError
 from repro.sim.delays import (
+    ConstantDelay,
     ExponentialDelay,
     LogNormalDelay,
     ParetoDelay,
@@ -283,6 +287,191 @@ def test_network_delay_draws_match_across_cores(model, plan, seed):
 
 
 # ---------------------------------------------------------------------------
+# Component level: a fan-out is n sends, on each core and across them
+# ---------------------------------------------------------------------------
+
+# The pure pair always; the compiled pair when this process defines it.
+AVAILABLE_CORES = CORES[: 1 if AccelNetwork is PureNetwork else 2]
+
+FANOUT_N = 5
+PIDS = st.integers(0, FANOUT_N - 1)
+
+fanout_plans = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("fanout"),
+            PIDS,
+            # Repeats allowed: two copies on one channel are what joins a
+            # burst under a constant delay.
+            st.lists(PIDS, max_size=FANOUT_N + 2),
+            st.sampled_from(["protocol", "system"]),
+        ),
+        st.tuples(
+            st.just("send"),
+            PIDS,
+            PIDS,
+            st.sampled_from(["app", "protocol", "system"]),
+        ),
+        st.tuples(st.just("step"), st.integers(1, 4)),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def _run_fanout_plan(
+    sched_cls, net_cls, use_fanout, plan, seed, model, batch, held_dst, cut
+):
+    """Run ``plan`` with its fan-outs done by ``fanout`` or by a loop of
+    ``send``, under a blocked channel, a hold rule on ``held_dst`` and a
+    partition installed before op ``cut``; returns everything observable."""
+    scheduler = sched_cls()
+    rng = random.Random(seed)
+    log: list = []
+    network = net_cls(
+        scheduler,
+        FANOUT_N,
+        delay_model=model,
+        rng=rng,
+        deliver=lambda s, d, m, k: log.append((s, d, m.uid, k, scheduler.now)),
+        batch=batch,
+    )
+    network.block_channel(0, 1)
+    network.add_hold_predicate(
+        lambda src, dst, msg: dst == held_dst and msg.payload == "wide"
+    )
+    mints = [MessageMint(i) for i in range(FANOUT_N)]
+    minted: list = []
+    for index, op in enumerate(plan):
+        if index == cut:  # {0, 1} | {2, ...}, both directions
+            for a in (0, 1):
+                for b in range(2, FANOUT_N):
+                    network.block_channel(a, b)
+                    network.block_channel(b, a)
+        if op[0] == "step":
+            for _ in range(op[1]):
+                scheduler.step()
+        elif op[0] == "send":
+            _, src, dst, kind = op
+            network.send(src, dst, mints[src].mint("narrow"), kind=kind)
+        elif use_fanout:
+            _, src, dsts, kind = op
+            sent = network.fanout(src, dsts, mints[src], "wide", kind)
+            minted.append([msg.uid for msg in sent])
+        else:
+            _, src, dsts, kind = op
+            sent = [mints[src].mint("wide") for _ in dsts]
+            for dst, msg in zip(dsts, sent):
+                network.send(src, dst, msg, kind=kind)
+            minted.append([msg.uid for msg in sent])
+    bursts = sorted(
+        (channel, state.burst.due, state.burst.seq,
+         1 + len(state.burst.queue or ()))
+        for channel, state in network._channels.items()
+        if state.burst is not None
+    )
+    held = network.held_messages()
+    scheduler.run()
+    return (
+        minted,
+        [mint.minted for mint in mints],
+        rng.getstate(),
+        bursts,
+        held,
+        log,
+        network.sent_by_kind,
+        network.channel_stats(),
+        network.delivery_entries,
+        scheduler.last_scheduled_seq,
+    )
+
+
+@given(
+    plan=fanout_plans,
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from([ConstantDelay(1.0)] + DELAY_MODELS),
+    batch=st.booleans(),
+    held_dst=PIDS,
+    cut=st.integers(0, 14),
+)
+@settings(max_examples=120, deadline=None)
+def test_fanout_is_n_sends_on_every_core(
+    plan, seed, model, batch, held_dst, cut
+):
+    """Same uids, same delay draws, same firing order and times, same
+    bursts, counters and held queues — ``fanout`` against a loop of
+    ``send`` over a fresh equal world, and pure against compiled."""
+    runs = [
+        _run_fanout_plan(
+            sched_cls, net_cls, use_fanout, plan, seed, model, batch,
+            held_dst, cut,
+        )
+        for sched_cls, net_cls in AVAILABLE_CORES
+        for use_fanout in (True, False)
+    ]
+    for run in runs[1:]:
+        assert run == runs[0]
+
+
+@pytest.mark.parametrize(
+    "sched_cls, net_cls", AVAILABLE_CORES, ids=["pure", "accel"][: len(AVAILABLE_CORES)]
+)
+def test_fanout_refuses_mid_list_like_send(sched_cls, net_cls):
+    """A destination outside the universe stops the fan-out there: the
+    error ``send`` raises, the earlier messages accepted, and the mint
+    advanced past exactly those."""
+    scheduler = sched_cls()
+    log: list = []
+    network = net_cls(
+        scheduler,
+        3,
+        delay_model=ConstantDelay(1.0),
+        deliver=lambda s, d, m, k: log.append((d, m.uid)),
+    )
+    mint = MessageMint(0)
+    with pytest.raises(SimulationError) as fanout_error:
+        network.fanout(0, [1, 2, 7, 1], mint, "x", "protocol")
+    with pytest.raises(SimulationError) as send_error:
+        network.send(0, 7, Message(0, 99, "x"), kind="protocol")
+    assert str(fanout_error.value) == str(send_error.value)
+    assert str(fanout_error.value) == "send outside process universe: 0->7"
+    assert mint.minted == 2
+    with pytest.raises(SimulationError, match="unknown message kind 'bogus'"):
+        network.fanout(0, [1], mint, "x", "bogus")
+    assert mint.minted == 2
+    assert network.sent_by_kind == {"app": 0, "protocol": 2, "system": 0}
+    scheduler.run()
+    assert log == [(1, (0, 0)), (2, (0, 1))]
+    assert network.fanout(0, [], mint, "x", "system") == []
+
+
+@needs_accel_network
+def test_compiled_fanout_mints_ordinary_messages():
+    """The compiled fan-out fills ``Message``'s slots itself; what comes
+    out is indistinguishable from ``Message(sender, seq, payload)``."""
+    network = AccelNetwork(AccelScheduler(), 3, deliver=lambda *args: None)
+    mint = MessageMint(2)
+    mint.mint()
+    payload = ("susp", 1)
+    minted = network.fanout(2, [0, 1, 2], mint, payload, "protocol")
+    built = [Message(2, seq, payload) for seq in (1, 2, 3)]
+    assert [type(msg) for msg in minted] == [Message] * 3
+    assert minted == built
+    assert [hash(msg) for msg in minted] == [hash(msg) for msg in built]
+    assert [repr(msg) for msg in minted] == [repr(msg) for msg in built]
+    assert [msg.uid for msg in minted] == [(2, 1), (2, 2), (2, 3)]
+    assert all(msg.payload is payload for msg in minted)
+    assert pickle.loads(pickle.dumps(minted)) == built
+    assert pickle.dumps(minted) == pickle.dumps(built)
+    for name in ("sender", "seq", "payload"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(minted[0], name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del minted[0].seq
+    assert mint.minted == 4
+
+
+# ---------------------------------------------------------------------------
 # The history recorder exists once: same class, same behaviour, under
 # either core
 # ---------------------------------------------------------------------------
@@ -379,6 +568,7 @@ def test_scheduler_network_and_entry_surfaces_match():
     # deliveries in C and calls up to Python only for the unbatched path.
     assert _surface(pure_net) - _surface(accel_net) == {"_open_delivery"}
     assert _surface(accel_net) - _surface(pure_net) == {"_open_unbatched"}
+    assert {"send", "fanout"} <= _surface(pure_net) & _surface(accel_net)
 
 
 @needs_accel_network

@@ -47,6 +47,37 @@ class TestLiveness:
         assert world.network.system_messages_sent > 0
 
 
+    def test_beat_under_a_hold_queues_only_that_peers_heartbeat(self):
+        # A beat is one fan-out; the adversary's hold test still runs per
+        # destination inside it.
+        world, _ = heartbeat_world(n=4, timeout=100.0)
+        world.network.add_hold_predicate(
+            lambda src, dst, msg: (src, dst) == (0, 2)
+        )
+        world.run(until=1.2)  # one beat each, at 1.0
+        assert world.network.held_messages() == {(0, 2): 1}
+        stats = world.network.channel_stats()
+        assert all(
+            stats[(src, dst)][0] == 1
+            for src in range(4)
+            for dst in range(4)
+            if src != dst
+        )
+        world.run(until=1.8)  # delay 0.5: everything else has arrived
+        delivered = {
+            channel
+            for channel, (_, count) in world.network.channel_stats().items()
+            if count
+        }
+        assert delivered == {
+            (src, dst)
+            for src in range(4)
+            for dst in range(4)
+            if src != dst and (src, dst) != (0, 2)
+        }
+        assert world.network.system_messages_sent == 12
+
+
 class TestAccuracy:
     def test_heavy_tail_causes_false_suspicions(self):
         world, drivers = heartbeat_world(

@@ -91,6 +91,16 @@ class TestDriver:
             totals[threshold] = count
         assert totals[8.0] <= totals[0.5]
 
+    def test_beat_under_a_hold_queues_only_that_peers_heartbeat(self):
+        world, _ = self._world(threshold=100.0)
+        world.network.add_hold_predicate(
+            lambda src, dst, msg: (src, dst) == (3, 1)
+        )
+        world.run(until=1.0)  # one beat each, at 1.0
+        assert world.network.held_messages() == {(3, 1): 1}
+        assert world.network.system_messages_sent == 5 * 4
+        assert {sent for sent, _ in world.network.channel_stats().values()} == {1}
+
     def test_phi_query(self):
         world, drivers = self._world(threshold=100.0)
         world.run(until=20.0)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.events import SendEvent
 from repro.core.validate import is_valid
 from repro.errors import SimulationError
 from repro.sim import build_world
@@ -70,6 +71,32 @@ class TestCompromise:
                 and e.msg.payload and e.msg.payload[0] == "byz"
             )
         assert tags > 0
+
+    def test_app_broadcast_is_intercepted_per_destination(self):
+        # Protocol and system broadcasts are one network fan-out; a
+        # modelled (app) broadcast must still reach World.transmit
+        # message by message, or a compromised sender escapes.
+        world = _byz_world(n=5)
+        world.inject_compromise(0, at=0.1)
+        moves = []
+        interfere = world._interfere
+
+        def spy(src, msg):
+            out = interfere(src, msg)
+            moves.append((src, msg.uid, [m.uid for m in out]))
+            return out
+
+        world._interfere = spy
+        world.run(until=0.6)  # everyone's first broadcast, at 0.5
+        assert [src for src, _, _ in moves] == [0] * 4
+        sent = [
+            (e.dst, e.msg.uid)
+            for e in world.history()
+            if isinstance(e, SendEvent) and e.proc == 0
+        ]
+        assert len(sent) == sum(len(out) for _, _, out in moves)
+        assert world.network.app_messages_sent == 4 * 4 + len(sent)
+        assert world.network.protocol_messages_sent == 0
 
     def test_byzantine_rng_is_isolated_from_world_rng(self):
         # Same seed, with and without compromise: the *uncompromised*

@@ -205,6 +205,46 @@ class TestYolmtWrapper:
             world.run_to_quiescence(max_events=200_000)
             assert monitors.ok_so_far, monitors.first_violation
 
+    def test_stale_self_broadcast_is_dropped_by_the_next_incarnation(self):
+        # The Section 5 broadcast includes the sender; under YOLMT the
+        # self-addressed copy carries the minting incarnation, so a copy
+        # still in flight across a crash/recovery is not replayed into
+        # the restored automaton.
+        seen = []
+
+        class Spy(make_recovering(SfsProcess)):
+            def _on_susp(self, src, target):
+                seen.append((self.pid, src, target, self.incarnation))
+                super()._on_susp(src, target)
+
+        world = build_world(
+            3,
+            lambda: Spy(t=1),
+            ConstantDelay(5.0),
+            failure_model="crash-recovery",
+        )
+        world.inject_suspicion(0, 2, at=1.0)  # self copy due at 6.0
+        world.inject_crash(0, at=2.0)
+        world.inject_recover(0, at=3.0)
+        world.inject_suspicion(0, 1, at=4.0)  # minted after recovery
+        world.run_to_quiescence()
+        assert world.process(0).incarnation == 1
+        stamps = sorted(
+            (key[1], minted_by)
+            for key, minted_by in world.process(0).stable.snapshot().items()
+            if isinstance(key, tuple) and key[0] == "yolmt:self"
+        )
+        # One self-addressed Susp per broadcast, each stamped with the
+        # incarnation that minted it (uids are (sender, seq)).
+        assert [uid[0] for uid, _ in stamps] == [0, 0]
+        assert [minted_by for _, minted_by in stamps] == [0, 1]
+        from_self = [entry[1:] for entry in seen if entry[:2] == (0, 0)]
+        assert from_self == [(0, 1, 1)]  # the pre-crash Susp(2) never re-enters
+        # The rest of the pre-crash broadcast was not stale: 2 read its
+        # own name, and 1's echo reached the new incarnation.
+        assert world.process(2).crashed
+        assert (0, 1, 2, 1) in seen
+
 
 class _Counter(SimProcess):
     """Counts app messages; ``"die"`` makes it crash itself mid-step."""
