@@ -630,7 +630,7 @@ def judge_world(scenario: Scenario, world: World) -> "FuzzOutcome":
         events=len(world.trace),
         violations=tuple(monitors.violation_log),
         findings=tuple(findings),
-        coverage=monitors.transition_coverage(),
+        coverage=monitors.transition_coverage(stream_results),
     )
 
 

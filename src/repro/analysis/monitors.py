@@ -14,8 +14,19 @@ batch ``check_*`` functions fold histories through, so streaming and batch
 verdicts agree by construction — the property suite replays random runs
 both ways and asserts the resulting reports are equal.
 
-Safety properties are prefix-monotone: once violated, a monitor's verdict
-is locked and the event index is recorded, which is what
+Each property is stated over a few event kinds (FS2 over ``crash`` and
+``failed``, sFS2b over ``failed`` alone, only well-formedness and
+Condition 3 over every kind), and each machine says so in its
+``handlers`` table. Those tables are composed, once per kind of
+:class:`MonitorSet`, into one tuple of ``(machine, handler)`` per event
+class, so recording an event costs one table lookup plus a call to each
+machine that consumes its kind — a ``send`` reaches three machines, not
+all ten.
+
+Safety properties are prefix-monotone: once violated, a machine's verdict
+is locked and it pushes itself onto a list its :class:`MonitorSet`
+installed; the set looks at that list only when it is non-empty, logs the
+lock-in, and calls ``on_violation`` — which is what
 ``World.attach_monitor(..., stop_on_violation=True)`` and the sweep
 runner's ``early_stop`` mode key off (a violation visible at event 50
 aborts a 100k-event case on the spot). Liveness properties (FS1, sFS2a)
@@ -34,9 +45,15 @@ Wiring options:
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from repro.core.events import CrashEvent, Event, FailedEvent
+from repro.core.events import (
+    EVENT_KINDS,
+    CrashEvent,
+    Event,
+    FailedEvent,
+    unknown_event_kind,
+)
 from repro.core.failure_models import (
     CheckResult,
     Condition3State,
@@ -53,15 +70,19 @@ from repro.core.failure_models import (
 )
 from repro.core.history import History
 from repro.core.validate import ValidationState
+from repro.errors import SimulationError
 
 
 class PropertyMonitor:
     """One paper property, judged incrementally.
 
     Thin verdict plumbing around a core transition state machine: the
-    monitor forwards events, exposes the live verdict (``ok``), the lock-in
-    index for safety properties (``first_violation_index``), and renders a
-    batch-identical :class:`CheckResult` on demand.
+    monitor exposes the live verdict (``ok``), the lock-in index for
+    safety properties (``first_violation_index``), and renders a
+    batch-identical :class:`CheckResult` on demand. Standing alone it
+    forwards events to its machine (:meth:`observe`); inside a
+    :class:`MonitorSet` the set feeds the machines itself, kind by kind,
+    and the monitor only reads.
     """
 
     __slots__ = ("_state",)
@@ -78,11 +99,14 @@ class PropertyMonitor:
 
         Single-sourced from the transition machine's ``safety`` flag
         (:class:`~repro.core.failure_models.PropertyState`), so a monitor
-        cannot drift from its state machine's classification. States
-        outside that hierarchy (e.g. ``ValidationState``) default to
-        safety, which is what a prefix-falsifiable scan is.
+        cannot drift from its state machine's classification.
         """
-        return getattr(self._state, "safety", True)
+        return self._state.safety
+
+    @property
+    def lock_states(self) -> tuple[PropertyState, ...]:
+        """The machines whose lock-in locks this monitor's verdict."""
+        return (self._state,)
 
     def observe(
         self, idx: int, event: Event, vector: tuple[int, ...] | None = None
@@ -210,8 +234,9 @@ class ConditionsMonitor(PropertyMonitor):
     streaming path. Standing alone (no shared states) it constructs and
     feeds its own, staying usable as a self-contained monitor. The
     safety verdict locks on the earlier of a cycle closure (Condition 2)
-    or a causally-tainted post-detection event (Condition 3); Condition 1
-    is liveness and only judged at result time.
+    or a causally-tainted post-detection event (Condition 3) — its two
+    :attr:`lock_states`; Condition 1 is liveness and only judged at
+    result time.
     """
 
     __slots__ = ("_cond1", "_cond2", "_owns_states", "_pending_ok")
@@ -242,16 +267,19 @@ class ConditionsMonitor(PropertyMonitor):
         self._state.observe(idx, event, vector)
 
     @property
+    def lock_states(self) -> tuple[PropertyState, ...]:
+        return (self._cond2, self._state)
+
+    @property
     def first_violation_index(self) -> int | None:
-        candidates = [
-            i
-            for i in (
-                self._cond2.first_violation_index,
-                self._state.first_violation_index,
-            )
-            if i is not None
-        ]
-        return min(candidates) if candidates else None
+        return min(
+            (
+                state.first_violation_index
+                for state in self.lock_states
+                if state.first_violation_index is not None
+            ),
+            default=None,
+        )
 
     def result(self) -> CheckResult:
         violations = (
@@ -279,11 +307,7 @@ class WellFormednessMonitor(PropertyMonitor):
     @property
     def violations(self) -> list[str]:
         """The well-formedness violations found so far, in scan order."""
-        return list(self._state.violations)
-
-    def result(self) -> CheckResult:
-        violations = self._state.violations
-        return CheckResult(self.name, not violations, tuple(violations))
+        return self._state.finalize()
 
 
 class RecoveryMonitor(PropertyMonitor):
@@ -301,52 +325,103 @@ class RecoveryMonitor(PropertyMonitor):
         super().__init__(RecoveryState())
 
 
-class BadPairCounter:
+class BadPairCounter(PropertyState):
     """Streaming count of Definition 8 *bad pairs*.
 
     A pair is bad when ``failed_j(i)`` precedes ``crash_i``; the count
     equals ``len(bad_pairs(history))`` on the same prefix (pairs whose
     crash never arrives are not counted, matching the batch helper).
+    A machine like the property ones, but a tally rather than a verdict:
+    it never locks and has no violations to finalize — read ``count``.
     """
 
     __slots__ = ("_pending", "_seen", "_crashed", "count")
     name = "bad-pairs"
     safety = False
-    first_violation_index = None
 
     def __init__(self):
+        super().__init__()
         self._pending: dict[int, int] = {}
         self._seen: set[tuple[int, int]] = set()
         self._crashed: set[int] = set()
         self.count = 0
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        if isinstance(event, FailedEvent):
-            key = (event.proc, event.target)
-            if key in self._seen:
-                return
-            self._seen.add(key)
-            if event.target not in self._crashed:
-                self._pending[event.target] = (
-                    self._pending.get(event.target, 0) + 1
-                )
-        elif isinstance(event, CrashEvent):
-            if event.proc not in self._crashed:
-                self._crashed.add(event.proc)
-                self.count += self._pending.pop(event.proc, 0)
+    def on_failed(self, idx, event, vector) -> None:
+        key = (event.proc, event.target)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        if event.target not in self._crashed:
+            self._pending[event.target] = (
+                self._pending.get(event.target, 0) + 1
+            )
+
+    def on_crash(self, idx, event, vector) -> None:
+        if event.proc not in self._crashed:
+            self._crashed.add(event.proc)
+            self.count += self._pending.pop(event.proc, 0)
+
+    handlers = {FailedEvent: on_failed, CrashEvent: on_crash}
 
 
 #: Safety monitors whose lock-in aborts an early-stopping run. FS2 is
 #: deliberately *not* in the default: under simulated fail-stop a
 #: detection legitimately precedes its crash, so FS2 trips on every sFS
 #: run — callers monitoring for strict FS can opt it in via ``halt_on``.
-#: "recovery" is listed unconditionally; names with no matching monitor
-#: in the set (every non-recoverable model) are silently ignored.
+#: "recovery" is listed unconditionally and accepted under every model;
+#: a set without that monitor (every non-recoverable model) never trips it.
 DEFAULT_HALT_ON = (
     "valid", "sFS2b", "sFS2c", "sFS2d", "Conditions1-3", "recovery",
 )
+
+
+class _Plan(NamedTuple):
+    """What a :class:`MonitorSet` needs that does not depend on the instance.
+
+    A function of which machines the set owns (the model has a
+    ``recovery`` monitor or not) and of ``halt_on`` only, so it is built
+    once per such pair (:data:`_PLANS`) and shared by every set.
+    """
+
+    #: event class -> ``(machine slot, handler)`` for each machine whose
+    #: table has that kind, in slot order.
+    cells: dict[type, tuple[tuple[int, Callable], ...]]
+    #: machine class -> the halt-relevant monitors its lock-in locks, in
+    #: ``monitors`` order (the shared sFS2b machine locks two). Machines
+    #: of these classes are the ones handed the set's sink.
+    locks: dict[type, tuple[str, ...]]
+
+
+_PLANS: dict[tuple[bool, frozenset], _Plan] = {}
+
+
+def _make_plan(monitors, machines, halt_on: frozenset) -> _Plan:
+    """Derive the plan from one set's monitors and machines (slot order)."""
+    safety = [monitor for monitor in monitors if monitor.safety]
+    known = {monitor.name for monitor in safety} | set(DEFAULT_HALT_ON)
+    unknown = sorted(halt_on - known)
+    if unknown:
+        raise SimulationError(
+            f"halt_on names no safety monitor: {', '.join(unknown)}; "
+            f"known names: {', '.join(sorted(known))}"
+        )
+    locks: dict[type, tuple[str, ...]] = {}
+    for monitor in safety:
+        if monitor.name in halt_on:
+            for state in monitor.lock_states:
+                kind = type(state)
+                locks[kind] = locks.get(kind, ()) + (monitor.name,)
+    return _Plan(
+        cells={
+            event_kind: tuple(
+                (slot, type(machine).handlers[event_kind])
+                for slot, machine in enumerate(machines)
+                if event_kind in type(machine).handlers
+            )
+            for event_kind in EVENT_KINDS
+        },
+        locks=locks,
+    )
 
 
 class MonitorSet:
@@ -363,9 +438,11 @@ class MonitorSet:
         pending_ok: forwarded to the liveness monitors (FS1, sFS2a,
             Condition 1) — treat open obligations as not-yet-violations
             when rendering results.
-        halt_on: names of the monitors whose violation counts as "the run
-            is non-conformant, stop caring" for ``first_violation`` /
-            ``ok_so_far`` (default :data:`DEFAULT_HALT_ON`).
+        halt_on: names of the safety monitors whose violation counts as
+            "the run is non-conformant, stop caring" for
+            ``first_violation`` / ``ok_so_far`` (default
+            :data:`DEFAULT_HALT_ON`); a name that is no safety monitor's
+            is a :class:`~repro.errors.SimulationError`.
         failure_model: the failure semantics the observed run operates
             under; switches well-formedness to the model's rules and
             attaches the model's extra monitors (e.g. ``recovery``).
@@ -391,7 +468,7 @@ class MonitorSet:
         # Conditions 1/2 share the sFS2a/sFS2b machines (identical in
         # force), so detection events are processed once, not twice.
         self.conditions = ConditionsMonitor(
-            pending_ok, cond1=self.sfs2a.state, cond2=self.sfs2b.state
+            pending_ok, cond1=self.sfs2a._state, cond2=self.sfs2b._state
         )
         self.bad_pairs = BadPairCounter()
         self.recovery = (
@@ -409,37 +486,33 @@ class MonitorSet:
             self.sfs2d,
             self.conditions,
         ) + ((self.recovery,) if self.recovery is not None else ())
-        self._halt_on = tuple(halt_on)
-        self._safety = tuple(
-            m for m in self.monitors if m.safety and m.name in self._halt_on
-        )
-        self._tripped: set[str] = set()
         #: Every safety lock-in observed, as ``(event_index, monitor name)``
-        #: in discovery order (which is event-index order).
+        #: in discovery order (which is event-index order; lock-ins of one
+        #: event are in ``monitors`` order).
         self.violation_log: list[tuple[int, str]] = []
+        #: Called, without arguments, whenever a lock-in has been logged.
+        self.on_violation: Callable[[], None] | None = None
         self.events_seen = 0
-        # Prebound per-event dispatch: monitors whose observe() is the
-        # inherited one-line forwarder are advanced via their state
-        # machine directly, skipping a wrapper call per monitor per
-        # event; overriders (ConditionsMonitor, RecoveryMonitor) keep
-        # their own observe. Same for the safety probe targets — a
-        # PropertyState's ``first_violation_index`` is a plain slot,
-        # cheaper than re-entering the monitor property every event.
-        base_observe = PropertyMonitor.observe
-        base_fvi = PropertyMonitor.first_violation_index
-        self._observe_fns = tuple(
-            m._state.observe if type(m).observe is base_observe else m.observe
-            for m in self.monitors
-        ) + (self.bad_pairs.observe,)
-        self._safety_watch = [
-            (
-                m.name,
-                m._state
-                if type(m).first_violation_index is base_fvi
-                else m,
-            )
-            for m in self._safety
-        ]
+        # One machine per slot: each monitor's own (Conditions1-3 brings
+        # Condition 3 — its other two are the sFS2a/sFS2b slots), then
+        # the bad-pair tally.
+        self._machines = machines = [
+            monitor._state for monitor in self.monitors
+        ] + [self.bad_pairs]
+        halt_on = frozenset(halt_on)
+        key = (self.recovery is not None, halt_on)
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = _PLANS[key] = _make_plan(self.monitors, machines, halt_on)
+        # Which machines an event of each class goes to, and which monitors
+        # a machine's lock-in locks: the plan's, shared with every set.
+        self._cells = plan.cells
+        self._locks = plan.locks
+        # Machines push themselves here as they lock (PropertyState._flag).
+        self._locked: list[PropertyState] = []
+        for machine in machines:
+            if type(machine) in plan.locks:
+                machine._sink = self._locked
 
     # ------------------------------------------------------------------
     # Feeding
@@ -448,30 +521,46 @@ class MonitorSet:
     def observe(
         self, idx: int, event: Event, vector: tuple[int, ...] | None = None
     ) -> None:
-        """Advance every monitor by one event (HistoryBuilder-hook shape)."""
-        for observe in self._observe_fns:
-            observe(idx, event, vector)
+        """Advance every machine that consumes this event's kind
+        (HistoryBuilder-hook shape)."""
+        cells = self._cells.get(event.__class__)
+        if cells is None:
+            raise unknown_event_kind(event)
+        machines = self._machines
+        for slot, handler in cells:
+            handler(machines[slot], idx, event, vector)
         self.events_seen += 1
-        watch = self._safety_watch
-        tripped_any = False
-        for name, probe in watch:
-            locked = probe.first_violation_index
-            if locked is not None:
-                self._tripped.add(name)
-                self.violation_log.append((locked, name))
-                tripped_any = True
-        if tripped_any:
-            # A tripped safety verdict is locked for good — stop probing
-            # it on every subsequent event (trips are rare; the rebuild
-            # amortises to nothing).
-            self._safety_watch = [
-                pair for pair in watch if pair[0] not in self._tripped
-            ]
+        if self._locked:
+            self._log_lock_ins()
+
+    def _log_lock_ins(self) -> None:
+        """Log the monitors the machines that just locked lock.
+
+        A machine locks once, but ``Conditions1-3`` has two and locks at
+        the earlier — its later one must not log it again.
+        """
+        locks = self._locks
+        logged = {name for _, name in self.violation_log}
+        fresh: dict[str, int] = {}
+        for machine in self._locked:
+            for name in locks[type(machine)]:
+                if name not in logged:
+                    fresh.setdefault(name, machine.first_violation_index)
+        self._locked.clear()
+        if fresh:
+            self.violation_log.extend(
+                (fresh[monitor.name], monitor.name)
+                for monitor in self.monitors
+                if monitor.name in fresh
+            )
+            if self.on_violation is not None:
+                self.on_violation()
 
     def replay(self, history: History) -> "MonitorSet":
         """Drive a finished history through the same streaming path."""
+        observe = self.observe
         for idx, (event, vector) in enumerate(zip(history, history.vectors)):
-            self.observe(idx, event, vector)
+            observe(idx, event, vector)
         return self
 
     # ------------------------------------------------------------------
@@ -504,7 +593,9 @@ class MonitorSet:
             monitor.name: monitor.result() for monitor in self.monitors
         }
 
-    def transition_coverage(self) -> tuple[str, ...]:
+    def transition_coverage(
+        self, results: dict[str, CheckResult]
+    ) -> tuple[str, ...]:
         """Which dispositions the property state machines reached.
 
         The coverage-export hook (:mod:`repro.analysis.coverage`): one
@@ -515,7 +606,9 @@ class MonitorSet:
         at finalize time, the bad-pair count, and the locked cycle
         length. Deterministic and read-only: calling it never advances
         any state machine, so serial, parallel, and inproc runs of the
-        same scenario export identical tuples.
+        same scenario export identical tuples. ``results`` is this set's
+        :meth:`check_results` (the caller has it already; rendering every
+        monitor a second time is measurable per scenario).
         """
         from repro.analysis.coverage import bucket
 
@@ -524,7 +617,7 @@ class MonitorSet:
             locked = monitor.first_violation_index
             if locked is not None:
                 labels.append(f"{monitor.name}:violated@{bucket(locked)}")
-            elif monitor.result().ok:
+            elif results[monitor.name].ok:
                 labels.append(f"{monitor.name}:ok")
             else:
                 labels.append(f"{monitor.name}:unsettled")

@@ -32,9 +32,10 @@ same event twice (messages are unique, ``crash_i`` happens at most once, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Union
+from typing import Hashable, Union, get_args
 
 from repro.core.messages import Message
+from repro.errors import SimulationError
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,6 +119,20 @@ Event = Union[
     SendEvent, RecvEvent, CrashEvent, RecoverEvent, FailedEvent, InternalEvent
 ]
 """Any event of the model (including the crash-recovery extension)."""
+
+EVENT_KINDS: tuple[type, ...] = get_args(Event)
+"""The closed event alphabet. No class in it has a subclass, so consumers
+dispatch on class identity (``event.__class__``) through one table
+lookup, and an object of any other class is an error, never skipped."""
+
+
+def unknown_event_kind(event: object) -> SimulationError:
+    """The error for an object outside the closed event alphabet."""
+    known = ", ".join(kind.__name__ for kind in EVENT_KINDS)
+    return SimulationError(
+        f"{event!r} is not an event of the model: its class "
+        f"{type(event).__name__} is none of {known}"
+    )
 
 
 def send(proc: int, dst: int, msg: Message) -> SendEvent:

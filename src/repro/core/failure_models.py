@@ -10,11 +10,15 @@ hand-written and simulator-generated histories.
 
 Single source of truth: every property is implemented once, as an
 *incremental transition state machine* (``FS1State``, ``FS2State``, ...)
-that consumes one event at a time. The batch ``check_*`` functions below
-are thin folds of a history through the corresponding state machine, and
-the streaming monitors of :mod:`repro.analysis.monitors` feed the very
-same machines as events are appended — so an analyze-on-append verdict
-and a post-hoc batch verdict cannot disagree, by construction.
+that consumes one event at a time. A machine names the event kinds its
+property is stated over in a class-level ``handlers`` table — one
+``on_<kind>`` method each — and its ``observe`` is the one generic
+dispatcher over that table, so a kind it does not list cannot touch it.
+The batch ``check_*`` functions below are thin folds of a history through
+the corresponding state machine, and the streaming monitors of
+:mod:`repro.analysis.monitors` feed the very same machines as events are
+appended — so an analyze-on-append verdict and a post-hoc batch verdict
+cannot disagree, by construction.
 
 Safety properties (FS2, sFS2b-d, Condition 3) are *prefix-monotone*: once
 a state machine has seen a violating event its verdict is locked, and every
@@ -51,12 +55,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.events import (
+    EVENT_KINDS,
     CrashEvent,
     Event,
     FailedEvent,
+    InternalEvent,
     RecoverEvent,
     RecvEvent,
     SendEvent,
+    unknown_event_kind,
 )
 from repro.core.failed_before import FailedBeforeTracker, find_cycle
 from repro.core.history import History
@@ -154,30 +161,48 @@ def _result(name: str, violations: list[str]) -> CheckResult:
 class PropertyState:
     """Base for per-property transition machines.
 
-    ``observe(idx, event, vector)`` advances the machine by one event;
-    ``vector`` is the event's vector timestamp and may be ``None`` for
-    machines that do not reason about happens-before. ``finalize``
-    renders the violation strings for the prefix consumed so far — it is
-    a pure read (streaming callers may finalize repeatedly as the run
-    grows).
+    A machine declares one handler per event kind its property is stated
+    over (``on_crash``, ``on_failed``, ...) in the class-level
+    :attr:`handlers` table; every other kind of the closed alphabet
+    (:data:`~repro.core.events.EVENT_KINDS`) leaves it unchanged, and an
+    object outside the alphabet is an error, not a skipped event.
+    ``observe(idx, event, vector)`` advances the machine by
+    one event through that table; ``vector`` is the event's vector
+    timestamp and may be ``None`` for machines that do not reason about
+    happens-before. ``finalize`` renders the violation strings for the
+    prefix consumed so far — it is a pure read (streaming callers may
+    finalize repeatedly as the run grows).
     """
 
-    __slots__ = ("first_violation_index",)
+    __slots__ = ("first_violation_index", "_sink")
 
     #: True for properties a finite prefix can falsify (verdict monotone).
     safety = True
 
+    #: Event class -> handler ``(self, idx, event, vector)``. Keyed by
+    #: class identity: nothing subclasses the event dataclasses.
+    handlers: dict = {}
+
     def __init__(self) -> None:
         self.first_violation_index: int | None = None
+        # Where to announce the lock-in; installed by an owning MonitorSet.
+        self._sink: list | None = None
 
     def _flag(self, idx: int) -> None:
         if self.first_violation_index is None:
             self.first_violation_index = idx
+            if self._sink is not None:
+                self._sink.append(self)
 
     def observe(
         self, idx: int, event: Event, vector: tuple[int, ...] | None = None
     ) -> None:
-        raise NotImplementedError
+        """Advance the machine by one event (no-op for kinds it ignores)."""
+        handler = self.handlers.get(event.__class__)
+        if handler is not None:
+            handler(self, idx, event, vector)
+        elif event.__class__ not in EVENT_KINDS:
+            raise unknown_event_kind(event)
 
     def finalize(self) -> list[str]:
         raise NotImplementedError
@@ -205,18 +230,23 @@ class FS1State(PropertyState):
         self._crashes: dict[int, int] = {}
         self._detected: set[tuple[int, int]] = set()
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        if isinstance(event, CrashEvent):
-            self._crashes.setdefault(event.proc, idx)
-        elif isinstance(event, RecoverEvent):
-            self._crashes.pop(event.proc, None)
-            self._detected = {
-                pair for pair in self._detected if pair[1] != event.proc
-            }
-        elif isinstance(event, FailedEvent):
-            self._detected.add((event.proc, event.target))
+    def on_crash(self, idx, event, vector) -> None:
+        self._crashes.setdefault(event.proc, idx)
+
+    def on_recover(self, idx, event, vector) -> None:
+        self._crashes.pop(event.proc, None)
+        self._detected = {
+            pair for pair in self._detected if pair[1] != event.proc
+        }
+
+    def on_failed(self, idx, event, vector) -> None:
+        self._detected.add((event.proc, event.target))
+
+    handlers = {
+        CrashEvent: on_crash,
+        RecoverEvent: on_recover,
+        FailedEvent: on_failed,
+    }
 
     def _open_obligations(self):
         """(crashed, surviving-non-detector) pairs, in crash/pid order."""
@@ -259,19 +289,19 @@ class FS2State(PropertyState):
         self._seen: set[tuple[int, int]] = set()
         self._bad: list[tuple[int, int, int]] = []  # (fidx, detector, target)
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        if isinstance(event, CrashEvent):
-            self._crashes.setdefault(event.proc, idx)
-        elif isinstance(event, FailedEvent):
-            key = (event.proc, event.target)
-            if key in self._seen:
-                return
-            self._seen.add(key)
-            if event.target not in self._crashes:
-                self._bad.append((idx, event.proc, event.target))
-                self._flag(idx)
+    def on_crash(self, idx, event, vector) -> None:
+        self._crashes.setdefault(event.proc, idx)
+
+    def on_failed(self, idx, event, vector) -> None:
+        key = (event.proc, event.target)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        if event.target not in self._crashes:
+            self._bad.append((idx, event.proc, event.target))
+            self._flag(idx)
+
+    handlers = {CrashEvent: on_crash, FailedEvent: on_failed}
 
     def finalize(self) -> list[str]:
         violations: list[str] = []
@@ -302,13 +332,13 @@ class SFS2aState(PropertyState):
         self._crashed: set[int] = set()
         self._records: dict[tuple[int, int], int] = {}
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        if isinstance(event, CrashEvent):
-            self._crashed.add(event.proc)
-        elif isinstance(event, FailedEvent):
-            self._records.setdefault((event.proc, event.target), idx)
+    def on_crash(self, idx, event, vector) -> None:
+        self._crashed.add(event.proc)
+
+    def on_failed(self, idx, event, vector) -> None:
+        self._records.setdefault((event.proc, event.target), idx)
+
+    handlers = {CrashEvent: on_crash, FailedEvent: on_failed}
 
     def _open_obligations(self):
         """((detector, target), fidx) for detections still awaiting a crash."""
@@ -346,11 +376,7 @@ class SFS2bState(PropertyState):
         self._tracker = FailedBeforeTracker()
         self._seen: set[tuple[int, int]] = set()
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        if not isinstance(event, FailedEvent):
-            return
+    def on_failed(self, idx, event, vector) -> None:
         key = (event.proc, event.target)
         if key in self._seen:
             return
@@ -358,6 +384,8 @@ class SFS2bState(PropertyState):
         self._tracker.add(event.target, event.proc)
         if not self._tracker.acyclic:
             self._flag(idx)
+
+    handlers = {FailedEvent: on_failed}
 
     @property
     def cycle(self) -> list[tuple[int, int]] | None:
@@ -386,11 +414,7 @@ class SFS2cState(PropertyState):
         self._seen: set[tuple[int, int]] = set()
         self._violations: list[str] = []
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        if not isinstance(event, FailedEvent):
-            return
+    def on_failed(self, idx, event, vector) -> None:
         key = (event.proc, event.target)
         if key in self._seen:
             return
@@ -401,6 +425,8 @@ class SFS2cState(PropertyState):
                 f"({event.target}) at [{idx}]"
             )
             self._flag(idx)
+
+    handlers = {FailedEvent: on_failed}
 
     def finalize(self) -> list[str]:
         return list(self._violations)
@@ -435,39 +461,44 @@ class SFS2dState(PropertyState):
         # (sidx, fidx, ridx, sender, target, receiver, msg)
         self._records: list[tuple[int, int, int, int, int, int, object]] = []
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        if isinstance(event, SendEvent):
-            self._sends.setdefault(
-                event.msg.uid, (idx, event.proc, event.dst, event.msg)
-            )
-        elif isinstance(event, FailedEvent):
-            key = (event.proc, event.target)
-            if key in self._seen:
-                return
-            self._seen.add(key)
-            self._failed_index[key] = idx
-            self._detections_by_proc.setdefault(event.proc, []).append(
-                (idx, event.target)
-            )
-        elif isinstance(event, RecvEvent):
-            uid = event.msg.uid
-            if uid in self._received:
-                return
-            self._received.add(uid)
-            send = self._sends.get(uid)
-            if send is None:
-                return  # receive without a send: well-formedness's problem
-            sidx, sender, receiver, msg = send
-            for fidx, target in self._detections_by_proc.get(sender, ()):
-                if fidx > sidx:
-                    break  # detections sorted by index; rest are later
-                if (receiver, target) not in self._failed_index:
-                    self._records.append(
-                        (sidx, fidx, idx, sender, target, receiver, msg)
-                    )
-                    self._flag(idx)
+    def on_send(self, idx, event, vector) -> None:
+        self._sends.setdefault(
+            event.msg.uid, (idx, event.proc, event.dst, event.msg)
+        )
+
+    def on_failed(self, idx, event, vector) -> None:
+        key = (event.proc, event.target)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        self._failed_index[key] = idx
+        self._detections_by_proc.setdefault(event.proc, []).append(
+            (idx, event.target)
+        )
+
+    def on_recv(self, idx, event, vector) -> None:
+        uid = event.msg.uid
+        if uid in self._received:
+            return
+        self._received.add(uid)
+        send = self._sends.get(uid)
+        if send is None:
+            return  # receive without a send: well-formedness's problem
+        sidx, sender, receiver, msg = send
+        for fidx, target in self._detections_by_proc.get(sender, ()):
+            if fidx > sidx:
+                break  # detections sorted by index; rest are later
+            if (receiver, target) not in self._failed_index:
+                self._records.append(
+                    (sidx, fidx, idx, sender, target, receiver, msg)
+                )
+                self._flag(idx)
+
+    handlers = {
+        SendEvent: on_send,
+        RecvEvent: on_recv,
+        FailedEvent: on_failed,
+    }
 
     def finalize(self) -> list[str]:
         violations: list[str] = []
@@ -506,28 +537,41 @@ class Condition3State(PropertyState):
         # (fidx, eidx, detector, target, event)
         self._records: list[tuple[int, int, int, int, Event]] = []
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
+    def on_event(self, idx, event, vector) -> None:
+        """Any event of ``j``: is it causally after a detection of ``j``?"""
         if vector is None:
             raise ValueError(
                 "Condition3State needs the event's vector timestamp; feed "
                 "it via MonitorSet/HistoryBuilder observers or "
                 "History.vectors"
             )
-        for fidx, detector, dvec in self._detections.get(event.proc, ()):
+        detections = self._detections.get(event.proc)
+        if detections is None:
+            return
+        for fidx, detector, dvec in detections:
             if vector[detector] >= dvec[detector]:
                 self._records.append(
                     (fidx, idx, detector, event.proc, event)
                 )
                 self._flag(idx)
-        if isinstance(event, FailedEvent):
-            key = (event.proc, event.target)
-            if key not in self._seen:
-                self._seen.add(key)
-                self._detections.setdefault(event.target, []).append(
-                    (idx, event.proc, vector)
-                )
+
+    def on_failed(self, idx, event, vector) -> None:
+        self.on_event(idx, event, vector)
+        key = (event.proc, event.target)
+        if key not in self._seen:
+            self._seen.add(key)
+            self._detections.setdefault(event.target, []).append(
+                (idx, event.proc, vector)
+            )
+
+    handlers = {
+        SendEvent: on_event,
+        RecvEvent: on_event,
+        CrashEvent: on_event,
+        RecoverEvent: on_event,
+        InternalEvent: on_event,
+        FailedEvent: on_failed,
+    }
 
     def finalize(self) -> list[str]:
         return [
@@ -559,30 +603,30 @@ class RecoveryState(PropertyState):
         self._incarnations: dict[int, int] = {}
         self._violations: list[str] = []
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        if isinstance(event, CrashEvent):
-            self._crashed.add(event.proc)
-        elif isinstance(event, RecoverEvent):
-            proc = event.proc
-            if proc not in self._crashed:
-                self._violations.append(
-                    f"recovery: {event!r} at [{idx}] without a "
-                    f"preceding crash_{proc}"
-                )
-                self._flag(idx)
-            expected = self._incarnations.get(proc, 0) + 1
-            if event.incarnation != expected:
-                self._violations.append(
-                    f"recovery: {event!r} at [{idx}] has incarnation "
-                    f"{event.incarnation}, expected {expected}"
-                )
-                self._flag(idx)
-            self._incarnations[proc] = max(
-                event.incarnation, self._incarnations.get(proc, 0)
+    def on_crash(self, idx, event, vector) -> None:
+        self._crashed.add(event.proc)
+
+    def on_recover(self, idx, event, vector) -> None:
+        proc = event.proc
+        if proc not in self._crashed:
+            self._violations.append(
+                f"recovery: {event!r} at [{idx}] without a "
+                f"preceding crash_{proc}"
             )
-            self._crashed.discard(proc)
+            self._flag(idx)
+        expected = self._incarnations.get(proc, 0) + 1
+        if event.incarnation != expected:
+            self._violations.append(
+                f"recovery: {event!r} at [{idx}] has incarnation "
+                f"{event.incarnation}, expected {expected}"
+            )
+            self._flag(idx)
+        self._incarnations[proc] = max(
+            event.incarnation, self._incarnations.get(proc, 0)
+        )
+        self._crashed.discard(proc)
+
+    handlers = {CrashEvent: on_crash, RecoverEvent: on_recover}
 
     def finalize(self) -> list[str]:
         return list(self._violations)

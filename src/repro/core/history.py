@@ -463,8 +463,9 @@ class HistoryBuilder:
     def detach_observers(self) -> None:
         """Drop every attached observer (end-of-life cycle breaking).
 
-        Observers commonly close over the world that owns this builder
-        (e.g. the ``stop_on_violation`` halt check), which makes the
+        Observers commonly reach back to the world that owns this builder
+        (e.g. a monitor set whose ``on_violation`` is the world's
+        scheduler's ``request_stop``), which makes the
         builder part of the world's reference-cycle knot; detaching them
         lets a disposed world die by refcount. The recorded events,
         vectors, and indices are untouched.

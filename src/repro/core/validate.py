@@ -30,25 +30,24 @@ from collections import defaultdict, deque
 
 from repro.core.events import (
     CrashEvent,
-    Event,
     FailedEvent,
+    InternalEvent,
     RecoverEvent,
     RecvEvent,
     SendEvent,
 )
+from repro.core.failure_models import PropertyState, get_failure_model
 from repro.core.history import History
 from repro.errors import InvalidHistoryError
 
 
-def _model_recoverable(failure_model: str) -> bool:
-    # Imported lazily: failure_models is a sibling that may import us.
-    from repro.core.failure_models import get_failure_model
+class ValidationState(PropertyState):
+    """Incremental well-formedness scan, O(1) amortized per event.
 
-    return get_failure_model(failure_model).recoverable
-
-
-class ValidationState:
-    """Incremental well-formedness scan, O(1) amortized per event."""
+    Every handler opens with :meth:`_guard`, the two checks Definition 1
+    puts on any event — its process exists, and has not crashed — then
+    applies the rules of its own kind.
+    """
 
     __slots__ = (
         "_n",
@@ -60,12 +59,12 @@ class ValidationState:
         "_received_uids",
         "_channels",
         "violations",
-        "first_violation_index",
     )
 
     def __init__(self, n: int, failure_model: str = "fail-stop") -> None:
+        super().__init__()
         self._n = n
-        self._recoverable = _model_recoverable(failure_model)
+        self._recoverable = get_failure_model(failure_model).recoverable
         self._incarnations: dict[int, int] = {}
         self._crashed: set[int] = set()
         self._detected: set[tuple[int, int]] = set()
@@ -74,137 +73,175 @@ class ValidationState:
         # Per-channel FIFO queues of message uids in flight.
         self._channels: dict[tuple[int, int], deque] = defaultdict(deque)
         self.violations: list[str] = []
-        self.first_violation_index: int | None = None
 
     @property
     def ok(self) -> bool:
         """Whether the prefix seen so far is well-formed."""
         return not self.violations
 
+    def finalize(self) -> list[str]:
+        return list(self.violations)
+
     def _report(self, idx: int, text: str) -> None:
         self.violations.append(text)
-        if self.first_violation_index is None:
-            self.first_violation_index = idx
+        self._flag(idx)
 
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        """Advance the scan by one event (``vector`` accepted, unused)."""
-        n = self._n
+    def _guard(self, idx: int, event, crash_exempt: bool = False) -> bool:
+        """Definition 1's checks on any event; True if its scan stops here.
+
+        It stops for a process id out of range; an event of a crashed
+        process is reported and scanned on, since later diagnostics are
+        still useful (``crash_exempt``: a recover under a recoverable
+        model is the one event a crashed process may take).
+        """
         proc = event.proc
-        if not (0 <= proc < n):
+        if not (0 <= proc < self._n):
             self._report(
-                idx, f"[{idx}] {event!r}: process id out of range 0..{n-1}"
+                idx,
+                f"[{idx}] {event!r}: process id out of range "
+                f"0..{self._n-1}",
             )
-            return
-        if proc in self._crashed and not (
-            self._recoverable and isinstance(event, RecoverEvent)
-        ):
+            return True
+        if proc in self._crashed and not crash_exempt:
             self._report(
                 idx,
                 f"[{idx}] {event!r}: event of process {proc} "
                 f"after crash_{proc}",
             )
-            # Keep scanning; later diagnostics are still useful.
-        if isinstance(event, SendEvent):
-            if not (0 <= event.dst < n):
-                self._report(
-                    idx,
-                    f"[{idx}] {event!r}: destination out of range 0..{n-1}",
-                )
-                return
-            if event.msg.uid in self._sent_uids:
-                self._report(
-                    idx,
-                    f"[{idx}] {event!r}: message {event.msg.uid} sent twice",
-                )
-            self._sent_uids.add(event.msg.uid)
-            self._channels[(proc, event.dst)].append(event.msg.uid)
-        elif isinstance(event, RecvEvent):
-            if not (0 <= event.src < n):
-                self._report(
-                    idx, f"[{idx}] {event!r}: source out of range 0..{n-1}"
-                )
-                return
-            uid = event.msg.uid
-            if uid in self._received_uids:
-                self._report(
-                    idx, f"[{idx}] {event!r}: message {uid} received twice"
-                )
-                return
-            queue = self._channels[(event.src, proc)]
-            if not queue:
-                self._report(
-                    idx,
-                    f"[{idx}] {event!r}: receive with empty channel "
-                    f"C_{{{event.src},{proc}}} (no matching send)",
-                )
-                return
-            head = queue[0]
-            if head != uid:
-                if self._recoverable and uid in queue:
-                    # Lossy FIFO: anything older on the channel was lost
-                    # while the receiver was down; discard it.
-                    while queue[0] != uid:
-                        queue.popleft()
+        return False
+
+    def on_send(self, idx, event, vector) -> None:
+        if self._guard(idx, event):
+            return
+        n = self._n
+        proc = event.proc
+        if not (0 <= event.dst < n):
+            self._report(
+                idx,
+                f"[{idx}] {event!r}: destination out of range 0..{n-1}",
+            )
+            return
+        uid = event.msg.uid
+        if uid in self._sent_uids:
+            self._report(
+                idx, f"[{idx}] {event!r}: message {uid} sent twice"
+            )
+        self._sent_uids.add(uid)
+        self._channels[(proc, event.dst)].append(uid)
+
+    def on_recv(self, idx, event, vector) -> None:
+        if self._guard(idx, event):
+            return
+        n = self._n
+        proc = event.proc
+        if not (0 <= event.src < n):
+            self._report(
+                idx, f"[{idx}] {event!r}: source out of range 0..{n-1}"
+            )
+            return
+        uid = event.msg.uid
+        if uid in self._received_uids:
+            self._report(
+                idx, f"[{idx}] {event!r}: message {uid} received twice"
+            )
+            return
+        queue = self._channels[(event.src, proc)]
+        if not queue:
+            self._report(
+                idx,
+                f"[{idx}] {event!r}: receive with empty channel "
+                f"C_{{{event.src},{proc}}} (no matching send)",
+            )
+            return
+        head = queue[0]
+        if head != uid:
+            if self._recoverable and uid in queue:
+                # Lossy FIFO: anything older on the channel was lost
+                # while the receiver was down; discard it.
+                while queue[0] != uid:
                     queue.popleft()
-                else:
-                    self._report(
-                        idx,
-                        f"[{idx}] {event!r}: FIFO violation on channel "
-                        f"C_{{{event.src},{proc}}} — head is {head}, "
-                        f"received {uid}",
-                    )
-                    # Remove it anyway if present, to localize the error.
-                    try:
-                        queue.remove(uid)
-                    except ValueError:
-                        return
-            else:
                 queue.popleft()
-            self._received_uids.add(uid)
-        elif isinstance(event, CrashEvent):
-            if proc in self._crashed:
-                self._report(idx, f"[{idx}] {event!r}: duplicate crash event")
-            self._crashed.add(proc)
-        elif isinstance(event, RecoverEvent):
-            if not self._recoverable:
+            else:
                 self._report(
                     idx,
-                    f"[{idx}] {event!r}: recover event under a "
-                    f"non-recoverable failure model",
+                    f"[{idx}] {event!r}: FIFO violation on channel "
+                    f"C_{{{event.src},{proc}}} — head is {head}, "
+                    f"received {uid}",
                 )
-                return
-            if proc not in self._crashed:
-                self._report(
-                    idx,
-                    f"[{idx}] {event!r}: recover of process {proc} "
-                    f"that is not crashed",
-                )
-            expected = self._incarnations.get(proc, 0) + 1
-            if event.incarnation != expected:
-                self._report(
-                    idx,
-                    f"[{idx}] {event!r}: incarnation {event.incarnation} "
-                    f"out of order (expected {expected})",
-                )
-            self._incarnations[proc] = event.incarnation
-            self._crashed.discard(proc)
-        elif isinstance(event, FailedEvent):
-            if not (0 <= event.target < n):
-                self._report(
-                    idx, f"[{idx}] {event!r}: target out of range 0..{n-1}"
-                )
-                return
-            key = (proc, event.target)
-            if key in self._detected:
-                self._report(
-                    idx,
-                    f"[{idx}] {event!r}: duplicate failure detection "
-                    f"failed_{proc}({event.target})",
-                )
-            self._detected.add(key)
-        # InternalEvent needs no extra checks beyond the crash guard above.
+                # Remove it anyway if present, to localize the error.
+                try:
+                    queue.remove(uid)
+                except ValueError:
+                    return
+        else:
+            queue.popleft()
+        self._received_uids.add(uid)
+
+    def on_crash(self, idx, event, vector) -> None:
+        if self._guard(idx, event):
+            return
+        proc = event.proc
+        if proc in self._crashed:
+            self._report(idx, f"[{idx}] {event!r}: duplicate crash event")
+        self._crashed.add(proc)
+
+    def on_recover(self, idx, event, vector) -> None:
+        if self._guard(idx, event, crash_exempt=self._recoverable):
+            return
+        proc = event.proc
+        if not self._recoverable:
+            self._report(
+                idx,
+                f"[{idx}] {event!r}: recover event under a "
+                f"non-recoverable failure model",
+            )
+            return
+        if proc not in self._crashed:
+            self._report(
+                idx,
+                f"[{idx}] {event!r}: recover of process {proc} "
+                f"that is not crashed",
+            )
+        expected = self._incarnations.get(proc, 0) + 1
+        if event.incarnation != expected:
+            self._report(
+                idx,
+                f"[{idx}] {event!r}: incarnation {event.incarnation} "
+                f"out of order (expected {expected})",
+            )
+        self._incarnations[proc] = event.incarnation
+        self._crashed.discard(proc)
+
+    def on_failed(self, idx, event, vector) -> None:
+        if self._guard(idx, event):
+            return
+        n = self._n
+        proc = event.proc
+        if not (0 <= event.target < n):
+            self._report(
+                idx, f"[{idx}] {event!r}: target out of range 0..{n-1}"
+            )
+            return
+        key = (proc, event.target)
+        if key in self._detected:
+            self._report(
+                idx,
+                f"[{idx}] {event!r}: duplicate failure detection "
+                f"failed_{proc}({event.target})",
+            )
+        self._detected.add(key)
+
+    def on_internal(self, idx, event, vector) -> None:
+        self._guard(idx, event)
+
+    handlers = {
+        SendEvent: on_send,
+        RecvEvent: on_recv,
+        CrashEvent: on_crash,
+        RecoverEvent: on_recover,
+        FailedEvent: on_failed,
+        InternalEvent: on_internal,
+    }
 
 
 def validate_history(

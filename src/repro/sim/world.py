@@ -136,8 +136,13 @@ FailureModel`) of the failure semantics this world runs under; the
         no extra passes, no history snapshots — so its verdict is live
         throughout the run. With ``stop_on_violation`` the world halts the
         scheduler as soon as a halt-relevant safety monitor trips (see
-        :data:`repro.analysis.monitors.DEFAULT_HALT_ON`); the violating
-        event index is then ``world.monitors.first_violation``.
+        :data:`repro.analysis.monitors.DEFAULT_HALT_ON`) — the monitor set
+        calls :meth:`Scheduler.request_stop` as it logs the lock-in, once
+        per lock-in; the violating event index is then
+        ``world.monitors.first_violation``. The halt is an edge, not a
+        level: a world resumed with :meth:`Scheduler.clear_stop` runs on
+        until a monitor that had not locked yet does, and a set that had
+        tripped before it was attached halts only at its next lock-in.
 
         Args:
             monitors: a :class:`~repro.analysis.monitors.MonitorSet`
@@ -155,13 +160,7 @@ FailureModel`) of the failure semantics this world runs under; the
         self.monitors = monitors
         self.trace.attach_observer(monitors.observe)
         if stop_on_violation:
-
-            def halt_check(idx, event, vector) -> None:
-                del idx, event, vector
-                if not monitors.ok_so_far:
-                    self.scheduler.request_stop()
-
-            self.trace.attach_observer(halt_check)
+            monitors.on_violation = self.scheduler.request_stop
         return monitors
 
     # ------------------------------------------------------------------

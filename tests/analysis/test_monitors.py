@@ -1,20 +1,63 @@
 """Unit tests for the streaming conformance monitors (analyze-on-append)."""
 
+import inspect
+
 import pytest
 
 from repro.analysis.checker import analyze, report_from_monitors
 from repro.analysis.extensions import build_monitor_world, run_e14
+from repro.analysis.fuzz import build_scenario_world
 from repro.analysis.monitors import (
     DEFAULT_HALT_ON,
     BadPairCounter,
+    ConditionsMonitor,
+    FS1Monitor,
+    FS2Monitor,
     MonitorSet,
+    RecoveryMonitor,
+    SFS2aMonitor,
+    SFS2bMonitor,
+    SFS2cMonitor,
+    SFS2dMonitor,
+    WellFormednessMonitor,
 )
-from repro.core.events import crash, failed, recover, recv, send
+from repro.core import events as events_module
+from repro.core.events import (
+    EVENT_KINDS,
+    CrashEvent,
+    FailedEvent,
+    InternalEvent,
+    RecoverEvent,
+    RecvEvent,
+    SendEvent,
+    crash,
+    failed,
+    internal,
+    recover,
+    recv,
+    send,
+)
+from repro.core.failure_models import (
+    FAILURE_MODEL_NAMES,
+    Condition3State,
+    FS1State,
+    FS2State,
+    RecoveryState,
+    SFS2aState,
+    SFS2bState,
+    SFS2cState,
+    SFS2dState,
+    get_failure_model,
+)
 from repro.core.history import History
-from repro.core.messages import MessageMint
+from repro.core.messages import Message, MessageMint
+from repro.core.validate import ValidationState
 from repro.errors import SimulationError
 from repro.protocols import SfsProcess, UnilateralProcess
 from repro.sim import build_world
+from repro.sim.failures import Fault
+
+from tests.analysis.test_fuzz_oracle_seeding import _clean_scenario
 
 
 def replay(events, n):
@@ -227,6 +270,426 @@ class TestModelAwareMonitors:
         )
         assert monitors.ok_so_far
 
+    @pytest.mark.parametrize("model", FAILURE_MODEL_NAMES)
+    def test_recovery_is_a_halt_name_under_every_model(self, model):
+        monitors = MonitorSet(2, halt_on=("recovery",), failure_model=model)
+        monitors.observe(0, recover(0, 1), (1, 0))
+        # Only a set that has the monitor can trip it.
+        assert monitors.ok_so_far == (monitors.recovery is None)
+
+    @pytest.mark.parametrize("typo", ["sfs2b", "FS1", "sFS2a", "bad-pairs"])
+    def test_halt_on_name_of_no_safety_monitor_is_refused(self, typo):
+        # "sfs2b" used to build an empty halt set: stop_on_violation then
+        # never halted and ok_so_far was always true. A liveness monitor
+        # never locks, so naming one is the same trap.
+        with pytest.raises(SimulationError) as refused:
+            MonitorSet(2, halt_on=("valid", typo))
+        message = str(refused.value)
+        assert typo in message and "\n" not in message
+        for name in ("valid", "FS2", "sFS2b", "sFS2c", "sFS2d",
+                     "Conditions1-3", "recovery"):
+            assert name in message
+
     def test_byzantine_model_skips_recovery_monitor(self):
         monitors = MonitorSet(3, failure_model="byzantine-crash")
         assert monitors.recovery is None
+
+
+# ----------------------------------------------------------------------
+# The dispatch, held to the paper
+# ----------------------------------------------------------------------
+
+ALL_KINDS = {
+    SendEvent, RecvEvent, CrashEvent, RecoverEvent, FailedEvent,
+    InternalEvent,
+}
+
+#: Which event kinds each machine consumes, with the clause that says so.
+#: This is the paper's table, not the code's: a machine whose ``handlers``
+#: drifts from it has stopped checking what the paper states.
+KINDS_BY_MACHINE = {
+    # Definitions 1, 6, 7: no event of a crashed process, of any kind;
+    # sends and receives match per FIFO channel; crash_i and failed_i(j)
+    # flip once (recover: the crash-recovery extension of Definition 1).
+    ValidationState: ALL_KINDS,
+    # FS1: crash_i leads to failed_j(i) at every surviving j (Section
+    # 3.1); a recover voids the obligation (crash-recovery extension).
+    FS1State: {CrashEvent, FailedEvent, RecoverEvent},
+    # FS2: failed_j(i) only after crash_i (Section 3.1).
+    FS2State: {CrashEvent, FailedEvent},
+    # sFS2a: failed_i(j) implies crash_j eventually (Figure 1).
+    SFS2aState: {CrashEvent, FailedEvent},
+    # sFS2b: failed-before, a relation on detections alone, is acyclic.
+    SFS2bState: {FailedEvent},
+    # sFS2c: no failed_i(i).
+    SFS2cState: {FailedEvent},
+    # sFS2d: send_i(k, m) after failed_i(j) implies failed_k(j) before
+    # recv_k(i, m).
+    SFS2dState: {SendEvent, RecvEvent, FailedEvent},
+    # Condition 3 (Section 3.2): no event of j, of any kind, causally
+    # follows failed_i(j).
+    Condition3State: ALL_KINDS,
+    # Recovery discipline: a recover follows a crash, incarnations count.
+    RecoveryState: {CrashEvent, RecoverEvent},
+    # Definition 8: a bad pair is failed_j(i) before crash_i.
+    BadPairCounter: {CrashEvent, FailedEvent},
+}
+
+
+def machines_of(monitors: MonitorSet) -> list:
+    """Every machine a set dispatches to, each once."""
+    return [monitor.state for monitor in monitors.monitors] + [
+        monitors.bad_pairs
+    ]
+
+
+def stamp(events, width):
+    """Vector timestamps for any event sequence with pids below ``width``.
+
+    ``HistoryBuilder`` refuses a pid outside ``0..n-1``, which is one of
+    the malformations the monitors must judge, so malformed streams are
+    stamped here: a receive merges the first send of its uid, if any.
+    """
+    clocks = [[0] * width for _ in range(width)]
+    sent: dict = {}
+    vectors = []
+    for event in events:
+        row = clocks[event.proc]
+        if event.__class__ is RecvEvent and event.msg.uid in sent:
+            row[:] = map(max, row, sent[event.msg.uid])
+        row[event.proc] += 1
+        vector = tuple(row)
+        if event.__class__ is SendEvent:
+            sent.setdefault(event.msg.uid, vector)
+        vectors.append(vector)
+    return vectors
+
+
+def reference_verdicts(
+    n,
+    stream,
+    failure_model="fail-stop",
+    halt_on=DEFAULT_HALT_ON,
+    pending_ok=False,
+):
+    """The oracle for the routed dispatch: no routing, no push.
+
+    Every monitor stands alone on machines of its own (so nothing is
+    shared either), every machine is shown every event through its
+    generic ``observe``, and after each event every halt-relevant safety
+    monitor is polled in ``monitors`` order. Returns
+    ``(check results, violation log, bad-pair count)``.
+    """
+    monitors = [
+        WellFormednessMonitor(n, failure_model),
+        FS1Monitor(n, pending_ok),
+        FS2Monitor(),
+        SFS2aMonitor(pending_ok),
+        SFS2bMonitor(),
+        SFS2cMonitor(),
+        SFS2dMonitor(),
+        ConditionsMonitor(pending_ok),
+    ]
+    if get_failure_model(failure_model).recoverable:
+        monitors.append(RecoveryMonitor())
+    bad_pairs = BadPairCounter()
+    log: list[tuple[int, str]] = []
+    tripped: set[str] = set()
+    for idx, (event, vector) in enumerate(stream):
+        for monitor in monitors:
+            monitor.observe(idx, event, vector)
+        bad_pairs.observe(idx, event, vector)
+        for monitor in monitors:
+            if (
+                monitor.safety
+                and monitor.name in halt_on
+                and monitor.name not in tripped
+                and monitor.first_violation_index is not None
+            ):
+                tripped.add(monitor.name)
+                log.append((monitor.first_violation_index, monitor.name))
+    results = {monitor.name: monitor.result() for monitor in monitors}
+    return results, log, bad_pairs.count
+
+
+def assert_agrees_with_reference(
+    n, stream, failure_model="fail-stop", halt_on=DEFAULT_HALT_ON
+):
+    """Feed one stream to a MonitorSet and to the reference; compare all."""
+    stream = list(stream)
+    monitors = MonitorSet(n, halt_on=halt_on, failure_model=failure_model)
+    for idx, (event, vector) in enumerate(stream):
+        monitors.observe(idx, event, vector)
+    results, log, bad_pair_count = reference_verdicts(
+        n, stream, failure_model, halt_on
+    )
+    assert monitors.violation_log == log
+    assert monitors.check_results() == results
+    assert monitors.bad_pairs.count == bad_pair_count
+    return monitors
+
+
+M0, M1, M2 = (Message(0, seq, "x") for seq in range(3))
+
+#: name -> (n, events, failure model): histories no legal run produces.
+MALFORMED = {
+    "send after crash": (2, [crash(0), send(0, 1, M0)], "fail-stop"),
+    "internal after crash": (2, [crash(0), internal(0, "x")], "fail-stop"),
+    "detection by the crashed": (
+        3, [crash(0), failed(0, 1), crash(1)], "fail-stop"),
+    "duplicate crash": (2, [crash(0), crash(0)], "fail-stop"),
+    "duplicate detection": (
+        2, [failed(1, 0), failed(1, 0), crash(0)], "fail-stop"),
+    "duplicate uid sent": (
+        3, [send(0, 1, M0), send(0, 2, M0)], "fail-stop"),
+    "duplicate uid received": (
+        2, [send(0, 1, M0), recv(1, 0, M0), recv(1, 0, M0)], "fail-stop"),
+    "receive without a send": (2, [recv(1, 0, M0)], "fail-stop"),
+    "FIFO overtaking": (
+        2,
+        [send(0, 1, M0), send(0, 1, M1), recv(1, 0, M1), recv(1, 0, M0)],
+        "fail-stop",
+    ),
+    "pid out of range": (
+        2, [send(3, 0, M0), crash(3), internal(2, "x")], "fail-stop"),
+    "dst out of range": (2, [send(0, 3, M0)], "fail-stop"),
+    "src out of range": (2, [recv(1, 3, M0)], "fail-stop"),
+    "target out of range": (2, [failed(0, 3), failed(1, 0)], "fail-stop"),
+    "detector out of range": (
+        2, [failed(3, 0), internal(0, "x"), crash(0)], "fail-stop"),
+    "recover under fail-stop": (2, [crash(0), recover(0, 1)], "fail-stop"),
+    "recover under byzantine-crash": (
+        2, [crash(0), recover(0, 1), send(0, 1, M0)], "byzantine-crash"),
+    "recover without a crash": (2, [recover(0, 1)], "crash-recovery"),
+    "incarnation skipped": (
+        2, [crash(0), recover(0, 2), crash(0), recover(0, 2)],
+        "crash-recovery",
+    ),
+    "lossy FIFO under crash-recovery": (
+        2,
+        [send(0, 1, M0), send(0, 1, M1), recv(1, 0, M1), recv(1, 0, M0)],
+        "crash-recovery",
+    ),
+    "3-cycle": (
+        3, [failed(1, 0), failed(2, 1), failed(0, 2)], "fail-stop"),
+    "Condition 3 before the cycle": (
+        2,
+        [failed(1, 0), send(1, 0, M0), recv(0, 1, M0), failed(0, 1)],
+        "fail-stop",
+    ),
+    "self-detection": (1, [failed(0, 0)], "fail-stop"),
+    "sFS2d then a late detection": (
+        3,
+        [failed(0, 2), send(0, 1, M0), recv(1, 0, M0), failed(1, 2)],
+        "fail-stop",
+    ),
+}
+
+
+class TestDispatchMatchesThePaper:
+    @pytest.mark.parametrize(
+        "machine", KINDS_BY_MACHINE, ids=lambda cls: cls.__name__
+    )
+    def test_machine_consumes_the_kinds_its_clause_names(self, machine):
+        assert set(machine.handlers) == KINDS_BY_MACHINE[machine]
+
+    @pytest.mark.parametrize("model", FAILURE_MODEL_NAMES)
+    def test_every_machine_of_a_set_is_in_the_table(self, model):
+        machines = machines_of(MonitorSet(3, failure_model=model))
+        assert len(set(map(id, machines))) == len(machines)
+        assert {type(machine) for machine in machines} <= set(
+            KINDS_BY_MACHINE
+        )
+        assert (RecoveryState in map(type, machines)) == (
+            model == "crash-recovery"
+        )
+
+    def test_an_event_reaches_only_the_machines_that_consume_it(self):
+        reached = {
+            kind: sum(
+                kind in KINDS_BY_MACHINE[type(machine)]
+                for machine in machines_of(MonitorSet(3))
+            )
+            for kind in EVENT_KINDS
+        }
+        assert reached == {
+            SendEvent: 3, RecvEvent: 3, InternalEvent: 2, RecoverEvent: 3,
+            CrashEvent: 6, FailedEvent: 9,
+        }
+
+
+class TestClosedAlphabet:
+    def test_event_kinds_are_the_classes_of_the_events_module(self):
+        defined = {
+            cls
+            for _, cls in inspect.getmembers(events_module, inspect.isclass)
+            if cls.__module__ == events_module.__name__
+        }
+        assert defined == set(EVENT_KINDS) == ALL_KINDS
+
+    def test_no_event_class_has_a_subclass(self):
+        # Dispatch is on class identity; a subclass would be dropped by
+        # every table it is not listed in.
+        for kind in EVENT_KINDS:
+            assert kind.__subclasses__() == []
+
+    @pytest.mark.parametrize(
+        "observer",
+        [
+            MonitorSet(2),
+            *machines_of(MonitorSet(2, failure_model="crash-recovery")),
+        ],
+        ids=lambda observer: type(observer).__name__,
+    )
+    def test_an_object_of_another_class_is_an_error_not_skipped(
+        self, observer
+    ):
+        class Impostor:
+            proc = 0
+
+            def __repr__(self):
+                return "impostor_0"
+
+        with pytest.raises(SimulationError) as refused:
+            observer.observe(0, Impostor(), (1, 0))
+        message = str(refused.value)
+        assert "impostor_0" in message and "Impostor" in message
+        assert "\n" not in message
+
+
+class TestAgainstReferenceOnMalformedHistories:
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_named_malformation(self, name):
+        n, events, model = MALFORMED[name]
+        stream = list(zip(events, stamp(events, width=4)))
+        for halt_on in (DEFAULT_HALT_ON, ("FS2", "Conditions1-3")):
+            assert_agrees_with_reference(n, stream, model, halt_on)
+
+    def test_the_malformations_are_malformed_or_violating(self):
+        # The table above earns its name: every entry locks something.
+        for name, (n, events, model) in MALFORMED.items():
+            if name == "lossy FIFO under crash-recovery":
+                continue  # legal there; the same events are not above
+            monitors = MonitorSet(n, failure_model=model)
+            for idx, vector in enumerate(stamp(events, width=4)):
+                monitors.observe(idx, events[idx], vector)
+            assert not monitors.ok_so_far, name
+
+    def test_k_cycle_trips_both_owners_of_the_shared_machine(self):
+        n, events, model = MALFORMED["3-cycle"]
+        monitors = assert_agrees_with_reference(
+            n, zip(events, stamp(events, width=4)), model
+        )
+        assert monitors.violation_log == [
+            (2, "sFS2b"), (2, "Conditions1-3"),
+        ]
+
+    def test_conditions_locks_at_the_earlier_of_its_two_machines(self):
+        n, events, model = MALFORMED["Condition 3 before the cycle"]
+        monitors = assert_agrees_with_reference(
+            n, zip(events, stamp(events, width=4)), model
+        )
+        # The receive is an event of 0 after failed_1(0) (Condition 3),
+        # and a message sent after a detection its receiver lacks (sFS2d).
+        assert monitors.violation_log == [
+            (2, "sFS2d"), (2, "Conditions1-3"), (3, "sFS2b"),
+        ]
+        assert monitors.conditions.first_violation_index == 2
+
+    def test_same_event_trips_are_in_monitors_order(self):
+        # A self-detection by a crashed process: an event after the crash,
+        # a failed-before self-loop, and sFS2c — but not FS2, the crash
+        # came first.
+        events = [crash(0), failed(0, 0)]
+        monitors = assert_agrees_with_reference(
+            1, zip(events, stamp(events, width=4)),
+            halt_on=DEFAULT_HALT_ON + ("FS2",),
+        )
+        assert monitors.violation_log == [
+            (1, "valid"), (1, "sFS2b"), (1, "sFS2c"), (1, "Conditions1-3"),
+        ]
+
+    @pytest.mark.parametrize("model", FAILURE_MODEL_NAMES)
+    @pytest.mark.parametrize(
+        "fault",
+        [Fault("forge_failed", 2.0, 3, 3), Fault("phantom_recv", 2.0, 2, 4)],
+        ids=lambda fault: fault.kind,
+    )
+    def test_sabotaged_world(self, model, fault):
+        # The fuzzer's own seeded violations, judged three ways: the
+        # world's streaming set, a replay, and the reference loop.
+        scenario = _clean_scenario(model, faults=(fault,))
+        world = build_scenario_world(scenario)
+        world.run_to_quiescence()
+        history = world.history()
+        results, log, bad_pair_count = reference_verdicts(
+            scenario.n, zip(history, history.vectors), model,
+            pending_ok=True,
+        )
+        replayed = MonitorSet(
+            scenario.n, pending_ok=True, failure_model=model
+        ).replay(history)
+        assert log
+        for monitors in (world.monitors, replayed):
+            assert monitors.violation_log == log
+            assert monitors.check_results() == results
+            assert monitors.bad_pairs.count == bad_pair_count
+        world.dispose()
+
+
+class TestPushedHalt:
+    def test_stop_on_violation_adds_no_second_observer(self):
+        world = build_world(4, lambda: UnilateralProcess(), seed=1)
+        monitors = world.attach_monitor(stop_on_violation=True)
+        assert monitors.on_violation == world.scheduler.request_stop
+        assert not world.scheduler.stop_requested
+        vectors = stamp([failed(1, 0), failed(0, 1)], width=4)
+        monitors.observe(0, failed(1, 0), vectors[0])
+        assert not world.scheduler.stop_requested
+        monitors.observe(1, failed(0, 1), vectors[1])
+        assert world.scheduler.stop_requested
+
+    def test_resumed_world_halts_again_only_at_a_new_lock_in(self):
+        world = build_world(4, lambda: UnilateralProcess(), seed=1)
+        monitors = world.attach_monitor(stop_on_violation=True)
+        world.inject_suspicion(0, 1, at=1.0)
+        world.inject_suspicion(1, 0, at=1.0)
+        world.run_to_quiescence()
+        assert world.scheduler.stop_requested and len(world.trace) == 2
+        halted_log = list(monitors.violation_log)
+        # Resuming is the caller's decision: the locked monitors stay
+        # locked, and recording further events does not halt again ...
+        world.scheduler.clear_stop()
+        world.run_to_quiescence()
+        assert not world.scheduler.stop_requested
+        assert len(world.trace) == 8
+        assert monitors.violation_log == halted_log
+        # ... until a monitor that had not locked yet does.
+        idx = len(world.trace)
+        monitors.observe(idx, failed(2, 2), (0, 0, idx, 0))
+        assert world.scheduler.stop_requested
+        assert monitors.violation_log[-1] == (idx, "sFS2c")
+
+    def test_set_tripped_before_attach_halts_at_its_next_lock_in(self):
+        monitors = MonitorSet(4)
+        monitors.observe(0, internal(7, "x"), (0, 0, 0, 0))
+        assert monitors.violation_log == [(0, "valid")]
+        world = build_world(4, lambda: UnilateralProcess(), seed=1)
+        world.attach_monitor(monitors, stop_on_violation=True)
+        assert not world.scheduler.stop_requested
+        world.inject_suspicion(0, 1, at=1.0)
+        world.inject_suspicion(1, 0, at=1.0)
+        world.run_to_quiescence()
+        assert world.scheduler.stop_requested and len(world.trace) == 2
+
+    def test_lock_in_outside_halt_on_does_not_call_back(self):
+        calls = []
+        monitors = MonitorSet(2)
+        monitors.on_violation = lambda: calls.append(
+            len(monitors.violation_log)
+        )
+        monitors.observe(0, failed(1, 0), (0, 1))  # FS2 locks; not halting
+        assert monitors.fs2.first_violation_index == 0
+        assert calls == [] and monitors.ok_so_far
+        monitors.observe(1, failed(0, 1), (1, 0))
+        assert calls == [2]  # sFS2b and Conditions1-3, one call

@@ -13,6 +13,19 @@ Three families of invariants over random valid histories:
 * **prefix monotonicity** — where the paper's property is safety, a
   violated verdict never un-violates on any longer prefix, and the
   locked ``first_violation_index`` never moves.
+
+And two over random event sequences that are mostly **malformed** (pids,
+destinations and targets out of range, events after crashes, duplicate
+uids and detections, recovers under any model) — what the generator
+above never produces:
+
+* **routed == unrouted** — a :class:`MonitorSet`, which shows each event
+  only to the machines that consume its kind and is told of lock-ins by
+  push, agrees with the reference loop of
+  ``tests/analysis/test_monitors.py`` (every machine, every event, then
+  poll) on check results, violation log and bad-pair count;
+* **an unlisted kind is a no-op** — observing an event of a kind outside
+  a machine's ``handlers`` table changes nothing the machine can report.
 """
 
 from hypothesis import given, settings
@@ -21,10 +34,23 @@ from hypothesis import strategies as st
 import networkx as nx
 
 from repro.analysis.checker import analyze, report_from_monitors
-from repro.analysis.monitors import MonitorSet
+from repro.analysis.monitors import (
+    DEFAULT_HALT_ON,
+    BadPairCounter,
+    MonitorSet,
+)
+from repro.core.events import crash, failed, internal, recover, recv, send
+from repro.core.failure_models import FAILURE_MODEL_NAMES
 from repro.core.history import HistoryBuilder
 from repro.core.indistinguishability import bad_pairs, ensure_crashes
+from repro.core.messages import Message
 
+from tests.analysis.test_monitors import (
+    KINDS_BY_MACHINE,
+    assert_agrees_with_reference,
+    machines_of,
+    stamp,
+)
 from tests.property.test_history_properties import random_history
 
 
@@ -224,3 +250,71 @@ def test_safety_verdicts_are_prefix_monotone(history):
     assert len(log_names) == len(set(log_names))
     indices = [idx for idx, _ in monitors.violation_log]
     assert indices == sorted(indices)
+
+
+# ----------------------------------------------------------------------
+# Arbitrary (mostly malformed) event sequences
+# ----------------------------------------------------------------------
+
+WIDTH = 4
+"""Pids are drawn from ``0..WIDTH-1`` and ``n`` from ``1..WIDTH``, so a
+stream has out-of-range pids, destinations and targets whenever
+``n < WIDTH``."""
+
+pids = st.integers(min_value=0, max_value=WIDTH - 1)
+# Few uids, so sends and receives collide: duplicates, receives without a
+# send, receives on the wrong channel, FIFO overtaking.
+messages = st.builds(Message, pids, st.integers(0, 2), st.just("x"))
+any_event = st.one_of(
+    st.builds(send, pids, pids, messages),
+    st.builds(recv, pids, pids, messages),
+    st.builds(crash, pids),
+    st.builds(failed, pids, pids),
+    st.builds(recover, pids, st.integers(1, 3)),
+    st.builds(internal, pids, st.just("step")),
+)
+
+
+@st.composite
+def arbitrary_streams(draw):
+    n = draw(st.integers(min_value=1, max_value=WIDTH))
+    events = draw(st.lists(any_event, min_size=1, max_size=40))
+    return n, list(zip(events, stamp(events, WIDTH)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arbitrary_streams(),
+    st.sampled_from(FAILURE_MODEL_NAMES),
+    st.sampled_from([DEFAULT_HALT_ON, ("FS2",), ("FS2", "Conditions1-3")]),
+)
+def test_routed_set_agrees_with_unrouted_reference(stream, model, halt_on):
+    n, pairs = stream
+    assert_agrees_with_reference(n, pairs, model, halt_on)
+
+
+def reportable(machine):
+    """Everything a machine can be asked, as one comparable value."""
+    return (
+        # The bad-pair tally is read through ``count``, below.
+        None if isinstance(machine, BadPairCounter) else machine.finalize(),
+        machine.first_violation_index,
+        getattr(machine, "pending_obligations", lambda: None)(),
+        getattr(machine, "count", None),
+        getattr(machine, "cycle", None),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(arbitrary_streams(), st.sampled_from(FAILURE_MODEL_NAMES))
+def test_event_of_an_unlisted_kind_changes_no_machine(stream, model):
+    n, pairs = stream
+    # Standalone machines through their own observe(): the claim is about
+    # the tables, so the set's routing must not be what upholds it.
+    for machine in machines_of(MonitorSet(n, failure_model=model)):
+        consumed = KINDS_BY_MACHINE[type(machine)]
+        for idx, (event, vector) in enumerate(pairs):
+            before = reportable(machine)
+            machine.observe(idx, event, vector)
+            if type(event) not in consumed:
+                assert reportable(machine) == before
