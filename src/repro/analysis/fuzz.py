@@ -9,9 +9,10 @@ parameters, protocol choice, application chatter — from nothing but a
 :class:`~repro.sim.multiworld.ShardedRunner` with streaming conformance
 monitors attached, and flags every scenario where
 
-* the **streaming** verdict disagrees with a **batch** replay of the same
-  history (the differential oracle: two implementations of every paper
-  property judged against each other), or
+* the streaming monitors did not observe exactly the recorded events, or
+  the violation log they pushed is not the one their lock-in indices
+  give when polled (the differential oracle; the full stream ≡ replay
+  comparison runs exhaustively over small histories in tier-1), or
 * a property the configuration *should* satisfy is violated (the model
   oracle: e.g. a bounds-enforced Section 5 run must never trip sFS2b-d,
   per Theorem 5 — see :func:`expected_clean` for the per-configuration
@@ -41,7 +42,7 @@ from repro.analysis.coverage import (
 )
 from repro.analysis.monitors import MonitorSet
 from repro.core.bounds import max_tolerable_t
-from repro.core.failure_models import FAILURE_MODEL_NAMES, get_failure_model
+from repro.core.failure_models import get_failure_model
 from repro.detectors.heartbeat import HeartbeatDriver
 from repro.detectors.phi_accrual import PhiAccrualDriver
 from repro.errors import SimulationError
@@ -503,8 +504,7 @@ def build_scenario_world(scenario: Scenario) -> World:
 
     The attached :class:`~repro.analysis.monitors.MonitorSet` (reachable
     as ``world.monitors``) streams over every recorded event; it is *not*
-    set to stop on violation — the fuzzer wants the complete history so
-    the batch replay judges exactly the same run.
+    set to stop on violation — the fuzzer judges the complete run.
     """
     world = World(
         [_make_process(scenario) for _ in range(scenario.n)],
@@ -580,37 +580,31 @@ def expected_clean(scenario: Scenario) -> tuple[str, ...]:
 
 
 def judge_world(scenario: Scenario, world: World) -> "FuzzOutcome":
-    """Differential + model oracle for one completed scenario run."""
+    """Differential + model oracle for one completed scenario run.
+
+    The differential half checks the stream rather than re-running it:
+    the monitor set must have observed every recorded event exactly once,
+    and the violation log its machines pushed must equal the log polled
+    from their lock-in indices. That a set which saw the whole history
+    judges it as a replay would is a property of the monitors, not of
+    the run; ``tests/property/test_small_scope.py`` checks it on every
+    small history.
+    """
     monitors = world.monitors
     assert monitors is not None
-    history = world.history()
     findings: list[str] = []
 
-    replay = MonitorSet(
-        scenario.n, pending_ok=True, failure_model=scenario.failure_model
-    ).replay(history)
-    if replay.violation_log != monitors.violation_log:
+    recorded = len(world.trace)
+    if monitors.events_seen != recorded:
+        findings.append(
+            "stream/batch divergence: monitors observed "
+            f"{monitors.events_seen} of {recorded} recorded events"
+        )
+    polled = monitors.polled_violation_log()
+    if polled != monitors.violation_log:
         findings.append(
             "stream/batch divergence: violation logs differ "
-            f"(stream={monitors.violation_log!r}, "
-            f"batch={replay.violation_log!r})"
-        )
-    stream_results = monitors.check_results()
-    batch_results = replay.check_results()
-    if stream_results != batch_results:
-        diff = sorted(
-            name
-            for name in stream_results
-            if stream_results[name] != batch_results.get(name)
-        )
-        findings.append(
-            f"stream/batch divergence: check results differ on "
-            f"{', '.join(diff)}"
-        )
-    if replay.bad_pairs.count != monitors.bad_pairs.count:
-        findings.append(
-            "stream/batch divergence: bad-pair counts differ "
-            f"({monitors.bad_pairs.count} != {replay.bad_pairs.count})"
+            f"(stream={monitors.violation_log!r}, batch={polled!r})"
         )
 
     tripped = {name for _, name in monitors.violation_log}
@@ -627,10 +621,10 @@ def judge_world(scenario: Scenario, world: World) -> "FuzzOutcome":
     return FuzzOutcome(
         index=scenario.index,
         scenario=scenario,
-        events=len(world.trace),
+        events=recorded,
         violations=tuple(monitors.violation_log),
         findings=tuple(findings),
-        coverage=monitors.transition_coverage(stream_results),
+        coverage=monitors.transition_coverage(monitors.check_results()),
     )
 
 

@@ -45,6 +45,7 @@ Wiring options:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from repro.core.events import (
@@ -390,6 +391,8 @@ class _Plan(NamedTuple):
     #: ``monitors`` order (the shared sFS2b machine locks two). Machines
     #: of these classes are the ones handed the set's sink.
     locks: dict[type, tuple[str, ...]]
+    #: the halt-relevant monitors' names (the union of ``locks``' values).
+    halting: frozenset[str]
 
 
 _PLANS: dict[tuple[bool, frozenset], _Plan] = {}
@@ -421,6 +424,7 @@ def _make_plan(monitors, machines, halt_on: frozenset) -> _Plan:
             for event_kind in EVENT_KINDS
         },
         locks=locks,
+        halting=frozenset(name for names in locks.values() for name in names),
     )
 
 
@@ -508,6 +512,7 @@ class MonitorSet:
         # a machine's lock-in locks: the plan's, shared with every set.
         self._cells = plan.cells
         self._locks = plan.locks
+        self._halting = plan.halting
         # Machines push themselves here as they lock (PropertyState._flag).
         self._locked: list[PropertyState] = []
         for machine in machines:
@@ -576,6 +581,26 @@ class MonitorSet:
     def ok_so_far(self) -> bool:
         """No halt-relevant safety monitor has tripped yet."""
         return not self.violation_log
+
+    def polled_violation_log(self) -> list[tuple[int, str]]:
+        """:attr:`violation_log` as polling would have written it.
+
+        Reads each halt-relevant monitor's ``first_violation_index`` and
+        orders the locked ones by ``(index, monitors order)``. Read-only,
+        and independent of the push path (the machines' sink, the lock
+        table, the logging): the two logs are equal unless a lock-in was
+        never pushed, was logged twice, or the log was edited — the
+        fuzzer's differential oracle compares them on every scenario.
+        """
+        halting = self._halting
+        polled = []
+        for monitor in self.monitors:
+            if monitor.name in halting:
+                locked = monitor.first_violation_index
+                if locked is not None:
+                    polled.append((locked, monitor.name))
+        polled.sort(key=itemgetter(0))  # stable: ties stay in monitors order
+        return polled
 
     # ------------------------------------------------------------------
     # Results

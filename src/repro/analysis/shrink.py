@@ -54,22 +54,20 @@ def finding_kinds(findings: Iterable[str]) -> frozenset[str]:
     """Classify finding messages into stable kind labels.
 
     ``model:<monitor>`` for model-oracle violations;
-    ``divergence:log`` / ``divergence:results`` / ``divergence:bad-pairs``
-    for the three differential-oracle layers. Unrecognised messages map
-    to ``other`` rather than being dropped — a finding the classifier
-    does not know must still be preserved through shrinking.
+    ``divergence:events`` / ``divergence:log`` for the two
+    differential-oracle invariants. Unrecognised messages map to
+    ``other`` rather than being dropped — a finding the classifier does
+    not know must still be preserved through shrinking.
     """
     kinds = set()
     for finding in findings:
         if finding.startswith("model violation: "):
             name = finding[len("model violation: "):].split(" ", 1)[0]
             kinds.add(f"model:{name}")
+        elif finding.startswith("stream/batch divergence: monitors observed"):
+            kinds.add("divergence:events")
         elif finding.startswith("stream/batch divergence: violation logs"):
             kinds.add("divergence:log")
-        elif finding.startswith("stream/batch divergence: check results"):
-            kinds.add("divergence:results")
-        elif finding.startswith("stream/batch divergence: bad-pair"):
-            kinds.add("divergence:bad-pairs")
         else:
             kinds.add("other")
     return frozenset(kinds)

@@ -144,6 +144,15 @@ FailureModel`) of the failure semantics this world runs under; the
         until a monitor that had not locked yet does, and a set that had
         tripped before it was attached halts only at its next lock-in.
 
+        A world takes one monitor set, and the set must have seen exactly
+        the events recorded so far — a fresh set on a fresh trace, or a
+        set first brought up to date with ``replay(world.history())`` —
+        since a set that missed a ``crash`` misjudges every later
+        detection of it, silently. Attaching a second set (or the same
+        one again, which would observe every event twice), or one whose
+        ``events_seen`` is not the trace's length, is a
+        :class:`~repro.errors.SimulationError`.
+
         Args:
             monitors: a :class:`~repro.analysis.monitors.MonitorSet`
                 (defaults to a fresh one over this world's processes).
@@ -155,8 +164,20 @@ FailureModel`) of the failure semantics this world runs under; the
         """
         from repro.analysis.monitors import MonitorSet
 
+        if self.monitors is not None:
+            raise SimulationError(
+                "this world already has a monitor set attached "
+                "(world.monitors); a world takes one"
+            )
         if monitors is None:
             monitors = MonitorSet(self.n, failure_model=self.model.name)
+        if monitors.events_seen != len(self.trace):
+            raise SimulationError(
+                f"monitor set has seen {monitors.events_seen} events but "
+                f"the trace has recorded {len(self.trace)}; attach before "
+                "running, or bring a fresh set up to date first with "
+                "replay(world.history())"
+            )
         self.monitors = monitors
         self.trace.attach_observer(monitors.observe)
         if stop_on_violation:

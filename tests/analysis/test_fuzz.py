@@ -1,8 +1,11 @@
 """Tests for the deterministic scenario fuzzer."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.checker import analyze
+from repro.analysis.corpus import load_corpus, replay_entry
 from repro.analysis.fuzz import (
     DEFAULT_CONFIG,
     FuzzConfig,
@@ -13,8 +16,13 @@ from repro.analysis.fuzz import (
     judge_world,
     run_fuzz,
 )
+from repro.analysis.shrink import finding_kinds
 from repro.errors import SimulationError
+from repro.sim.failures import Fault
 from repro.sim.multiworld import ShardedRunner
+
+from tests.analysis.test_fuzz_oracle_seeding import MODELS, _clean_scenario
+from tests.reference import run_and_compare_with_replay
 
 
 class TestGeneration:
@@ -137,6 +145,131 @@ class TestOracles:
             assert report.sfs2b == monitor_results["sFS2b"]
             assert report.sfs2c == monitor_results["sFS2c"]
             assert report.sfs2d == monitor_results["sFS2d"]
+
+
+def _must_satisfy(name, event, protocol="sfs"):
+    return (
+        f"model violation: {name} tripped at event {event} in a "
+        f"{protocol} scenario that must satisfy it"
+    )
+
+
+CORPUS_FINDINGS_BEFORE_PR_24 = {
+    "byzantine-phantom-receive": (_must_satisfy("valid", 0),),
+    "crash-recovery-forged-self-detection": (_must_satisfy("sFS2c", 0),),
+    "fail-stop-forged-detection-cycle": (
+        _must_satisfy("sFS2b", 1),
+        _must_satisfy("Conditions1-3", 1),
+    ),
+    "fail-stop-forged-self-detection": (
+        _must_satisfy("sFS2c", 0),
+        _must_satisfy("sFS2b", 0),
+        _must_satisfy("Conditions1-3", 0),
+    ),
+}
+"""What ``judge_world`` reported for each ``tests/corpus/`` entry while it
+still replayed the history (taken from the parent commit, text for text)."""
+
+CORPUS = {
+    entry.name: entry
+    for entry in load_corpus(Path(__file__).parents[1] / "corpus")
+}
+
+
+class TestStreamIsTheRecordedRun:
+    """What ``judge_world`` replayed every scenario to find out, checked
+    here instead: the full stream-vs-replay comparison over a fixed
+    campaign, the observer plumbing it was really testing, and that the
+    two invariants left in ``judge_world`` trip when that plumbing breaks.
+    """
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_replay_agrees_on_every_scenario_of_the_pinned_campaign(
+        self, model
+    ):
+        config = FuzzConfig(failure_model=model)
+        outcomes = tuple(
+            run_and_compare_with_replay(generate_scenario(0, index, config))
+            for index in range(80)
+        )
+        assert outcomes == run_fuzz(seed=0, count=80, config=config).outcomes
+        assert any(outcome.violations for outcome in outcomes)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_trace_observer_is_shown_the_history_event_by_event(self, model):
+        config = FuzzConfig(failure_model=model)
+        for index in range(10):
+            scenario = generate_scenario(0, index, config)
+            world = build_scenario_world(scenario)
+            shown = []
+            world.trace.attach_observer(
+                lambda idx, event, vector: shown.append((idx, event, vector))
+            )
+            if scenario.horizon is not None:
+                world.run(until=scenario.horizon)
+            else:
+                world.run_to_quiescence(max_events=500_000)
+            history = world.history()
+            assert [idx for idx, _, _ in shown] == list(range(len(history)))
+            assert all(
+                event is history[idx] and vector == history.vectors[idx]
+                for idx, event, vector in shown
+            )
+            assert world.monitors.events_seen == len(history) > 0
+            world.dispose()
+
+    def test_observers_detached_mid_run_is_an_events_divergence(self):
+        scenario = _clean_scenario(chatter=((0.5, 0, 1, 0), (5.0, 2, 3, 1)))
+        world = build_scenario_world(scenario)
+        world.run(until=2.0)
+        seen = len(world.trace)
+        world.trace.detach_observers()
+        world.run_to_quiescence()
+        recorded = len(world.trace)
+        assert 0 < seen < recorded
+        outcome = judge_world(scenario, world)
+        assert outcome.findings == (
+            f"stream/batch divergence: monitors observed {seen} of "
+            f"{recorded} recorded events",
+        )
+        assert finding_kinds(outcome.findings) == {"divergence:events"}
+
+    def test_tampered_lock_in_index_is_a_log_divergence(self):
+        scenario = _clean_scenario(
+            protocol="unilateral", t=1,
+            faults=(
+                Fault("forge_failed", 2.0, 0, 1),
+                Fault("forge_failed", 2.0, 1, 0),
+            ),
+        )
+        world = build_scenario_world(scenario)
+        world.run_to_quiescence()
+        assert judge_world(scenario, world).ok
+        locked = world.monitors.sfs2b.state.first_violation_index
+        world.monitors.sfs2b.state.first_violation_index = locked - 1
+        outcome = judge_world(scenario, world)
+        assert finding_kinds(outcome.findings) == {"divergence:log"}
+        # ... and so is a lock-in nothing pushed.
+        world.monitors.sfs2b.state.first_violation_index = locked
+        world.monitors.sfs2c.state.first_violation_index = 0
+        outcome = judge_world(scenario, world)
+        assert finding_kinds(outcome.findings) == {"divergence:log"}
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_FINDINGS_BEFORE_PR_24))
+    def test_forged_history_keeps_push_equal_to_poll(self, name):
+        # The monitors judge a history no run can produce; the differential
+        # invariants are about the plumbing and stay silent, so the
+        # findings are the ones the replaying judge_world reported.
+        entry = CORPUS[name]
+        world = build_scenario_world(entry.scenario)
+        world.run_to_quiescence()
+        monitors = world.monitors
+        assert monitors.violation_log
+        assert monitors.polled_violation_log() == monitors.violation_log
+        assert monitors.events_seen == len(world.trace)
+        outcome = judge_world(entry.scenario, world)
+        assert outcome.findings == CORPUS_FINDINGS_BEFORE_PR_24[name]
+        assert replay_entry(entry) == outcome
 
 
 class TestRunFuzz:

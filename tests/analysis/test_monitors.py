@@ -10,16 +10,7 @@ from repro.analysis.fuzz import build_scenario_world
 from repro.analysis.monitors import (
     DEFAULT_HALT_ON,
     BadPairCounter,
-    ConditionsMonitor,
-    FS1Monitor,
-    FS2Monitor,
     MonitorSet,
-    RecoveryMonitor,
-    SFS2aMonitor,
-    SFS2bMonitor,
-    SFS2cMonitor,
-    SFS2dMonitor,
-    WellFormednessMonitor,
 )
 from repro.core import events as events_module
 from repro.core.events import (
@@ -47,7 +38,6 @@ from repro.core.failure_models import (
     SFS2bState,
     SFS2cState,
     SFS2dState,
-    get_failure_model,
 )
 from repro.core.history import History
 from repro.core.messages import Message, MessageMint
@@ -58,6 +48,7 @@ from repro.sim import build_world
 from repro.sim.failures import Fault
 
 from tests.analysis.test_fuzz_oracle_seeding import _clean_scenario
+from tests.reference import reference_verdicts
 
 
 def replay(events, n):
@@ -195,6 +186,56 @@ class TestWorldAttachMonitor:
         full_events = full_world.history().events
         halted_events = world.history().events
         assert full_events[: len(halted_events)] == halted_events
+
+
+    def _world_with_a_crash_on_record(self):
+        world = build_world(5, lambda: SfsProcess(t=2), seed=3)
+        world.inject_crash(2, at=1.0)
+        world.inject_suspicion(0, 2, at=2.0)
+        world.start()
+        world.scheduler.run(until=1.5)
+        assert world.history().events == (crash(2),)
+        return world
+
+    def test_set_behind_the_trace_is_refused(self):
+        # A set that never saw crash_2 would call every later failed_i(2)
+        # a false detection (FS2, sFS2a, Conditions1-3), silently.
+        world = self._world_with_a_crash_on_record()
+        with pytest.raises(SimulationError) as refused:
+            world.attach_monitor()
+        message = str(refused.value)
+        assert "seen 0 events" in message and "recorded 1" in message
+        assert "replay(world.history())" in message and "\n" not in message
+        assert world.monitors is None
+
+    def test_set_brought_up_to_date_attaches_and_judges_like_a_replay(self):
+        world = self._world_with_a_crash_on_record()
+        monitors = MonitorSet(5).replay(world.history())
+        assert world.attach_monitor(monitors) is monitors
+        world.run_to_quiescence()
+        assert monitors.events_seen == len(world.trace) > 1
+        replayed = MonitorSet(5).replay(world.history())
+        assert monitors.check_results() == replayed.check_results()
+        assert monitors.fs2.result().ok and monitors.sfs2a.result().ok
+
+    def test_used_set_ahead_of_a_fresh_trace_is_refused(self):
+        world = build_world(4, lambda: UnilateralProcess(), seed=1)
+        monitors = MonitorSet(4)
+        monitors.observe(0, crash(0), (1, 0, 0, 0))
+        with pytest.raises(SimulationError, match="seen 1 events .* recorded 0"):
+            world.attach_monitor(monitors)
+        assert world.monitors is None
+
+    def test_a_world_takes_one_monitor_set(self):
+        world, monitors = self._cycle_world(stop=False)
+        for second in (monitors, MonitorSet(4).replay(world.history()), None):
+            with pytest.raises(SimulationError) as refused:
+                world.attach_monitor(second)
+            assert "already has a monitor set" in str(refused.value)
+            assert "\n" not in str(refused.value)
+        # The first set is still the one observing, each event once.
+        assert world.monitors is monitors
+        assert monitors.events_seen == len(world.trace)
 
 
 class TestRunE14:
@@ -363,53 +404,6 @@ def stamp(events, width):
             sent.setdefault(event.msg.uid, vector)
         vectors.append(vector)
     return vectors
-
-
-def reference_verdicts(
-    n,
-    stream,
-    failure_model="fail-stop",
-    halt_on=DEFAULT_HALT_ON,
-    pending_ok=False,
-):
-    """The oracle for the routed dispatch: no routing, no push.
-
-    Every monitor stands alone on machines of its own (so nothing is
-    shared either), every machine is shown every event through its
-    generic ``observe``, and after each event every halt-relevant safety
-    monitor is polled in ``monitors`` order. Returns
-    ``(check results, violation log, bad-pair count)``.
-    """
-    monitors = [
-        WellFormednessMonitor(n, failure_model),
-        FS1Monitor(n, pending_ok),
-        FS2Monitor(),
-        SFS2aMonitor(pending_ok),
-        SFS2bMonitor(),
-        SFS2cMonitor(),
-        SFS2dMonitor(),
-        ConditionsMonitor(pending_ok),
-    ]
-    if get_failure_model(failure_model).recoverable:
-        monitors.append(RecoveryMonitor())
-    bad_pairs = BadPairCounter()
-    log: list[tuple[int, str]] = []
-    tripped: set[str] = set()
-    for idx, (event, vector) in enumerate(stream):
-        for monitor in monitors:
-            monitor.observe(idx, event, vector)
-        bad_pairs.observe(idx, event, vector)
-        for monitor in monitors:
-            if (
-                monitor.safety
-                and monitor.name in halt_on
-                and monitor.name not in tripped
-                and monitor.first_violation_index is not None
-            ):
-                tripped.add(monitor.name)
-                log.append((monitor.first_violation_index, monitor.name))
-    results = {monitor.name: monitor.result() for monitor in monitors}
-    return results, log, bad_pairs.count
 
 
 def assert_agrees_with_reference(
@@ -671,16 +665,18 @@ class TestPushedHalt:
         assert monitors.violation_log[-1] == (idx, "sFS2c")
 
     def test_set_tripped_before_attach_halts_at_its_next_lock_in(self):
-        monitors = MonitorSet(4)
-        monitors.observe(0, internal(7, "x"), (0, 0, 0, 0))
-        assert monitors.violation_log == [(0, "valid")]
+        # A set may be attached late only once it has caught up with the
+        # trace, so the trip it brings along is one the world recorded.
         world = build_world(4, lambda: UnilateralProcess(), seed=1)
+        world.trace.record_recv(0.0, 2, 3, Message(3, 99, "never sent"))
+        monitors = MonitorSet(4).replay(world.history())
+        assert monitors.violation_log == [(0, "valid")]
         world.attach_monitor(monitors, stop_on_violation=True)
         assert not world.scheduler.stop_requested
         world.inject_suspicion(0, 1, at=1.0)
         world.inject_suspicion(1, 0, at=1.0)
         world.run_to_quiescence()
-        assert world.scheduler.stop_requested and len(world.trace) == 2
+        assert world.scheduler.stop_requested and len(world.trace) == 3
 
     def test_lock_in_outside_halt_on_does_not_call_back(self):
         calls = []

@@ -45,13 +45,13 @@ class TestFindingKinds:
     def test_divergence_layers_classify_separately(self):
         kinds = finding_kinds([
             "stream/batch divergence: violation logs differ (...)",
-            "stream/batch divergence: check results differ on FS1",
+            "stream/batch divergence: monitors observed 4 of 5 recorded events",
             "stream/batch divergence: bad-pair counts differ (1 != 2)",
         ])
         assert kinds == {
             "divergence:log",
-            "divergence:results",
-            "divergence:bad-pairs",
+            "divergence:events",
+            "other",  # a text only the retired replay comparison wrote
         }
 
     def test_unknown_messages_still_count(self):

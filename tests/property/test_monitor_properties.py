@@ -14,6 +14,14 @@ Three families of invariants over random valid histories:
   violated verdict never un-violates on any longer prefix, and the
   locked ``first_violation_index`` never moves.
 
+One over simulated runs — scenarios drawn from hypothesis-drawn fuzz
+configurations, live detectors included:
+
+* **stream == replay** — the set that rode the world agrees with a fresh
+  set replaying the recorded history: the comparison the fuzzer made per
+  scenario until PR 24, now made here (and over every small history in
+  ``test_small_scope.py``).
+
 And two over random event sequences that are mostly **malformed** (pids,
 destinations and targets out of range, events after crashes, duplicate
 uids and detections, recovers under any model) — what the generator
@@ -34,6 +42,13 @@ from hypothesis import strategies as st
 import networkx as nx
 
 from repro.analysis.checker import analyze, report_from_monitors
+from repro.analysis.fuzz import (
+    DELAY_FAMILIES,
+    DETECTORS,
+    PROTOCOLS,
+    FuzzConfig,
+    generate_scenario,
+)
 from repro.analysis.monitors import (
     DEFAULT_HALT_ON,
     BadPairCounter,
@@ -52,6 +67,7 @@ from tests.analysis.test_monitors import (
     stamp,
 )
 from tests.property.test_history_properties import random_history
+from tests.reference import run_and_compare_with_replay
 
 
 @st.composite
@@ -187,6 +203,50 @@ def test_streamed_pending_ok_report_equals_batch(history):
     streamed = report_from_monitors(monitors, history)
     batch = analyze(history, complete=False, pending_ok=True)
     assert streamed == batch
+
+
+# ----------------------------------------------------------------------
+# stream == replay, on simulated runs
+# ----------------------------------------------------------------------
+
+
+def nonempty_subsets(pool):
+    return st.lists(
+        st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True
+    ).map(tuple)
+
+
+@st.composite
+def fuzz_configs(draw):
+    min_n = draw(st.integers(min_value=2, max_value=6))
+    return FuzzConfig(
+        min_n=min_n,
+        max_n=draw(st.integers(min_value=min_n, max_value=8)),
+        protocols=draw(nonempty_subsets(PROTOCOLS)),
+        delays=draw(nonempty_subsets(DELAY_FAMILIES)),
+        detectors=draw(nonempty_subsets(DETECTORS)),
+        detector_rate=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        adversary_rate=draw(st.sampled_from((0.0, 0.4, 1.0))),
+        partition_rate=draw(st.sampled_from((0.0, 0.15, 1.0))),
+        detector_horizon=draw(st.sampled_from((5.0, 12.0))),
+        max_chatter=draw(st.integers(min_value=0, max_value=12)),
+        failure_model=draw(st.sampled_from(FAILURE_MODEL_NAMES)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fuzz_configs(),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=200),
+)
+def test_streamed_set_agrees_with_replay_of_the_recorded_run(
+    config, seed, index
+):
+    outcome = run_and_compare_with_replay(
+        generate_scenario(seed, index, config)
+    )
+    assert not any("divergence" in finding for finding in outcome.findings)
 
 
 # ----------------------------------------------------------------------
