@@ -2,10 +2,11 @@
 """The echo protocol on wall-clock asyncio with phi-accrual detection.
 
 Runs a real (in-process) cluster for a couple of seconds: nodes exchange
-heartbeats, a phi-accrual monitor turns silence into suspicion, and the
-Section 5 protocol turns suspicion into simulated-fail-stop detections.
-One node genuinely crashes mid-run; the recorded history is judged by the
-same formal checkers as the discrete-event simulator's.
+heartbeats, a phi-accrual driver turns silence into suspicion, and the
+Section 5 protocol turns suspicion into simulated-fail-stop detections —
+the simulator's own ``SfsProcess`` and ``PhiAccrualDriver`` objects, on
+the wall clock. One node genuinely crashes mid-run; the recorded history
+is judged by the same formal checkers as the discrete-event simulator's.
 
 Run:  python examples/realtime_cluster.py   (takes ~2 seconds)
 """

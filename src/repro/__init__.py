@@ -13,7 +13,8 @@ A full reproduction of Sabel & Marzullo (Cornell TR 94-1413 / PODC 1994):
   phi-accrual).
 * :mod:`repro.apps` — leader election, last-process-to-fail, membership.
 * :mod:`repro.analysis` — conformance reports, metrics, experiment drivers.
-* :mod:`repro.runtime` — an asyncio runtime for wall-clock validation.
+* :mod:`repro.runtime` — an asyncio host that runs the same protocol
+  objects on the wall clock.
 """
 
 from repro._version import __version__

@@ -3,8 +3,10 @@
 * :class:`~repro.detectors.heartbeat.HeartbeatDriver` — fixed timeout,
   the naive detector whose false suspicions demonstrate Theorem 1.
 * :class:`~repro.detectors.phi_accrual.PhiAccrualDriver` — accrual
-  (phi) detection with a tunable threshold, shared between the DES and
-  the asyncio runtime.
+  (phi) detection with a tunable threshold.
+
+Both drivers run unchanged on the DES and on the asyncio host
+(:mod:`repro.runtime.host`).
 
 The same two detectors also come in a substrate-free *monitor* form
 (:class:`~repro.detectors.heartbeat.HeartbeatMonitor`,

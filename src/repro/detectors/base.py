@@ -8,20 +8,21 @@ other process". A :class:`SuspicionDriver` is exactly that layer: it rides
 falls silent — possibly erroneously, which is the entire reason FS2 must be
 weakened to sFS2a-d.
 
-Two substrates consume the same detection logic:
+Two substrates run the same driver objects
+(:class:`~repro.detectors.heartbeat.HeartbeatDriver`,
+:class:`~repro.detectors.phi_accrual.PhiAccrualDriver`), which
+self-schedule beat/check callbacks on ``process.world.scheduler``:
 
-* the discrete-event simulator, where "time" is the scheduler's virtual
-  clock and drivers self-schedule beat/check callbacks
-  (:class:`~repro.detectors.heartbeat.HeartbeatDriver`,
-  :class:`~repro.detectors.phi_accrual.PhiAccrualDriver`);
-* real deployments — the asyncio runtime and the multi-host dispatch
-  coordinator (:mod:`repro.exec.remote`) — where time is the wall clock.
+* the discrete-event simulator, where that is the virtual-time
+  :class:`~repro.sim.scheduler.Scheduler`;
+* the asyncio host (:mod:`repro.runtime.host`), where it is the wall
+  clock — one detector body on both clocks.
 
-The :class:`ClockSource` seam is what lets one detector body serve both:
-a :class:`PeerMonitor` asks its injected clock for ``now()`` instead of
-reaching into a scheduler, so the same suspicion rules run against
-simulated time, ``time.monotonic()``, or a test-controlled
-:class:`ManualClock`.
+Consumers that are not simulated processes — the multi-host dispatch
+coordinator (:mod:`repro.exec.remote`) — use the :class:`ClockSource`
+seam instead: a :class:`PeerMonitor` asks its injected clock for
+``now()``, so the same suspicion rules run against ``time.monotonic()``
+or a test-controlled :class:`ManualClock`.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ and merely slow; ``phi = 3`` means 0.1%. The threshold trades detection
 latency against false suspicions — the FS1-vs-FS2 tension that motivates
 the whole paper, and experiment E10 sweeps it.
 
-The math lives in :class:`PhiAccrualEstimator`, shared verbatim by the
-discrete-event simulator (:class:`PhiAccrualDriver`) and the asyncio
-runtime (:mod:`repro.runtime`), so both substrates exercise the same code.
+The math lives in :class:`PhiAccrualEstimator`; :class:`PhiAccrualDriver`
+runs it unchanged on the discrete-event simulator and on the asyncio
+host (:mod:`repro.runtime`), so both substrates exercise the same code.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class PhiAccrualEstimator:
 class PhiAccrualMonitor(PeerMonitor):
     """Accrual (phi) suspicion against an injectable clock.
 
-    One :class:`PhiAccrualEstimator` per watched peer — the same math the
-    DES driver and the asyncio runtime share — polled on wall-clock time,
+    One :class:`PhiAccrualEstimator` per watched peer — the same math
+    :class:`PhiAccrualDriver` runs — polled on wall-clock time,
     so the multi-host coordinator's view of a worker is a continuous
     suspicion level crossed by ``threshold``, not a binary timeout.
 

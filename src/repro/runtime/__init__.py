@@ -1,13 +1,22 @@
-"""Wall-clock asyncio runtime for the Section 5 protocol.
+"""Wall-clock asyncio runtime for the paper's protocols.
 
 The discrete-event simulator proves the protocol's properties under fully
-adversarial timing; this runtime demonstrates them under *real* timing —
-heartbeats, phi-accrual monitoring, asyncio scheduling jitter — and records
-histories the same :mod:`repro.core` checkers judge.
+adversarial timing; this runtime runs the *same* process objects —
+:class:`~repro.protocols.sfs.SfsProcess` and its variants, with the same
+heartbeat / phi-accrual drivers — under real timing and asyncio scheduling
+jitter, and records histories the same :mod:`repro.core` checkers judge.
+:class:`AsyncioWorld` is the host (:mod:`repro.runtime.host` lists what it
+supplies); :func:`run_cluster` is the one-call scenario.
 """
 
-from repro.runtime.node import SfsNode
+from repro.runtime.host import AsyncioClock, AsyncioWorld
 from repro.runtime.service import ClusterResult, run_cluster
-from repro.runtime.transport import LocalTransport, run_for
+from repro.runtime.transport import LocalTransport
 
-__all__ = ["SfsNode", "LocalTransport", "run_for", "ClusterResult", "run_cluster"]
+__all__ = [
+    "AsyncioClock",
+    "AsyncioWorld",
+    "LocalTransport",
+    "ClusterResult",
+    "run_cluster",
+]

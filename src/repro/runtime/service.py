@@ -1,9 +1,11 @@
-"""Cluster orchestration for the asyncio runtime.
+"""Cluster orchestration for the asyncio host.
 
-:func:`run_cluster` assembles a transport plus ``n`` :class:`SfsNode`\\ s,
-runs a scripted scenario (crashes at wall-clock offsets, spontaneous
-suspicions), and returns the recorded history and quorum records — ready
-for :func:`repro.analysis.checker.analyze`.
+:func:`run_cluster` puts ``n`` :class:`~repro.protocols.sfs.SfsProcess`\\ es
+with phi-accrual drivers on an :class:`~repro.runtime.host.AsyncioWorld`,
+schedules the scripted faults (crashes at wall-clock offsets, spontaneous
+suspicions) through the world's own injectors, and returns the recorded
+history and quorum records — ready for
+:func:`repro.analysis.checker.analyze`.
 
 All durations are real seconds; keep them small in tests (the defaults run
 a full cluster scenario in about a second).
@@ -16,8 +18,9 @@ from dataclasses import dataclass, field
 
 from repro.core.history import History
 from repro.core.quorum import QuorumRecord
-from repro.runtime.node import SfsNode
-from repro.runtime.transport import LocalTransport
+from repro.detectors.phi_accrual import PhiAccrualDriver
+from repro.protocols.sfs import SfsProcess
+from repro.runtime.host import AsyncioWorld
 from repro.sim.delays import DelayModel
 
 
@@ -31,75 +34,6 @@ class ClusterResult:
     crashed: frozenset[int]
     duration: float
     false_suspicion_targets: frozenset[int] = field(default_factory=frozenset)
-
-
-async def _run_cluster_async(
-    n: int,
-    duration: float,
-    t: int,
-    crash_at: dict[int, float],
-    suspect_at: list[tuple[float, int, int]],
-    heartbeat_interval: float,
-    phi_threshold: float | None,
-    delay_model: DelayModel | None,
-    seed: int,
-    time_scale: float,
-) -> ClusterResult:
-    transport = LocalTransport(
-        n, delay_model=delay_model, seed=seed, time_scale=time_scale
-    )
-    nodes = [
-        SfsNode(
-            i,
-            transport,
-            t=t,
-            heartbeat_interval=heartbeat_interval,
-            phi_threshold=phi_threshold,
-        )
-        for i in range(n)
-    ]
-    transport.set_deliver(lambda src, dst, msg, kind: nodes[dst].deliver(src, msg, kind))
-    await transport.start()
-    for node in nodes:
-        await node.start()
-
-    async def scenario() -> None:
-        events: list[tuple[float, str, tuple]] = []
-        for node_id, at in crash_at.items():
-            events.append((at, "crash", (node_id,)))
-        for at, who, target in suspect_at:
-            events.append((at, "suspect", (who, target)))
-        events.sort(key=lambda item: item[0])
-        start = transport.now()
-        for at, kind, args in events:
-            wait = at - (transport.now() - start)
-            if wait > 0:
-                await asyncio.sleep(wait)
-            if kind == "crash":
-                nodes[args[0]].crash()
-            else:
-                who, target = args
-                if not nodes[who].crashed:
-                    nodes[who].suspect(target)
-
-    scenario_task = asyncio.create_task(scenario())
-    await asyncio.sleep(duration)
-    scenario_task.cancel()
-    for node in nodes:
-        await node.stop()
-    await transport.stop()
-    await asyncio.gather(scenario_task, return_exceptions=True)
-
-    crashed = frozenset(i for i, node in enumerate(nodes) if node.crashed)
-    genuinely_crashed = frozenset(crash_at)
-    return ClusterResult(
-        history=transport.trace.history(),
-        quorum_records=transport.trace.quorum_records,
-        detected={i: frozenset(node.detected) for i, node in enumerate(nodes)},
-        crashed=crashed,
-        duration=transport.now(),
-        false_suspicion_targets=crashed - genuinely_crashed,
-    )
 
 
 def run_cluster(
@@ -116,6 +50,11 @@ def run_cluster(
 ) -> ClusterResult:
     """Run a wall-clock cluster scenario and return its recording.
 
+    Bad input — a pid outside ``0..n-1``, a process suspecting itself, an
+    ``(n, t)`` that Corollary 8 forbids — raises before any time passes.
+    An exception raised while the cluster runs ends the run and is
+    re-raised here.
+
     Args:
         n: cluster size.
         duration: total real seconds to run.
@@ -129,17 +68,40 @@ def run_cluster(
         seed: delay RNG seed.
         time_scale: multiplier turning delay-model units into seconds.
     """
-    return asyncio.run(
-        _run_cluster_async(
-            n=n,
-            duration=duration,
+    crash_at = crash_at or {}
+
+    def process() -> SfsProcess:
+        if phi_threshold is None:
+            return SfsProcess(t=t)
+        return SfsProcess(
             t=t,
-            crash_at=crash_at or {},
-            suspect_at=suspect_at or [],
-            heartbeat_interval=heartbeat_interval,
-            phi_threshold=phi_threshold,
+            detector=PhiAccrualDriver(
+                interval=heartbeat_interval, threshold=phi_threshold
+            ),
+        )
+
+    async def main() -> tuple[AsyncioWorld, float]:
+        world = AsyncioWorld(
+            [process() for _ in range(n)],
             delay_model=delay_model,
             seed=seed,
             time_scale=time_scale,
         )
+        for pid, at in crash_at.items():
+            world.inject_crash(pid, at)
+        for at, who, target in suspect_at or ():
+            world.inject_suspicion(who, target, at)
+        await world.run_for(duration)
+        return world, world.scheduler.now
+
+    world, ran_for = asyncio.run(main())
+    processes = world.processes
+    crashed = frozenset(p.pid for p in processes if p.crashed)
+    return ClusterResult(
+        history=world.history(),
+        quorum_records=world.trace.quorum_records,
+        detected={p.pid: frozenset(p.detected) for p in processes},
+        crashed=crashed,
+        duration=ran_for,
+        false_suspicion_targets=crashed - frozenset(crash_at),
     )

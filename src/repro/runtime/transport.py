@@ -1,134 +1,103 @@
-"""An in-process asyncio transport with per-channel FIFO delivery.
+"""Per-channel FIFO links on the event loop, for the asyncio host.
 
-The wall-clock counterpart of :mod:`repro.sim.network`: every directed pair
-of nodes gets its own queue and pump task; the pump sleeps a sampled delay
-and then delivers, so per-channel FIFO holds no matter how delays vary
+The wall-clock counterpart of :mod:`repro.sim.network`'s ``send`` /
+``fanout``: every directed pair of processes is one queue, and its pump
+sleeps a sampled delay for the message at the head, delivers it, then
+starts on the next — so per-channel FIFO holds however the delays vary
 (later messages wait behind slower earlier ones, as the model requires).
+The pump is a callback on the host's clock rather than a task, so a
+delivery that raises ends the run like any other host callback.
 
-Because all nodes share one event loop, deliveries and protocol steps are
-serialized, which lets the transport record a totally-ordered
-:class:`~repro.core.history.History` of the run — the same artifact the
-discrete-event simulator produces, judged by the same checkers. That is the
-point of the runtime: identical protocol logic, real time, one formal
-yardstick.
+The transport carries messages the sender has already minted and records
+nothing: ``SimProcess`` mints, ``World.transmit`` records app sends.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
-import time
-from typing import Awaitable, Callable, Hashable
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from repro.core.messages import Message, MessageMint
 from repro.errors import SimulationError
-from repro.sim.delays import DelayModel, UniformDelay
-from repro.sim.trace import TraceRecorder
+from repro.sim.delays import DelayModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.host import AsyncioClock
 
 DeliverCallback = Callable[[int, int, Message, str], None]
 """``(src, dst, message, kind)`` invoked in-loop at delivery time."""
 
 
 class LocalTransport:
-    """All-pairs FIFO channels over asyncio queues.
+    """All-pairs FIFO channels over one clock.
 
     Args:
-        n: number of nodes (ids ``0 .. n-1``).
-        delay_model: per-message artificial delay (scaled wall-clock
-            seconds); default small uniform jitter.
-        seed: RNG seed for delay sampling.
-        time_scale: multiplier applied to sampled delays — lets tests
-            reuse the simulator's delay models at millisecond scale.
+        clock: the host's :class:`~repro.runtime.host.AsyncioClock`.
+        n: number of processes (ids ``0 .. n-1``).
+        deliver: called once per message, in channel order.
+        delay_model: per-message delay, in units of ``time_scale`` seconds.
+        rng: source of the delay draws.
+        time_scale: seconds per delay-model unit.
     """
 
     def __init__(
         self,
+        clock: "AsyncioClock",
         n: int,
-        delay_model: DelayModel | None = None,
-        seed: int = 0,
-        time_scale: float = 0.01,
+        deliver: DeliverCallback,
+        delay_model: DelayModel,
+        rng: random.Random,
+        time_scale: float,
     ):
         self.n = n
-        self._delay_model = delay_model or UniformDelay(0.5, 1.5)
-        self._rng = random.Random(seed)
-        self._time_scale = time_scale
-        self._queues: dict[tuple[int, int], asyncio.Queue] = {}
-        self._pumps: list[asyncio.Task] = []
-        self._deliver: DeliverCallback | None = None
-        self._mints = [MessageMint(i) for i in range(n)]
-        self._started = False
-        self._epoch = time.monotonic()
-        self.trace = TraceRecorder(n)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def set_deliver(self, deliver: DeliverCallback) -> None:
-        """Install the delivery callback (node fabric does this)."""
+        self._clock = clock
         self._deliver = deliver
+        self._delay_model = delay_model
+        self._rng = rng
+        self._time_scale = time_scale
+        # (src, dst) -> messages not yet delivered; the head is in flight.
+        self._queues: dict[tuple[int, int], deque[tuple[Message, str]]] = {}
 
-    async def start(self) -> None:
-        """Spawn one pump task per channel (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for src in range(self.n):
-            for dst in range(self.n):
-                queue: asyncio.Queue = asyncio.Queue()
-                self._queues[(src, dst)] = queue
-                self._pumps.append(
-                    asyncio.create_task(self._pump(src, dst, queue))
-                )
+    def send(self, src: int, dst: int, msg: Message, kind: str = "app") -> None:
+        """Queue ``msg`` for FIFO delivery on the channel ``src -> dst``."""
+        if not (0 <= src < self.n and 0 <= dst < self.n):
+            raise SimulationError(f"send outside process universe: {src}->{dst}")
+        queue = self._queues.get((src, dst))
+        if queue is None:
+            queue = self._queues[(src, dst)] = deque()
+        queue.append((msg, kind))
+        if len(queue) == 1:
+            self._pump(src, dst)
 
-    async def stop(self) -> None:
-        """Cancel all pumps and drain."""
-        for task in self._pumps:
-            task.cancel()
-        await asyncio.gather(*self._pumps, return_exceptions=True)
-        self._pumps.clear()
-        self._started = False
+    def fanout(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        mint: MessageMint,
+        payload: Hashable,
+        kind: str,
+    ) -> list[Message]:
+        """Mint one message per destination and :meth:`send` each, in order."""
+        minted = []
+        for dst in dsts:
+            msg = mint.mint(payload)
+            self.send(src, dst, msg, kind)
+            minted.append(msg)
+        return minted
 
-    def now(self) -> float:
-        """Seconds since the transport was created (wall clock)."""
-        return time.monotonic() - self._epoch
+    def _pump(self, src: int, dst: int) -> None:
+        """Deliver the channel's head message after one sampled delay."""
+        delay = self._delay_model.sample(self._rng, src, dst)
+        clock = self._clock
+        clock.schedule_callback_at(
+            clock._now + max(delay, 0.0) * self._time_scale,
+            lambda: self._arrive(src, dst),
+        )
 
-    # ------------------------------------------------------------------
-    # Sending / delivery
-    # ------------------------------------------------------------------
-
-    def send(
-        self, src: int, dst: int, payload: Hashable, kind: str = "app"
-    ) -> Message:
-        """Enqueue a message; returns the minted message.
-
-        Application sends (``kind="app"``) are recorded in the trace at
-        enqueue time, mirroring the simulator's send events; protocol and
-        system traffic stays below the modelled alphabet.
-        """
-        if not self._started:
-            raise SimulationError("transport not started")
-        msg = self._mints[src].mint(payload)
-        if kind == "app":
-            self.trace.record_send(self.now(), src, dst, msg)
-        self._queues[(src, dst)].put_nowait((msg, kind))
-        return msg
-
-    async def _pump(self, src: int, dst: int, queue: asyncio.Queue) -> None:
-        while True:
-            msg, kind = await queue.get()
-            delay = self._delay_model.sample(self._rng, src, dst)
-            await asyncio.sleep(max(delay, 0.0) * self._time_scale)
-            if self._deliver is not None:
-                self._deliver(src, dst, msg, kind)
-
-
-async def run_for(duration: float, *awaitables: Awaitable) -> None:
-    """Run background awaitables for a fixed wall-clock duration."""
-    tasks = [asyncio.ensure_future(a) for a in awaitables]
-    try:
-        await asyncio.sleep(duration)
-    finally:
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+    def _arrive(self, src: int, dst: int) -> None:
+        queue = self._queues[(src, dst)]
+        msg, kind = queue.popleft()
+        if queue:
+            self._pump(src, dst)
+        self._deliver(src, dst, msg, kind)

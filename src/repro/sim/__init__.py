@@ -28,8 +28,6 @@ from repro._lazy import lazy_namespace
 
 __getattr__, __dir__ = lazy_namespace(globals(), {
     "Adversary": "adversary",
-    "LamportClock": "clock",
-    "VectorClock": "clock",
     "ConstantDelay": "delays",
     "DelayModel": "delays",
     "ExponentialDelay": "delays",
@@ -80,8 +78,6 @@ __all__ = [
     "LogNormalDelay",
     "ParetoDelay",
     "PerChannelDelay",
-    "LamportClock",
-    "VectorClock",
     "StableStore",
     "StorageHub",
     "Fault",

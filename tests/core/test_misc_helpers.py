@@ -1,6 +1,4 @@
-"""Coverage for small helpers: merge, chains, run_for, report edge cases."""
-
-import asyncio
+"""Coverage for small helpers: merge, chains, report edge cases."""
 
 from repro.core.events import internal, recv, send
 from repro.core.history import (
@@ -10,7 +8,6 @@ from repro.core.history import (
 )
 from repro.core.messages import MessageMint
 from repro.core.validate import is_valid
-from repro.runtime.transport import run_for
 
 
 class TestMergePreservingProcessOrder:
@@ -56,22 +53,6 @@ class TestMessageChains:
         for chain in find_message_chains(h):
             for a, b in zip(chain, chain[1:]):
                 assert h.happens_before(a, b)
-
-
-class TestRunFor:
-    def test_runs_and_cancels_background_work(self):
-        ticks = []
-
-        async def ticker():
-            while True:
-                ticks.append(1)
-                await asyncio.sleep(0.01)
-
-        async def main():
-            await run_for(0.08, ticker())
-
-        asyncio.run(main())
-        assert ticks  # ran at least once, then was cancelled cleanly
 
 
 class TestSlicedHistoriesStayValid:

@@ -1,8 +1,7 @@
-"""Unit tests for trace recording and logical clocks."""
+"""Unit tests for trace recording."""
 
 from repro.core.events import CrashEvent, FailedEvent
 from repro.core.validate import is_valid
-from repro.sim.clock import LamportClock, VectorClock
 from repro.sim.trace import TraceRecorder
 
 
@@ -61,57 +60,3 @@ class TestTraceRecorder:
         assert len(trace) == 0
         trace.record_crash(0.0, 0)
         assert len(trace) == 1
-
-
-class TestLamportClock:
-    def test_tick_monotone(self):
-        clock = LamportClock()
-        assert clock.tick() == 1
-        assert clock.tick() == 2
-
-    def test_observe_jumps_past_received(self):
-        clock = LamportClock(3)
-        assert clock.observe(10) == 11
-
-    def test_observe_of_stale_still_advances(self):
-        clock = LamportClock(5)
-        assert clock.observe(1) == 6
-
-
-class TestVectorClock:
-    def test_tick_advances_owner(self):
-        clock = VectorClock(owner=1, n=3)
-        assert clock.tick() == (0, 1, 0)
-
-    def test_observe_joins_then_ticks(self):
-        clock = VectorClock(owner=0, n=3)
-        stamp = clock.observe((0, 5, 2))
-        assert stamp == (1, 5, 2)
-
-    def test_leq_and_concurrent(self):
-        assert VectorClock.leq((1, 0), (1, 1))
-        assert not VectorClock.leq((2, 0), (1, 1))
-        assert VectorClock.concurrent((1, 0), (0, 1))
-        assert not VectorClock.concurrent((1, 0), (1, 1))
-
-    def test_component_length_validated(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            VectorClock(owner=0, n=2, components=[0, 0, 0])
-
-    def test_matches_history_semantics(self):
-        """Online vector clocks agree with the offline happens-before."""
-        from repro.core.events import recv, send
-        from repro.core.history import History
-        from repro.core.messages import MessageMint
-
-        mint = MessageMint(0)
-        m = mint.mint()
-        h = History([send(0, 1, m), recv(1, 0, m)], n=2)
-        a = VectorClock(owner=0, n=2)
-        send_stamp = a.tick()
-        b = VectorClock(owner=1, n=2)
-        recv_stamp = b.observe(send_stamp)
-        assert VectorClock.leq(send_stamp, recv_stamp)
-        assert h.happens_before(0, 1)

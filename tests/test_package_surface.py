@@ -94,8 +94,7 @@ SURFACE = {
         trace:TraceRecorder trace:TimedEvent delays:DelayModel
         delays:ConstantDelay delays:UniformDelay delays:ExponentialDelay
         delays:LogNormalDelay delays:ParetoDelay delays:PerChannelDelay
-        clock:LamportClock clock:VectorClock storage:StableStore
-        storage:StorageHub failures:Fault failures:FaultKindSpec
+        storage:StableStore storage:StorageHub failures:Fault failures:FaultKindSpec
         failures:FAULT_KINDS failures:apply_faults failures:random_fault_plan
         failures:random_recovery_plan failures:random_byzantine_plan
         failures:mutual_suspicion_plan
