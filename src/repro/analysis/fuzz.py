@@ -879,7 +879,6 @@ def _fuzz_executor(
     n_jobs: int,
     runner: ShardedRunner | None,
     jobs: int,
-    chunksize: int | None,
     remote_workers: int | str | Sequence[str] | None,
 ) -> Executor:
     """The executor both fuzz drivers run on (default ``"inproc"``);
@@ -894,8 +893,7 @@ def _fuzz_executor(
     backend = effective_backend(backend, n_jobs, jobs)
     # make_executor rejects unknown backend names.
     return make_executor(
-        backend, workers=jobs, chunksize=chunksize, runner=runner,
-        remote_workers=remote_workers,
+        backend, workers=jobs, runner=runner, remote_workers=remote_workers,
     )
 
 
@@ -906,7 +904,6 @@ def run_fuzz(
     runner: ShardedRunner | None = None,
     backend: str | None = None,
     jobs: int = 1,
-    chunksize: int | None = None,
     remote_workers: int | str | Sequence[str] | None = None,
     journal: str | Path | None = None,
     resume: bool = False,
@@ -936,7 +933,7 @@ def run_fuzz(
     outcomes = run_jobs(
         [scenario_job(seed, index, config) for index in range(count)],
         executor=_fuzz_executor(
-            backend, count, runner, jobs, chunksize, remote_workers
+            backend, count, runner, jobs, remote_workers
         ),
         sink=sink,
         journal=journal,
@@ -1045,7 +1042,6 @@ def run_adaptive_fuzz(
     runner: ShardedRunner | None = None,
     backend: str | None = None,
     jobs: int = 1,
-    chunksize: int | None = None,
     remote_workers: int | str | Sequence[str] | None = None,
     journal: str | Path | None = None,
     resume: bool = False,
@@ -1111,8 +1107,7 @@ def run_adaptive_fuzz(
 
     outcomes = run_jobs(
         executor=_fuzz_executor(
-            backend, min(batch, count), runner, jobs, chunksize,
-            remote_workers,
+            backend, min(batch, count), runner, jobs, remote_workers
         ),
         sink=sink,
         journal=journal,

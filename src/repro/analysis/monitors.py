@@ -1,18 +1,22 @@
 """Streaming conformance monitors: analyze-on-append for every paper property.
 
 The batch pipeline (:func:`repro.analysis.checker.analyze`) judges a run
-after it has finished; the monitors here judge it *while it happens*. Each
-paper property — FS1, FS2, sFS2a-d, Conditions 1-3, failed-before
-acyclicity, well-formedness — is wrapped as a monitor that consumes one
-event at a time in O(1)-O(n) amortized per event (never O(history)), and a
-:class:`MonitorSet` aggregates them into a live conformance verdict.
+after it has finished; a :class:`MonitorSet` judges it *while it
+happens*. It holds one transition state machine per paper property —
+well-formedness (:class:`~repro.core.validate.ValidationState`), FS1, FS2,
+sFS2a-d and, under a recoverable model, the recovery discipline (the
+machines of :mod:`repro.core.failure_models`) — and the machine *is* the
+monitor: it carries its own ``name``, ``safety`` class, live ``ok``,
+``first_violation_index`` and batch-identical ``result()``. Each consumes
+one event at a time in O(1)-O(n) amortized (never O(history)). The one
+composite is :class:`ConditionsMonitor` (Conditions 1-3 of Theorem 2),
+which reads the set's own sFS2a and sFS2b machines next to a
+``Condition3State``; :class:`BadPairCounter` is a tally, not a verdict.
 
-The monitors do not reimplement the properties: they feed the *same*
-transition state machines (:mod:`repro.core.failure_models`,
-:mod:`repro.core.validate`, :mod:`repro.core.failed_before`) that the
-batch ``check_*`` functions fold histories through, so streaming and batch
-verdicts agree by construction — the property suite replays random runs
-both ways and asserts the resulting reports are equal.
+The batch ``check_*`` functions fold histories through the *same*
+machines, so streaming and batch verdicts agree by construction — the
+property suite replays random runs both ways and asserts the resulting
+reports are equal.
 
 Each property is stated over a few event kinds (FS2 over ``crash`` and
 ``failed``, sFS2b over ``failed`` alone, only well-formedness and
@@ -30,8 +34,8 @@ lock-in, and calls ``on_violation`` — which is what
 ``World.attach_monitor(..., stop_on_violation=True)`` and the sweep
 runner's ``early_stop`` mode key off (a violation visible at event 50
 aborts a 100k-event case on the spot). Liveness properties (FS1, sFS2a)
-cannot be falsified mid-run; their monitors expose the count of open
-obligations instead and render verdicts only at :meth:`finalize` time.
+cannot be falsified mid-run; their machines expose the count of open
+obligations instead and render verdicts only at ``finalize`` time.
 
 Wiring options:
 
@@ -74,205 +78,32 @@ from repro.core.validate import ValidationState
 from repro.errors import SimulationError
 
 
-class PropertyMonitor:
-    """One paper property, judged incrementally.
-
-    Thin verdict plumbing around a core transition state machine: the
-    monitor exposes the live verdict (``ok``), the lock-in index for
-    safety properties (``first_violation_index``), and renders a
-    batch-identical :class:`CheckResult` on demand. Standing alone it
-    forwards events to its machine (:meth:`observe`); inside a
-    :class:`MonitorSet` the set feeds the machines itself, kind by kind,
-    and the monitor only reads.
-    """
-
-    __slots__ = ("_state",)
-
-    #: CheckResult name; matches the batch checker's.
-    name = "?"
-
-    def __init__(self, state: PropertyState):
-        self._state = state
-
-    @property
-    def safety(self) -> bool:
-        """Whether the property locks its verdict mid-run.
-
-        Single-sourced from the transition machine's ``safety`` flag
-        (:class:`~repro.core.failure_models.PropertyState`), so a monitor
-        cannot drift from its state machine's classification.
-        """
-        return self._state.safety
-
-    @property
-    def lock_states(self) -> tuple[PropertyState, ...]:
-        """The machines whose lock-in locks this monitor's verdict."""
-        return (self._state,)
-
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        """Advance the monitor by one appended event."""
-        self._state.observe(idx, event, vector)
-
-    @property
-    def state(self) -> PropertyState:
-        """The underlying transition state machine (shareable, read-only)."""
-        return self._state
-
-    @property
-    def first_violation_index(self) -> int | None:
-        """Event index where the verdict locked (safety only), or None."""
-        return self._state.first_violation_index
-
-    @property
-    def ok(self) -> bool:
-        """Live verdict: no locked violation on the prefix so far.
-
-        For liveness monitors this is always True mid-run (see
-        :meth:`pending_obligations` on the FS1/sFS2a monitors for the
-        open-obligation view); the finalized verdict is
-        ``self.result().ok``.
-        """
-        return self.first_violation_index is None
-
-    def result(self) -> CheckResult:
-        """The property's :class:`CheckResult` for the prefix seen so far."""
-        violations = self._state.finalize()
-        return CheckResult(self.name, not violations, tuple(violations))
-
-
-class FS1Monitor(PropertyMonitor):
-    """FS1 — completeness of detection (liveness)."""
-
-    __slots__ = ("_pending_ok",)
-    name = "FS1"
-
-    def __init__(self, n: int, pending_ok: bool = False):
-        super().__init__(FS1State(n))
-        self._pending_ok = pending_ok
-
-    def pending_obligations(self) -> int:
-        """Crashes not yet detected by every surviving process."""
-        return self._state.pending_obligations()
-
-    def result(self) -> CheckResult:
-        violations = self._state.finalize(self._pending_ok)
-        return CheckResult(self.name, not violations, tuple(violations))
-
-
-class FS2Monitor(PropertyMonitor):
-    """FS2 — no false detections (safety, locks at the detection)."""
-
-    __slots__ = ()
-    name = "FS2"
-
-    def __init__(self):
-        super().__init__(FS2State())
-
-
-class SFS2aMonitor(PropertyMonitor):
-    """sFS2a — detected processes eventually crash (liveness)."""
-
-    __slots__ = ("_pending_ok",)
-    name = "sFS2a"
-
-    def __init__(self, pending_ok: bool = False):
-        super().__init__(SFS2aState())
-        self._pending_ok = pending_ok
-
-    def pending_obligations(self) -> int:
-        """Detections whose target has not crashed yet."""
-        return self._state.pending_obligations()
-
-    def result(self) -> CheckResult:
-        violations = self._state.finalize(self._pending_ok)
-        return CheckResult(self.name, not violations, tuple(violations))
-
-
-class SFS2bMonitor(PropertyMonitor):
-    """sFS2b — failed-before acyclicity (safety, locks at cycle closure)."""
-
-    __slots__ = ()
-    name = "sFS2b"
-
-    def __init__(self):
-        super().__init__(SFS2bState())
-
-    @property
-    def cycle(self) -> list[tuple[int, int]] | None:
-        """The locked-in failed-before cycle, or None while acyclic."""
-        return self._state.cycle
-
-
-class SFS2cMonitor(PropertyMonitor):
-    """sFS2c — no self-detection (safety, immediate)."""
-
-    __slots__ = ()
-    name = "sFS2c"
-
-    def __init__(self):
-        super().__init__(SFS2cState())
-
-
-class SFS2dMonitor(PropertyMonitor):
-    """sFS2d — detections propagate ahead of messages (safety, at recv)."""
-
-    __slots__ = ()
-    name = "sFS2d"
-
-    def __init__(self):
-        super().__init__(SFS2dState())
-
-
-class ConditionsMonitor(PropertyMonitor):
+class ConditionsMonitor:
     """Conditions 1-3 of Theorem 2, aggregated (Section 3.2).
 
-    Condition 1 is identical in force to sFS2a and Condition 2 to sFS2b,
-    so the composite can *share* those monitors' state machines instead
-    of re-running them per event — :class:`MonitorSet` passes its own in
-    (``cond1``/``cond2``), halving the detection-event work on the hot
-    streaming path. Standing alone (no shared states) it constructs and
-    feeds its own, staying usable as a self-contained monitor. The
-    safety verdict locks on the earlier of a cycle closure (Condition 2)
-    or a causally-tainted post-detection event (Condition 3) — its two
-    :attr:`lock_states`; Condition 1 is liveness and only judged at
-    result time.
+    The one monitor that is not a single machine. Condition 1 is
+    identical in force to sFS2a and Condition 2 to sFS2b, so the
+    composite reads those machines — a :class:`MonitorSet` passes its own
+    — next to a :class:`~repro.core.failure_models.Condition3State`; it
+    feeds none of them. The safety verdict locks on the earlier of a
+    cycle closure (Condition 2) or a causally-tainted post-detection
+    event (Condition 3) — its two :attr:`lock_states`; Condition 1 is
+    liveness and only judged at result time.
     """
 
-    __slots__ = ("_cond1", "_cond2", "_owns_states", "_pending_ok")
+    __slots__ = ("_cond1", "lock_states")
     name = "Conditions1-3"
+    safety = True
 
     def __init__(
-        self,
-        pending_ok: bool = False,
-        cond1: SFS2aState | None = None,
-        cond2: SFS2bState | None = None,
+        self, cond1: SFS2aState, cond2: SFS2bState, cond3: Condition3State
     ):
-        super().__init__(Condition3State())
-        # Either both states are shared (and fed by their owners) or both
-        # are private (and fed here); mixing would skew event feeds.
-        if (cond1 is None) != (cond2 is None):
-            raise ValueError("share both cond1 and cond2 states, or neither")
-        self._owns_states = cond1 is None
-        self._cond1 = cond1 if cond1 is not None else SFS2aState()
-        self._cond2 = cond2 if cond2 is not None else SFS2bState()
-        self._pending_ok = pending_ok
-
-    def observe(
-        self, idx: int, event: Event, vector: tuple[int, ...] | None = None
-    ) -> None:
-        if self._owns_states:
-            self._cond1.observe(idx, event, vector)
-            self._cond2.observe(idx, event, vector)
-        self._state.observe(idx, event, vector)
-
-    @property
-    def lock_states(self) -> tuple[PropertyState, ...]:
-        return (self._cond2, self._state)
+        self._cond1 = cond1
+        self.lock_states = (cond2, cond3)
 
     @property
     def first_violation_index(self) -> int | None:
+        """Event index where the verdict locked, or None."""
         return min(
             (
                 state.first_violation_index
@@ -282,48 +113,19 @@ class ConditionsMonitor(PropertyMonitor):
             default=None,
         )
 
-    def result(self) -> CheckResult:
-        violations = (
-            self._cond1.finalize(self._pending_ok)
-            + self._cond2.finalize()
-            + self._state.finalize()
-        )
-        return CheckResult(self.name, not violations, tuple(violations))
-
-
-class WellFormednessMonitor(PropertyMonitor):
-    """Definitions 1, 6, 7 — validity of the history (safety).
-
-    Model-aware: under a recoverable failure model the scan accepts
-    recover events and lossy-FIFO channels (see
-    :class:`~repro.core.validate.ValidationState`).
-    """
-
-    __slots__ = ()
-    name = "valid"
-
-    def __init__(self, n: int, failure_model: str = "fail-stop"):
-        super().__init__(ValidationState(n, failure_model))
-
     @property
-    def violations(self) -> list[str]:
-        """The well-formedness violations found so far, in scan order."""
-        return self._state.finalize()
+    def ok(self) -> bool:
+        """Live verdict: neither Condition 2 nor Condition 3 has locked."""
+        return self.first_violation_index is None
 
-
-class RecoveryMonitor(PropertyMonitor):
-    """Crash-recovery discipline (safety, locks at the recover event).
-
-    Attached by :class:`MonitorSet` only under a recoverable failure
-    model (see :attr:`FailureModel.extra_monitors`); vacuously satisfied
-    on fail-stop histories, which contain no recover events.
-    """
-
-    __slots__ = ()
-    name = "recovery"
-
-    def __init__(self):
-        super().__init__(RecoveryState())
+    def result(self) -> CheckResult:
+        """The composite :class:`CheckResult` for the prefix seen so far."""
+        violations = [
+            violation
+            for state in (self._cond1, *self.lock_states)
+            for violation in state.finalize()
+        ]
+        return CheckResult(self.name, not violations, tuple(violations))
 
 
 class BadPairCounter(PropertyState):
@@ -462,25 +264,27 @@ class MonitorSet:
         self.n = n
         self.pending_ok = pending_ok
         self.model = get_failure_model(failure_model)
-        self.validity = WellFormednessMonitor(n, failure_model)
-        self.fs1 = FS1Monitor(n, pending_ok)
-        self.fs2 = FS2Monitor()
-        self.sfs2a = SFS2aMonitor(pending_ok)
-        self.sfs2b = SFS2bMonitor()
-        self.sfs2c = SFS2cMonitor()
-        self.sfs2d = SFS2dMonitor()
-        # Conditions 1/2 share the sFS2a/sFS2b machines (identical in
+        self.validity = ValidationState(n, self.model)
+        self.fs1 = FS1State(n, pending_ok)
+        self.fs2 = FS2State()
+        self.sfs2a = SFS2aState(pending_ok)
+        self.sfs2b = SFS2bState()
+        self.sfs2c = SFS2cState()
+        self.sfs2d = SFS2dState()
+        # Conditions 1/2 are the sFS2a/sFS2b machines (identical in
         # force), so detection events are processed once, not twice.
+        condition3 = Condition3State()
         self.conditions = ConditionsMonitor(
-            pending_ok, cond1=self.sfs2a._state, cond2=self.sfs2b._state
+            self.sfs2a, self.sfs2b, condition3
         )
         self.bad_pairs = BadPairCounter()
         self.recovery = (
-            RecoveryMonitor()
+            RecoveryState()
             if "recovery" in self.model.extra_monitors
             else None
         )
-        self.monitors: tuple = (
+        recovery = (self.recovery,) if self.recovery is not None else ()
+        properties = (
             self.validity,
             self.fs1,
             self.fs2,
@@ -488,8 +292,8 @@ class MonitorSet:
             self.sfs2b,
             self.sfs2c,
             self.sfs2d,
-            self.conditions,
-        ) + ((self.recovery,) if self.recovery is not None else ())
+        )
+        self.monitors: tuple = properties + (self.conditions,) + recovery
         #: Every safety lock-in observed, as ``(event_index, monitor name)``
         #: in discovery order (which is event-index order; lock-ins of one
         #: event are in ``monitors`` order).
@@ -497,12 +301,12 @@ class MonitorSet:
         #: Called, without arguments, whenever a lock-in has been logged.
         self.on_violation: Callable[[], None] | None = None
         self.events_seen = 0
-        # One machine per slot: each monitor's own (Conditions1-3 brings
-        # Condition 3 — its other two are the sFS2a/sFS2b slots), then
-        # the bad-pair tally.
+        # One machine per slot, each once: the monitors that are machines,
+        # Condition 3 (the composite's other two are the sFS2a/sFS2b
+        # slots), then the bad-pair tally.
         self._machines = machines = [
-            monitor._state for monitor in self.monitors
-        ] + [self.bad_pairs]
+            *properties, condition3, *recovery, self.bad_pairs
+        ]
         halt_on = frozenset(halt_on)
         key = (self.recovery is not None, halt_on)
         plan = _PLANS.get(key)
@@ -563,6 +367,11 @@ class MonitorSet:
 
     def replay(self, history: History) -> "MonitorSet":
         """Drive a finished history through the same streaming path."""
+        if history.n != self.n:
+            raise SimulationError(
+                f"monitor set is for {self.n} processes but the history "
+                f"has {history.n}"
+            )
         observe = self.observe
         for idx, (event, vector) in enumerate(zip(history, history.vectors)):
             observe(idx, event, vector)

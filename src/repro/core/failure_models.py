@@ -1,24 +1,24 @@
-"""Direct checkers for the paper's failure models (Sections 3.1-3.3).
+"""The paper's failure-model properties (Sections 3.1-3.3), each one machine.
 
-Each property of Figure 1 is implemented as a fast structural check on a
-:class:`~repro.core.history.History`, returning a :class:`CheckResult` that
-lists every violation found (so counterexamples are self-describing).
-
-The temporal-logic formulas in :mod:`repro.core.predicates` express the same
-properties declaratively; the test suite cross-validates the two on both
-hand-written and simulator-generated histories.
-
-Single source of truth: every property is implemented once, as an
+Every property of Figure 1 — FS1, FS2, sFS2a-d — plus Condition 3 of
+Theorem 2 and the crash-recovery discipline is implemented once, as an
 *incremental transition state machine* (``FS1State``, ``FS2State``, ...)
 that consumes one event at a time. A machine names the event kinds its
 property is stated over in a class-level ``handlers`` table — one
 ``on_<kind>`` method each — and its ``observe`` is the one generic
 dispatcher over that table, so a kind it does not list cannot touch it.
-The batch ``check_*`` functions below are thin folds of a history through
-the corresponding state machine, and the streaming monitors of
-:mod:`repro.analysis.monitors` feed the very same machines as events are
-appended — so an analyze-on-append verdict and a post-hoc batch verdict
-cannot disagree, by construction.
+It also carries everything a verdict needs: its ``name`` (the
+:class:`CheckResult` name), whether it is a ``safety`` property, the
+live verdict ``ok`` and the finished one, :meth:`PropertyState.result`.
+
+So the machine *is* the monitor. The batch ``check_*`` functions below
+fold a finished :class:`~repro.core.history.History` through one and
+return its ``result()``; :class:`repro.analysis.monitors.MonitorSet`
+holds one of each and feeds them as events are appended — an
+analyze-on-append verdict and a post-hoc batch verdict cannot disagree,
+by construction. The temporal-logic formulas in
+:mod:`repro.core.predicates` express the same properties declaratively;
+the test suite cross-validates the two.
 
 Safety properties (FS2, sFS2b-d, Condition 3) are *prefix-monotone*: once
 a state machine has seen a violating event its verdict is locked, and every
@@ -26,7 +26,7 @@ machine records the event index at which that happened
 (``first_violation_index``) — the hook early-stopping sweeps key off.
 Liveness properties (FS1, sFS2a / Condition 1) cannot be falsified by a
 finite prefix; their machines track the open obligations instead and only
-judge them at :meth:`finalize` time.
+judge them at :meth:`~PropertyState.finalize` time.
 
 Finite-prefix caveats:
 
@@ -34,8 +34,8 @@ Finite-prefix caveats:
   judged against the recorded events, so callers should either run the
   system to quiescence or use
   :func:`repro.core.indistinguishability.ensure_crashes` first. Both
-  checkers accept ``pending_ok=True`` to treat unresolved obligations as
-  not-yet-violations.
+  machines (and checkers) take ``pending_ok=True`` to treat unresolved
+  obligations as not-yet-violations.
 
 Beyond the paper's single fail-stop world, this module also hosts the
 **failure-model registry** (:data:`FAILURE_MODELS` /
@@ -170,11 +170,15 @@ class PropertyState:
     one event through that table; ``vector`` is the event's vector
     timestamp and may be ``None`` for machines that do not reason about
     happens-before. ``finalize`` renders the violation strings for the
-    prefix consumed so far — it is a pure read (streaming callers may
-    finalize repeatedly as the run grows).
+    prefix consumed so far and :meth:`result` wraps them as the
+    property's :class:`CheckResult` — both are pure reads (streaming
+    callers may render repeatedly as the run grows).
     """
 
     __slots__ = ("first_violation_index", "_sink")
+
+    #: CheckResult name; matches the batch checker's.
+    name = "?"
 
     #: True for properties a finite prefix can falsify (verdict monotone).
     safety = True
@@ -204,8 +208,27 @@ class PropertyState:
         elif event.__class__ not in EVENT_KINDS:
             raise unknown_event_kind(event)
 
+    @property
+    def ok(self) -> bool:
+        """Live verdict: no locked violation on the prefix so far.
+
+        Always True mid-run for liveness machines (see their
+        ``pending_obligations`` for the open-obligation view); the
+        finalized verdict is ``self.result().ok``.
+        """
+        return self.first_violation_index is None
+
+    @property
+    def lock_states(self) -> tuple["PropertyState", ...]:
+        """The machines whose lock-in locks this verdict: this one."""
+        return (self,)
+
     def finalize(self) -> list[str]:
         raise NotImplementedError
+
+    def result(self) -> CheckResult:
+        """The property's :class:`CheckResult` for the prefix seen so far."""
+        return _result(self.name, self.finalize())
 
 
 class FS1State(PropertyState):
@@ -220,13 +243,15 @@ class FS1State(PropertyState):
     detection for that (now finished) downtime.
     """
 
-    __slots__ = ("_n", "_crashes", "_detected")
+    __slots__ = ("_n", "_pending_ok", "_crashes", "_detected")
 
+    name = "FS1"
     safety = False
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, pending_ok: bool = False) -> None:
         super().__init__()
         self._n = n
+        self._pending_ok = pending_ok
         self._crashes: dict[int, int] = {}
         self._detected: set[tuple[int, int]] = set()
 
@@ -262,8 +287,8 @@ class FS1State(PropertyState):
         """Open (crashed, surviving-non-detector) obligations right now."""
         return sum(1 for _ in self._open_obligations())
 
-    def finalize(self, pending_ok: bool = False) -> list[str]:
-        if pending_ok:
+    def finalize(self) -> list[str]:
+        if self._pending_ok:
             return []
         return [
             f"FS1: crash_{i} never detected by surviving process {j}"
@@ -282,6 +307,8 @@ class FS2State(PropertyState):
     """
 
     __slots__ = ("_crashes", "_seen", "_bad")
+
+    name = "FS2"
 
     def __init__(self) -> None:
         super().__init__()
@@ -323,12 +350,14 @@ class FS2State(PropertyState):
 class SFS2aState(PropertyState):
     """sFS2a — every detected process eventually crashes (liveness)."""
 
-    __slots__ = ("_crashed", "_records")
+    __slots__ = ("_pending_ok", "_crashed", "_records")
 
+    name = "sFS2a"
     safety = False
 
-    def __init__(self) -> None:
+    def __init__(self, pending_ok: bool = False) -> None:
         super().__init__()
+        self._pending_ok = pending_ok
         self._crashed: set[int] = set()
         self._records: dict[tuple[int, int], int] = {}
 
@@ -352,8 +381,8 @@ class SFS2aState(PropertyState):
         """Detections whose target has not crashed yet."""
         return sum(1 for _ in self._open_obligations())
 
-    def finalize(self, pending_ok: bool = False) -> list[str]:
-        if pending_ok:
+    def finalize(self) -> list[str]:
+        if self._pending_ok:
             return []
         return [
             f"sFS2a: failed_{detector}({target}) at [{fidx}] but "
@@ -370,6 +399,8 @@ class SFS2bState(PropertyState):
     """
 
     __slots__ = ("_tracker", "_seen")
+
+    name = "sFS2b"
 
     def __init__(self) -> None:
         super().__init__()
@@ -408,6 +439,8 @@ class SFS2cState(PropertyState):
     """sFS2c — no process detects its own failure (safety, immediate)."""
 
     __slots__ = ("_seen", "_violations")
+
+    name = "sFS2c"
 
     def __init__(self) -> None:
         super().__init__()
@@ -449,6 +482,8 @@ class SFS2dState(PropertyState):
         "_seen",
         "_records",
     )
+
+    name = "sFS2d"
 
     def __init__(self) -> None:
         super().__init__()
@@ -527,6 +562,8 @@ class Condition3State(PropertyState):
 
     __slots__ = ("_detections", "_seen", "_records")
 
+    name = "Condition3"
+
     def __init__(self) -> None:
         super().__init__()
         # target -> [(fidx, detector, detection-vector)], first pair only.
@@ -597,6 +634,8 @@ class RecoveryState(PropertyState):
 
     __slots__ = ("_crashed", "_incarnations", "_violations")
 
+    name = "recovery"
+
     def __init__(self) -> None:
         super().__init__()
         self._crashed: set[int] = set()
@@ -656,14 +695,12 @@ def check_fs1(history: History, pending_ok: bool = False) -> CheckResult:
     With ``pending_ok`` the check is vacuously satisfied (used for
     prefixes cut before the detection machinery has quiesced).
     """
-    state = _fold(FS1State(history.n), history)
-    return _result("FS1", state.finalize(pending_ok))
+    return _fold(FS1State(history.n, pending_ok), history).result()
 
 
 def check_fs2(history: History) -> CheckResult:
     """FS2: no false detections — ``crash_i`` precedes every ``failed_j(i)``."""
-    state = _fold(FS2State(), history)
-    return _result("FS2", state.finalize())
+    return _fold(FS2State(), history).result()
 
 
 def check_fs(history: History, pending_ok: bool = False) -> CheckResult:
@@ -683,8 +720,7 @@ def check_sfs2a(history: History, pending_ok: bool = False) -> CheckResult:
 
     Unlike FS2, the crash may come *after* the detection.
     """
-    state = _fold(SFS2aState(), history)
-    return _result("sFS2a", state.finalize(pending_ok))
+    return _fold(SFS2aState(pending_ok), history).result()
 
 
 def check_sfs2b(history: History) -> CheckResult:
@@ -694,8 +730,7 @@ def check_sfs2b(history: History) -> CheckResult:
 
 def check_sfs2c(history: History) -> CheckResult:
     """sFS2c: no process ever detects its own failure."""
-    state = _fold(SFS2cState(), history)
-    return _result("sFS2c", state.finalize())
+    return _fold(SFS2cState(), history).result()
 
 
 def check_sfs2d(history: History) -> CheckResult:
@@ -706,8 +741,7 @@ def check_sfs2d(history: History) -> CheckResult:
     crashes instead, it simply never receives *m*, which also satisfies
     the property — there is then no receive event to check.)
     """
-    state = _fold(SFS2dState(), history)
-    return _result("sFS2d", state.finalize())
+    return _fold(SFS2dState(), history).result()
 
 
 def check_sfs(history: History, pending_ok: bool = False) -> CheckResult:
@@ -734,8 +768,7 @@ def check_recovery(history: History) -> CheckResult:
 
     Vacuously satisfied on fail-stop histories (no recover events).
     """
-    state = _fold(RecoveryState(), history)
-    return _result("recovery", state.finalize())
+    return _fold(RecoveryState(), history).result()
 
 
 # ----------------------------------------------------------------------
@@ -765,8 +798,7 @@ def check_condition3(history: History) -> CheckResult:
     event ``failed_i(j)`` and every later event ``e`` of process ``j``,
     require ``not (failed_i(j) -> e)``.
     """
-    state = _fold(Condition3State(), history, vectors=True)
-    return _result("Condition3", state.finalize())
+    return _fold(Condition3State(), history, vectors=True).result()
 
 
 def check_necessary_conditions(

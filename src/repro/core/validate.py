@@ -8,10 +8,11 @@ stable booleans ``crash_i`` / ``failed_i(j)`` flip at most once.
 The scan is implemented once, as the incremental :class:`ValidationState`
 machine (validity is prefix-monotone: an invalid prefix can never become
 valid again), so the batch :func:`validate_history` and the streaming
-well-formedness monitor of :mod:`repro.analysis.monitors` share one
-transition function. :func:`validate_history` returns a list of
-human-readable violations (empty for a valid history); :func:`check_valid`
-raises :class:`~repro.errors.InvalidHistoryError` instead.
+:class:`~repro.analysis.monitors.MonitorSet`, which holds one as its
+``validity`` monitor, share one transition function.
+:func:`validate_history` returns a list of human-readable violations
+(empty for a valid history); :func:`check_valid` raises
+:class:`~repro.errors.InvalidHistoryError` instead.
 
 Well-formedness is parameterised by the failure model
 (:mod:`repro.core.failure_models`). Under the default fail-stop model a
@@ -61,6 +62,8 @@ class ValidationState(PropertyState):
         "violations",
     )
 
+    name = "valid"
+
     def __init__(self, n: int, failure_model: str = "fail-stop") -> None:
         super().__init__()
         self._n = n
@@ -73,11 +76,6 @@ class ValidationState(PropertyState):
         # Per-channel FIFO queues of message uids in flight.
         self._channels: dict[tuple[int, int], deque] = defaultdict(deque)
         self.violations: list[str] = []
-
-    @property
-    def ok(self) -> bool:
-        """Whether the prefix seen so far is well-formed."""
-        return not self.violations
 
     def finalize(self) -> list[str]:
         return list(self.violations)

@@ -148,9 +148,11 @@ FailureModel`) of the failure semantics this world runs under; the
         the events recorded so far — a fresh set on a fresh trace, or a
         set first brought up to date with ``replay(world.history())`` —
         since a set that missed a ``crash`` misjudges every later
-        detection of it, silently. Attaching a second set (or the same
-        one again, which would observe every event twice), or one whose
-        ``events_seen`` is not the trace's length, is a
+        detection of it, silently — as does a set built for another
+        number of processes or another failure model. Attaching a second
+        set (or the same one again, which would observe every event
+        twice), one built for another world's ``n`` or model, or one
+        whose ``events_seen`` is not the trace's length, is a
         :class:`~repro.errors.SimulationError`.
 
         Args:
@@ -171,6 +173,12 @@ FailureModel`) of the failure semantics this world runs under; the
             )
         if monitors is None:
             monitors = MonitorSet(self.n, failure_model=self.model.name)
+        if monitors.n != self.n or monitors.model != self.model:
+            raise SimulationError(
+                f"monitor set is for {monitors.n} processes under "
+                f"{monitors.model.name!r} but this world has {self.n} "
+                f"under {self.model.name!r}"
+            )
         if monitors.events_seen != len(self.trace):
             raise SimulationError(
                 f"monitor set has seen {monitors.events_seen} events but "

@@ -245,13 +245,13 @@ class TestStreamIsTheRecordedRun:
         world = build_scenario_world(scenario)
         world.run_to_quiescence()
         assert judge_world(scenario, world).ok
-        locked = world.monitors.sfs2b.state.first_violation_index
-        world.monitors.sfs2b.state.first_violation_index = locked - 1
+        locked = world.monitors.sfs2b.first_violation_index
+        world.monitors.sfs2b.first_violation_index = locked - 1
         outcome = judge_world(scenario, world)
         assert finding_kinds(outcome.findings) == {"divergence:log"}
         # ... and so is a lock-in nothing pushed.
-        world.monitors.sfs2b.state.first_violation_index = locked
-        world.monitors.sfs2c.state.first_violation_index = 0
+        world.monitors.sfs2b.first_violation_index = locked
+        world.monitors.sfs2c.first_violation_index = 0
         outcome = judge_world(scenario, world)
         assert finding_kinds(outcome.findings) == {"divergence:log"}
 

@@ -226,6 +226,35 @@ class TestWorldAttachMonitor:
             world.attach_monitor(monitors)
         assert world.monitors is None
 
+    @pytest.mark.parametrize(
+        "n, model",
+        [
+            (6, "fail-stop"),
+            (3, "fail-stop"),
+            (4, "crash-recovery"),
+            (4, "byzantine-crash"),
+        ],
+    )
+    def test_set_built_for_another_world_is_refused(self, n, model):
+        # MonitorSet(6) on four processes used to owe FS1 detections by
+        # processes 4 and 5, which do not exist; a set under another
+        # model judges recover events and channels by the wrong rules.
+        world = build_world(4, lambda: SfsProcess(t=1), seed=3)
+        with pytest.raises(SimulationError) as refused:
+            world.attach_monitor(MonitorSet(n, failure_model=model))
+        message = str(refused.value)
+        assert f"for {n} processes under {model!r}" in message
+        assert "this world has 4 under 'fail-stop'" in message
+        assert "\n" not in message
+        assert world.monitors is None
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_replay_of_another_sized_history_is_refused(self, n):
+        with pytest.raises(
+            SimulationError, match=f"for {n} processes but the history has 4"
+        ):
+            MonitorSet(n).replay(History([crash(2), failed(0, 2)], 4))
+
     def test_a_world_takes_one_monitor_set(self):
         world, monitors = self._cycle_world(stop=False)
         for second in (monitors, MonitorSet(4).replay(world.history()), None):
@@ -379,9 +408,7 @@ KINDS_BY_MACHINE = {
 
 def machines_of(monitors: MonitorSet) -> list:
     """Every machine a set dispatches to, each once."""
-    return [monitor.state for monitor in monitors.monitors] + [
-        monitors.bad_pairs
-    ]
+    return monitors._machines
 
 
 def stamp(events, width):

@@ -10,17 +10,20 @@ from repro.analysis.monitors import (
     DEFAULT_HALT_ON,
     BadPairCounter,
     ConditionsMonitor,
-    FS1Monitor,
-    FS2Monitor,
     MonitorSet,
-    RecoveryMonitor,
-    SFS2aMonitor,
-    SFS2bMonitor,
-    SFS2cMonitor,
-    SFS2dMonitor,
-    WellFormednessMonitor,
 )
-from repro.core.failure_models import get_failure_model
+from repro.core.failure_models import (
+    Condition3State,
+    FS1State,
+    FS2State,
+    RecoveryState,
+    SFS2aState,
+    SFS2bState,
+    SFS2cState,
+    SFS2dState,
+    get_failure_model,
+)
+from repro.core.validate import ValidationState
 from repro.sim.multiworld import run_shard
 
 
@@ -33,25 +36,29 @@ def reference_verdicts(
 ):
     """The oracle for the routed dispatch: no routing, no push.
 
-    Every monitor stands alone on machines of its own (so nothing is
-    shared either), every machine is shown every event through its
-    generic ``observe``, and after each event every halt-relevant safety
-    monitor is polled in ``monitors`` order. Returns
-    ``(check results, violation log, bad-pair count)``.
+    Every monitor stands alone on machines of its own (Conditions1-3
+    too, so nothing is shared), every machine is shown every event
+    through its generic ``observe``, and after each event every
+    halt-relevant safety monitor is polled in ``monitors`` order.
+    Returns ``(check results, violation log, bad-pair count)``.
     """
+    conditions = (SFS2aState(pending_ok), SFS2bState(), Condition3State())
     monitors = [
-        WellFormednessMonitor(n, failure_model),
-        FS1Monitor(n, pending_ok),
-        FS2Monitor(),
-        SFS2aMonitor(pending_ok),
-        SFS2bMonitor(),
-        SFS2cMonitor(),
-        SFS2dMonitor(),
-        ConditionsMonitor(pending_ok),
+        ValidationState(n, failure_model),
+        FS1State(n, pending_ok),
+        FS2State(),
+        SFS2aState(pending_ok),
+        SFS2bState(),
+        SFS2cState(),
+        SFS2dState(),
+        ConditionsMonitor(*conditions),
     ]
+    machines = monitors[:-1] + list(conditions)
     if get_failure_model(failure_model).recoverable:
-        monitors.append(RecoveryMonitor())
+        monitors.append(RecoveryState())
+        machines.append(monitors[-1])
     bad_pairs = BadPairCounter()
+    machines.append(bad_pairs)
     polled = [
         monitor
         for monitor in monitors
@@ -60,9 +67,8 @@ def reference_verdicts(
     log: list[tuple[int, str]] = []
     tripped: set[str] = set()
     for idx, (event, vector) in enumerate(stream):
-        for monitor in monitors:
-            monitor.observe(idx, event, vector)
-        bad_pairs.observe(idx, event, vector)
+        for machine in machines:
+            machine.observe(idx, event, vector)
         for monitor in polled:
             if (
                 monitor.name not in tripped

@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -624,6 +625,85 @@ class TestMonitor:
     def test_monitor_livelock_fails_cleanly(self, capsys):
         assert main(["monitor", "e14", "--max-events", "10"]) == 1
         assert "monitor failed" in capsys.readouterr().err
+
+
+#: ``monitor <scenario> [--stop] --failure-model <model>`` -> (exit code,
+#: sha256 of stdout). Every line of the verdict text is rendered from the
+#: property machines (live lock-ins, summary, cycle), so a change to how
+#: they are held or folded must leave these bytes alone.
+MONITOR_GOLDEN = {
+    ("demo", False, "fail-stop"): (
+        0, "d904c1e4d9beb4d2450fb8dad83aac7a70a563769f7d521fe3cc911e50e238b7"),
+    ("demo", False, "crash-recovery"): (
+        0, "c10c299bf31ee52142362a4e00e9df8c028cc111bba27bef9e6f7ff5f2e40637"),
+    ("demo", True, "fail-stop"): (
+        0, "d904c1e4d9beb4d2450fb8dad83aac7a70a563769f7d521fe3cc911e50e238b7"),
+    ("demo", True, "crash-recovery"): (
+        0, "c10c299bf31ee52142362a4e00e9df8c028cc111bba27bef9e6f7ff5f2e40637"),
+    ("cycle", False, "fail-stop"): (
+        1, "c96acba94b93bdb0b73e9b6d30c531ae85163f4de5dc6463ef68760eee52efd2"),
+    ("cycle", False, "crash-recovery"): (
+        1, "fd36d46e1d354a4ffbc5bc40fc0ef4b028fdbb41a31629bbb91f466454910666"),
+    ("cycle", True, "fail-stop"): (
+        1, "eab60407867042ff0a3c0c6c8706ef0b98603f3dc87e1647f56fd5abc13492cd"),
+    ("cycle", True, "crash-recovery"): (
+        1, "cd031506c1449147eea266d25e4bb710938dcfec4102a143817eee70c6c3f0d2"),
+    ("e14", False, "fail-stop"): (
+        1, "c7490e79d4c2a3eeef01fc4fc0e707d1456e014eda82af9bfec5a4d90fdb02e3"),
+    ("e14", False, "crash-recovery"): (
+        1, "52055e4454e4751ebfc136460434af6963b3acca48ce669a7331e89b3cb2a8d7"),
+    ("e14", True, "fail-stop"): (
+        1, "0f0fe97afaffdc6a989fa43a1d0a8a9b43f97b6e669696a5da858dc7977d1529"),
+    ("e14", True, "crash-recovery"): (
+        1, "6b34e14718d047ad8858b2ff51022e1393bfe6f88982b83d23726d7c573d07a9"),
+    ("benor", False, "fail-stop"): (
+        0, "b7e4d693e28ae56761757c5d2b0a98f86c7560004373783b1c2be46a91c0bd52"),
+    ("benor", False, "crash-recovery"): (
+        0, "14e896a682f1f2ea35b21801ac6cb8994b89b60bb4af56f010d1f584e367f8da"),
+    ("benor", True, "fail-stop"): (
+        0, "b7e4d693e28ae56761757c5d2b0a98f86c7560004373783b1c2be46a91c0bd52"),
+    ("benor", True, "crash-recovery"): (
+        0, "14e896a682f1f2ea35b21801ac6cb8994b89b60bb4af56f010d1f584e367f8da"),
+}
+
+MONITOR_CYCLE_TEXT = """\
+[event      1] t=   1.000  !! sFS2b VIOLATED by failed_1(0)
+[event      1] t=   1.000  !! Conditions1-3 VIOLATED by failed_1(0)
+
+== monitor cycle seed=0: 12 events ==
+valid          ok
+FS1            ok
+FS2            VIOLATED (locked at event [0])
+sFS2a          ok
+sFS2b          VIOLATED (locked at event [1])
+sFS2c          ok
+sFS2d          ok
+Conditions1-3  VIOLATED (locked at event [1])
+bad pairs      7
+sFS2b: failed-before cycle: 0 failed-before 1 , 1 failed-before 0
+"""
+
+
+class TestMonitorGolden:
+    """The ``monitor`` command's stdout, byte for byte, on every scenario
+    with and without ``--stop`` under two failure models."""
+
+    @pytest.mark.parametrize(
+        "scenario, stop, model",
+        list(MONITOR_GOLDEN),
+        ids=lambda value: {True: "stop", False: "run"}.get(value, value),
+    )
+    def test_stdout_is_pinned(self, scenario, stop, model, capsys):
+        argv = ["monitor", scenario, "--failure-model", model]
+        code = main(argv + ["--stop"] if stop else argv)
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+            MONITOR_GOLDEN[scenario, stop, model]
+        )
+
+    def test_cycle_text_in_full(self, capsys):
+        assert main(["monitor", "cycle"]) == 1
+        assert capsys.readouterr().out == MONITOR_CYCLE_TEXT
 
 
 class TestSweepEarlyStop:

@@ -16,15 +16,13 @@ import pytest
 
 from tests.conftest import SRC, run_python
 
-# ``__all__`` of each package at the last commit with eager imports, in
-# order, each name prefixed with the submodule that defines it.
+# ``__all__`` of each package at the last commit with eager imports, less
+# the names deleted since, in order, each name prefixed with the submodule
+# that defines it.
 SURFACE = {
     "repro.analysis": """
         checker:ConformanceReport checker:analyze checker:report_from_monitors
-        monitors:MonitorSet monitors:PropertyMonitor monitors:FS1Monitor
-        monitors:FS2Monitor monitors:SFS2aMonitor monitors:SFS2bMonitor
-        monitors:SFS2cMonitor monitors:SFS2dMonitor monitors:ConditionsMonitor
-        monitors:WellFormednessMonitor monitors:BadPairCounter
+        monitors:MonitorSet monitors:ConditionsMonitor monitors:BadPairCounter
         monitors:DEFAULT_HALT_ON metrics:RunMetrics metrics:DetectionLatency
         metrics:collect_metrics metrics:detection_latency
         metrics:detections_by_detector report:format_table
