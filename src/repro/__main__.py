@@ -431,7 +431,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         run_fuzz,
     )
     from repro.errors import ReproError
-    from repro.sim.multiworld import ShardedRunner
 
     backend = args.backend or "inproc"
     # Options that configure something this invocation does not use are
@@ -462,24 +461,27 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 f"violations={len(outcome.violations)}{flag}"
             ]
         sink = _StreamSink(render)
+
+    def axis(names, default):
+        # An empty list is an empty axis, which FuzzConfig refuses.
+        if names is None:
+            return default
+        return tuple(names.split(",")) if names else ()
+
     try:
         config = FuzzConfig(
             min_n=args.min_n,
             max_n=args.max_n,
-            protocols=(
-                tuple(args.protocols.split(","))
-                if args.protocols
-                else DEFAULT_CONFIG.protocols
-            ),
-            detectors=(
-                tuple(args.detectors.split(","))
-                if args.detectors
-                else DEFAULT_CONFIG.detectors
-            ),
+            protocols=axis(args.protocols, DEFAULT_CONFIG.protocols),
+            detectors=axis(args.detectors, DEFAULT_CONFIG.detectors),
             failure_model=args.failure_model,
         )
         # Passed in only to read its stats back for the engine line.
-        runner = ShardedRunner() if backend == "inproc" else None
+        runner = None
+        if backend == "inproc":
+            from repro.sim.multiworld import ShardedRunner
+
+            runner = ShardedRunner()
         common = dict(
             seed=args.seed, count=args.count, config=config, runner=runner,
             backend=backend, jobs=args.jobs or 2, remote_workers=args.workers,

@@ -5,18 +5,17 @@ scenarios (``experiments.py``) explore a sliver of that space. This module
 generates whole families of adversarial scenarios — topology size, failure
 sets and timing, adversary delay/partition schedules, detector choice and
 parameters, protocol choice, application chatter — from nothing but a
-``(seed, index, config)`` triple, runs them through
-:class:`~repro.sim.multiworld.ShardedRunner` with streaming conformance
-monitors attached, and flags every scenario where
+``(seed, index, config)`` triple, plans them as jobs for
+:mod:`repro.exec`, and folds the judged outcomes into digest-stable
+reports and adaptive campaigns. :func:`expected_clean` is the model
+oracle's per-configuration contract (e.g. a bounds-enforced Section 5 run
+must never trip sFS2b-d, per Theorem 5).
 
-* the streaming monitors did not observe exactly the recorded events, or
-  the violation log they pushed is not the one their lock-in indices
-  give when polled (the differential oracle; the full stream ≡ replay
-  comparison runs exhaustively over small histories in tier-1), or
-* a property the configuration *should* satisfy is violated (the model
-  oracle: e.g. a bounds-enforced Section 5 run must never trip sFS2b-d,
-  per Theorem 5 — see :func:`expected_clean` for the per-configuration
-  contract).
+Building, running and judging a scenario's world is
+:mod:`repro.analysis.fuzz_world`, which the job runners below import on
+their first job: planning, reporting and a resume that restores every
+outcome from its journal load no simulator. ``build_scenario_world`` and
+``judge_world`` are still readable from here (PEP 562).
 
 Everything is a pure function of the inputs: the same
 ``python -m repro fuzz --seed S --count N`` invocation replays the same
@@ -28,23 +27,22 @@ the reproducer).
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
-
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from repro._lazy import lazy_namespace
 from repro.analysis.coverage import (
     AxisWeights,
     CoverageMap,
     derive_weights,
     weighted_choice,
 )
-from repro.analysis.monitors import MonitorSet
 from repro.core.bounds import max_tolerable_t
 from repro.core.failure_models import get_failure_model
-from repro.detectors.heartbeat import HeartbeatDriver
-from repro.detectors.phi_accrual import PhiAccrualDriver
 from repro.errors import SimulationError
 from repro.exec.core import run_jobs
 from repro.exec.executors import (
@@ -55,28 +53,20 @@ from repro.exec.executors import (
 )
 from repro.exec.job import JobSpec, run_job
 from repro.exec.sink import ResultSink
-from repro.protocols.generic import GenericOneRoundProcess
-from repro.protocols.recovery import make_recovering
-from repro.protocols.sfs import SfsProcess
-from repro.protocols.transitive import TransitiveSfsProcess
-from repro.protocols.unilateral import UnilateralProcess
-from repro.sim.delays import (
-    ConstantDelay,
-    DelayModel,
-    ExponentialDelay,
-    LogNormalDelay,
-    ParetoDelay,
-    UniformDelay,
-)
 from repro.sim.failures import (
     Fault,
-    apply_faults,
     random_byzantine_plan,
     random_fault_plan,
     random_recovery_plan,
 )
-from repro.sim.multiworld import ShardSpec, ShardedRunner, run_shard
-from repro.sim.world import World
+
+if TYPE_CHECKING:
+    from repro.sim.multiworld import ShardedRunner
+
+__getattr__, __dir__ = lazy_namespace(globals(), {
+    "build_scenario_world": "fuzz_world",
+    "judge_world": "fuzz_world",
+})
 
 PROTOCOLS = ("sfs", "transitive", "generic", "unilateral")
 """Fuzzable protocol ids (Section 5, its piggybacked variant, the
@@ -126,6 +116,12 @@ class FuzzConfig:
     failure_model: str = "fail-stop"
 
     def __repr__(self) -> str:
+        return self._repr
+
+    @cached_property
+    def _repr(self) -> str:
+        # Rendered once per config: every job of a plan shares one config,
+        # and plan_digest and each job_digest render the job's repr.
         # Byte-identical to the pre-failure-model dataclass repr when the
         # new field keeps its default: reprs seed job identities and
         # journal keys, which must not shift under existing configs.
@@ -143,6 +139,13 @@ class FuzzConfig:
         if self.failure_model != "fail-stop":
             base += f", failure_model={self.failure_model!r}"
         return base + ")"
+
+    def __getstate__(self) -> dict:
+        # The rendered repr is a cache, not state: pickled jobs stay the
+        # same bytes whether or not it was rendered first.
+        state = dict(self.__dict__)
+        state.pop("_repr", None)
+        return state
 
     def __post_init__(self) -> None:
         get_failure_model(self.failure_model)  # raises on unknown names
@@ -163,6 +166,34 @@ class FuzzConfig:
                 raise SimulationError(
                     f"unknown {name} in FuzzConfig: {', '.join(map(str, unknown))}"
                 )
+            if not getattr(self, name):
+                raise SimulationError(
+                    f"FuzzConfig.{name} is empty; name at least one of "
+                    f"{', '.join(pool)}"
+                )
+        # Every check is written so that NaN fails it.
+        for name in ("detector_rate", "adversary_rate", "partition_rate"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise SimulationError(
+                    f"FuzzConfig.{name} must lie in [0, 1], "
+                    f"got {getattr(self, name)!r}"
+                )
+        if not (math.isfinite(self.fault_horizon) and self.fault_horizon >= 0):
+            raise SimulationError(
+                "FuzzConfig.fault_horizon must be a finite time >= 0, "
+                f"got {self.fault_horizon!r}"
+            )
+        if not (
+            math.isfinite(self.detector_horizon) and self.detector_horizon > 0
+        ):
+            raise SimulationError(
+                "FuzzConfig.detector_horizon must be a finite time > 0, "
+                f"got {self.detector_horizon!r}"
+            )
+        if not self.max_chatter >= 0:
+            raise SimulationError(
+                f"FuzzConfig.max_chatter must be >= 0, got {self.max_chatter!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -456,88 +487,6 @@ def generate_weighted_scenario(
 
 
 # ----------------------------------------------------------------------
-# Materialisation
-# ----------------------------------------------------------------------
-
-_DELAY_BUILDERS = {
-    "constant": lambda p: ConstantDelay(*p),
-    "uniform": lambda p: UniformDelay(*p),
-    "exponential": lambda p: ExponentialDelay(*p),
-    "lognormal": lambda p: LogNormalDelay(*p),
-    "pareto": lambda p: ParetoDelay(*p),
-}
-
-
-def _delay_model(scenario: Scenario) -> DelayModel:
-    family, params = scenario.delay
-    return _DELAY_BUILDERS[family](params)
-
-
-def _make_process(scenario: Scenario):
-    kind, params = scenario.detector
-    detector = None
-    if kind == "heartbeat":
-        detector = HeartbeatDriver(interval=params[0], timeout=params[1])
-    elif kind == "phi":
-        detector = PhiAccrualDriver(interval=params[0], threshold=params[1])
-    classes = {
-        "sfs": SfsProcess,
-        "transitive": TransitiveSfsProcess,
-        "generic": GenericOneRoundProcess,
-        "unilateral": UnilateralProcess,
-    }
-    cls = classes[scenario.protocol]
-    if get_failure_model(scenario.failure_model).recoverable:
-        # Crash-recovery runs the *unmodified* crash-stop protocols under
-        # the YOLMT wrapper; the classes themselves stay untouched.
-        cls = make_recovering(cls)
-    if scenario.protocol == "generic":
-        assert scenario.quorum_size is not None
-        return cls(quorum_size=scenario.quorum_size, detector=detector)
-    if scenario.protocol == "unilateral":
-        return cls(detector=detector)
-    return cls(t=scenario.t, detector=detector)
-
-
-def build_scenario_world(scenario: Scenario) -> World:
-    """A ready-to-run world for one scenario, monitors already attached.
-
-    The attached :class:`~repro.analysis.monitors.MonitorSet` (reachable
-    as ``world.monitors``) streams over every recorded event; it is *not*
-    set to stop on violation — the fuzzer judges the complete run.
-    """
-    world = World(
-        [_make_process(scenario) for _ in range(scenario.n)],
-        _delay_model(scenario),
-        seed=scenario.seed,
-        failure_model=scenario.failure_model,
-    )
-    world.attach_monitor(
-        MonitorSet(
-            scenario.n,
-            pending_ok=True,
-            failure_model=scenario.failure_model,
-        )
-    )
-    apply_faults(world, list(scenario.faults))
-    for target, shield in scenario.holds:
-        world.adversary.hold_suspicions_about(target, frozenset(shield))
-    if scenario.partition is not None:
-        side_a, side_b = scenario.partition
-        world.adversary.partition(side_a, side_b)
-    if scenario.heal_at is not None:
-        world.scheduler.schedule_at(scenario.heal_at, world.adversary.heal)
-    for at, src, dst, tag in scenario.chatter:
-        proc = world.process(src)
-
-        def send_chatter(p=proc, d=dst, g=tag) -> None:
-            p.send(d, ("fuzz", p.pid, g))
-
-        world.scheduler.schedule_at(at, send_chatter)
-    return world
-
-
-# ----------------------------------------------------------------------
 # Oracles
 # ----------------------------------------------------------------------
 
@@ -577,55 +526,6 @@ def expected_clean(scenario: Scenario) -> tuple[str, ...]:
     if scenario.protocol == "unilateral":
         return base + ("sFS2d",)
     return base
-
-
-def judge_world(scenario: Scenario, world: World) -> "FuzzOutcome":
-    """Differential + model oracle for one completed scenario run.
-
-    The differential half checks the stream rather than re-running it:
-    the monitor set must have observed every recorded event exactly once,
-    and the violation log its machines pushed must equal the log polled
-    from their lock-in indices. That a set which saw the whole history
-    judges it as a replay would is a property of the monitors, not of
-    the run; ``tests/property/test_small_scope.py`` checks it on every
-    small history.
-    """
-    monitors = world.monitors
-    assert monitors is not None
-    findings: list[str] = []
-
-    recorded = len(world.trace)
-    if monitors.events_seen != recorded:
-        findings.append(
-            "stream/batch divergence: monitors observed "
-            f"{monitors.events_seen} of {recorded} recorded events"
-        )
-    polled = monitors.polled_violation_log()
-    if polled != monitors.violation_log:
-        findings.append(
-            "stream/batch divergence: violation logs differ "
-            f"(stream={monitors.violation_log!r}, batch={polled!r})"
-        )
-
-    tripped = {name for _, name in monitors.violation_log}
-    for name in expected_clean(scenario):
-        if name in tripped:
-            locked = next(
-                idx for idx, mon in monitors.violation_log if mon == name
-            )
-            findings.append(
-                f"model violation: {name} tripped at event {locked} in a "
-                f"{scenario.protocol} scenario that must satisfy it"
-            )
-
-    return FuzzOutcome(
-        index=scenario.index,
-        scenario=scenario,
-        events=recorded,
-        violations=tuple(monitors.violation_log),
-        findings=tuple(findings),
-        coverage=monitors.transition_coverage(monitors.check_results()),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -802,37 +702,19 @@ def scenario_spec_job(scenario: Scenario) -> JobSpec:
     )
 
 
-def _scenario_shard(scenario: Scenario):
-    """The one-shard form every fuzz execution path funnels through."""
-    spec = ShardSpec(
-        key=scenario,
-        build=(lambda: build_scenario_world(scenario)),
-        horizon=scenario.horizon,
-        max_events=FUZZ_MAX_EVENTS,
-    )
-    return spec, (lambda spec, world: judge_world(spec.key, world))
-
-
-def _run_whole(scenario: Scenario) -> FuzzOutcome:
-    """Run and judge one scenario to completion, as its own shard.
-
-    :func:`~repro.sim.multiworld.run_shard` is what the ``inproc``
-    executor's runner calls per scenario, so completion and
-    livelock-valve semantics are the shard form's *by construction* —
-    not merely equivalent, the same code — keeping every backend
-    bit-identical even at the valve boundary.
-    """
-    outcome, _events = run_shard(*_scenario_shard(scenario))
-    return outcome
+# The four runners below import repro.analysis.fuzz_world on their first
+# job, so a plan that executes none never loads the simulator.
 
 
 def run_fuzz_job(job: JobSpec) -> FuzzOutcome:
     """Execution-layer entrypoint: run and judge one scenario, whole.
 
-    This is the serial/parallel/remote form (see :func:`_run_whole`).
-    Module-level so the parallel executor can resolve it by name in
-    worker processes.
+    This is the serial/parallel/remote form (see
+    :func:`repro.analysis.fuzz_world._run_whole`). Module-level so the
+    parallel executor can resolve it by name in worker processes.
     """
+    from repro.analysis.fuzz_world import _run_whole
+
     return _run_whole(job_scenario(job))
 
 
@@ -840,6 +722,8 @@ def _fuzz_job_shard(job: JobSpec):
     """Shard form: lets the ``inproc`` executor run scenarios through
     :class:`~repro.sim.multiworld.ShardedRunner` (see
     :func:`repro.exec.job.shard_form`)."""
+    from repro.analysis.fuzz_world import _scenario_shard
+
     return _scenario_shard(job_scenario(job))
 
 
@@ -848,11 +732,15 @@ run_fuzz_job.to_shard = _fuzz_job_shard
 
 def run_scenario_job(job: JobSpec) -> FuzzOutcome:
     """Execution-layer entrypoint for literal-scenario jobs."""
+    from repro.analysis.fuzz_world import _run_whole
+
     return _run_whole(job.param("scenario"))
 
 
 def _scenario_job_shard(job: JobSpec):
     """Shard form of :func:`run_scenario_job`."""
+    from repro.analysis.fuzz_world import _scenario_shard
+
     return _scenario_shard(job.param("scenario"))
 
 

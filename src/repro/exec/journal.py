@@ -30,11 +30,15 @@ untrusted sources.
 
 Crash tolerance: every result line is flushed as written, and a load
 tolerates a torn final line (the unflushed victim of a kill) by dropping
-it. A resume first *rewrites* the file from its salvageable entries —
-into a temp file that is fsynced and atomically renamed over the
-original, so a kill during the rewrite itself leaves either the old
-salvageable journal or the complete new one, never less — and the append
-stream after a torn line can never corrupt the journal.
+it. A resume whose read dropped nothing — no torn final line, and the
+file ends in ``\\n`` — appends to the file as it stands. Only when salvage
+dropped something does a resume *rewrite* the file from its salvageable
+entries — into a temp file that is fsynced and atomically renamed over
+the original, so a kill during the rewrite itself leaves either the old
+salvageable journal or the complete new one, never less — so the append
+stream never follows a torn line and can never corrupt the journal. The
+header's ``core`` field is informational and names the event core that
+created the file: an appending resume keeps the header it found.
 
 Multi-host runs go through the ``remote`` backend
 (:mod:`repro.exec.remote`), which ships each worker the strided share
@@ -108,23 +112,28 @@ class Journal:
 
     def _read(
         self, binding: str, total: int
-    ) -> tuple[dict[int, tuple[str, str, Any]], dict[int, dict]]:
+    ) -> tuple[dict[int, tuple[str, str, Any]], dict[int, dict], bool]:
         """Salvaged lines: ``({index: (job hash, raw data, result)},
-        {batch: coverage entry})``; empty on a missing file.
+        {batch: coverage entry}, clean)``; empty on a missing file.
 
-        The header must bind the file to ``binding``; per-entry job
-        hashes are checked by :meth:`_validated` once the jobs at those
-        indices are known. Reads the file in one shot and holds no handle
-        afterwards.
+        ``clean`` says the read dropped nothing: the file exists, ends in
+        ``\\n`` and has no torn final line, so a line appended to it
+        starts a line of its own. The header must bind the file to
+        ``binding``; per-entry job hashes are checked by
+        :meth:`_validated` once the jobs at those indices are known.
+        Reads the file in one shot and holds no handle afterwards.
         """
         if not self.path.exists():
-            return {}, {}
+            return {}, {}, False
         try:
-            lines = self.path.read_text().splitlines()
+            # Lines keep their "\n" (JSON ignores it), so the file's text
+            # is not held alongside them while the results decode.
+            lines = self.path.read_text().splitlines(keepends=True)
         except OSError as exc:
             raise SimulationError(
                 f"cannot read journal {self.path}: {exc}"
             ) from exc
+        clean = bool(lines) and lines[-1].endswith("\n")
         cached: dict[int, tuple[str, str, Any]] = {}
         checkpoints: dict[int, dict] = {}
 
@@ -138,6 +147,7 @@ class Journal:
                 entry = json.loads(line)
             except json.JSONDecodeError:
                 if lineno == len(lines) - 1:
+                    clean = False
                     continue  # torn final line: the kill's half-write
                 raise corrupt("only the final line may be torn") from None
             # Valid JSON is not yet a valid entry: a kill (or a foreign
@@ -209,7 +219,7 @@ class Journal:
                     f"for index {index}"
                 )
             cached[index] = (job_hash, data, result)
-        return cached, checkpoints
+        return cached, checkpoints, clean
 
     def _validated(
         self,
@@ -246,7 +256,7 @@ class Journal:
         belongs to a different plan, or an entry's job hash does not
         match the plan's job at that index; tolerates a torn final line.
         """
-        cached, _ = self._read(plan_digest(jobs), len(jobs))
+        cached, _, _ = self._read(plan_digest(jobs), len(jobs))
         return self._validated(cached, jobs)
 
     # ------------------------------------------------------------------
@@ -256,28 +266,40 @@ class Journal:
     def open(self, binding: str, total: int, resume: bool = False) -> None:
         """Open the file for appending, bound to ``binding``.
 
-        With ``resume`` the file is first loaded and validated, then
-        rewritten cleanly from its salvageable lines — into a sibling
-        temp file that is fsynced and atomically renamed into place, so a
-        second kill at any point leaves either the old salvageable file
-        or the complete rewrite, never less — and appends never follow a
-        torn line. Entries are copied verbatim (no pickle round trip).
-        What was salvaged is handed out by :meth:`restored` as the jobs
-        at those indices become known. Without ``resume`` any existing
-        file is truncated and the run starts fresh.
+        With ``resume`` the file is first loaded and validated. If the
+        read dropped nothing (see :meth:`_read`) the file is opened for
+        appending as it stands: a complete journal resumes at the cost
+        of reading it. Otherwise it is rewritten cleanly from its
+        salvageable lines — into a sibling temp file that is fsynced and
+        atomically renamed into place, so a second kill at any point
+        leaves either the old salvageable file or the complete rewrite,
+        never less — and appends never follow a torn line. Entries are
+        copied verbatim (no pickle round trip). What was salvaged is
+        handed out by :meth:`restored` as the jobs at those indices
+        become known. Without ``resume`` any existing file is truncated
+        and the run starts fresh.
         """
-        self._salvaged, self._checkpoints = (
-            self._read(binding, total) if resume else ({}, {})
+        self._salvaged, self._checkpoints, clean = (
+            self._read(binding, total) if resume else ({}, {}, False)
         )
+        if clean:
+            try:
+                self._fh = self.path.open("a")
+            except OSError as exc:
+                raise SimulationError(
+                    f"cannot write journal {self.path}: {exc}"
+                ) from exc
+            return
         header = {
             "kind": "header",
             "version": JOURNAL_VERSION,
             "plan": binding,
             "total": total,
-            # Informational: which event core wrote this file. Results
-            # are bit-identical across cores, so resume does not (and
-            # must not) validate it — a journal written under one core
-            # resumes under the other.
+            # Informational: which event core created this file (a clean
+            # resume appends under the header it found). Results are
+            # bit-identical across cores, so resume does not (and must
+            # not) validate it — a journal written under one core resumes
+            # under the other.
             "core": _core.ACTIVE_IMPL,
         }
         tmp = self.path.with_name(self.path.name + ".rewrite")

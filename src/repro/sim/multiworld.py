@@ -14,7 +14,7 @@ results. The runner has two:
 
 * ``stepping="sequential"`` (the default) — run each shard to completion
   in spec order, one world alive at a time: :func:`run_shard`, which is
-  also what a whole fuzz job calls (:mod:`repro.analysis.fuzz`), so the
+  also what a whole fuzz job calls (:mod:`repro.analysis.fuzz_world`), so the
   shard form and the whole-job form of a scenario are the same code.
 * ``stepping="round_robin"`` — interleave shards in fixed event quanta
   within a bounded window of live shards. Kept as engine API: the tests

@@ -1,5 +1,6 @@
 """Tests for the deterministic scenario fuzzer."""
 
+import pickle
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from repro.analysis.fuzz import (
     expected_clean,
     generate_scenario,
     judge_world,
+    run_adaptive_fuzz,
     run_fuzz,
 )
 from repro.analysis.shrink import finding_kinds
@@ -74,6 +76,49 @@ class TestGeneration:
             FuzzConfig(protocols=("sfs", "paxos"))
         with pytest.raises(SimulationError, match="detectors"):
             FuzzConfig(detectors=("gossip",))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # Each of these used to be accepted, then failed mid-run with
+            # a generator traceback or was silently drawn as if clamped.
+            ("protocols", ()),
+            ("delays", ()),
+            ("detectors", ()),
+            ("max_chatter", -1),
+            ("fault_horizon", -1.0),
+            ("fault_horizon", float("nan")),
+            ("fault_horizon", float("inf")),
+            ("detector_horizon", 0.0),
+            ("detector_horizon", float("nan")),
+            ("detector_rate", 2.0),
+            ("detector_rate", float("nan")),
+            ("adversary_rate", -1.0),
+            ("partition_rate", 1.5),
+        ],
+    )
+    def test_axes_it_cannot_draw_from_are_refused(self, field, value):
+        with pytest.raises(SimulationError) as raised:
+            FuzzConfig(**{field: value})
+        message = str(raised.value)
+        assert message.startswith(f"FuzzConfig.{field} ")
+        assert "\n" not in message
+
+    def test_every_axis_at_its_edge_still_runs(self):
+        config = FuzzConfig(
+            max_chatter=0, fault_horizon=0.0, detector_horizon=0.5,
+            detector_rate=1.0, adversary_rate=1.0, partition_rate=0.0,
+            detectors=("none", "heartbeat"),
+        )
+        report = run_fuzz(seed=0, count=4, config=config, backend="serial")
+        assert report.count == 4 and not report.findings
+
+    def test_repr_is_rendered_once_and_never_pickled(self):
+        config = FuzzConfig(max_n=5)
+        before = pickle.dumps(config)
+        assert repr(config) is repr(config)
+        assert pickle.dumps(config) == before
+        assert repr(pickle.loads(before)) == repr(config)
 
 
 class TestOracles:
@@ -426,6 +471,67 @@ class TestExecutionLayer:
         )
         assert sink.results == list(report.outcomes)
         assert [o.index for o in sink.results] == list(range(8))
+
+
+class TestJournalTail:
+    """A kill can cut a journal at any byte. Resuming from every cut
+    inside the last two lines reaches the uninterrupted digest; a cut at
+    a line boundary leaves a clean file, which the resume appends to in
+    place (same inode, bytes before the cut untouched), and every other
+    cut is salvaged by the rewrite (a new inode). Either way the resumed
+    file reads cleanly: a second resume appends to it and changes
+    nothing."""
+
+    CONFIG = FuzzConfig(max_n=3, detectors=("none",), max_chatter=0)
+
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            dict(backend="serial"),
+            dict(backend="inproc"),
+            dict(adaptive=True, batch=4),
+        ],
+        ids=["serial", "inproc", "adaptive-batch-4"],
+    )
+    def test_resume_from_every_cut_in_the_last_two_lines(
+        self, campaign, tmp_path
+    ):
+        campaign = dict(campaign)
+        driver = run_adaptive_fuzz if campaign.pop("adaptive", False) else run_fuzz
+
+        def run(**journal):
+            return driver(
+                seed=0, count=12, config=self.CONFIG, **campaign, **journal
+            ).digest()
+
+        path = tmp_path / "fuzz.jsonl"
+        digest = run(journal=path)
+        data = path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        if "batch" in campaign:
+            assert b'"kind": "coverage"' in lines[-1]  # a checkpoint line
+        first_cut = len(data) - len(lines[-1]) - len(lines[-2])
+        appended = rewritten = 0
+        for cut in range(first_cut, len(data)):
+            path.write_bytes(data[:cut])
+            inode = path.stat().st_ino
+            clean = cut in (first_cut, len(data) - len(lines[-1]))
+            assert run(journal=path, resume=True) == digest, cut
+            resumed = path.read_bytes()
+            if clean:
+                assert path.stat().st_ino == inode, cut
+                assert resumed.startswith(data[:cut]), cut
+                appended += 1
+            else:
+                assert path.stat().st_ino != inode, cut
+                rewritten += 1
+            assert sorted(resumed.splitlines()) == sorted(data.splitlines())
+            inode = path.stat().st_ino
+            assert run(journal=path, resume=True) == digest, cut
+            assert path.stat().st_ino == inode, cut
+            assert path.read_bytes() == resumed, cut
+        assert appended == 2
+        assert rewritten == len(data) - first_cut - 2
 
 
 FUZZ30_FAIL_STOP_DIGEST = (

@@ -5,7 +5,7 @@ the unit tests of the routed dispatch, the hypothesis properties, the
 exhaustive small-scope enumeration and the fuzzer's own tests.
 """
 
-from repro.analysis.fuzz import _scenario_shard
+from repro.analysis.fuzz_world import _scenario_shard
 from repro.analysis.monitors import (
     DEFAULT_HALT_ON,
     BadPairCounter,

@@ -269,6 +269,13 @@ class TestFuzz:
         ) == 2
         assert "fuzz failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--protocols", "--detectors"])
+    def test_empty_list_is_refused_not_read_as_default(self, flag, capsys):
+        assert main(["fuzz", "--count", "1", flag, ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fuzz failed: FuzzConfig.{flag[2:]} is empty")
+        assert err.count("\n") == 1
+
     def test_fuzz_bad_delay_tuple_fails_in_one_line(self, capsys,
                                                     monkeypatch):
         # A scenario carrying a delay tuple the sampler cannot draw from
@@ -823,6 +830,54 @@ class TestImportBudget:
         )
         assert proc.returncode == 0, proc.stderr
         assert "all 5 scenarios restored from journal" in proc.stdout
+
+    # The simulator half of a fuzz run (repro.analysis.fuzz_world and all
+    # it imports), which a run that executes no job must not load.
+    SIMULATOR = (
+        *(f"repro.sim.{name}" for name in (
+            "world", "network", "scheduler", "process", "multiworld",
+        )),
+        "repro.protocols",
+        "repro.analysis.monitors",
+    )
+    MAX_REPRO_MODULES_ON_RESUME = 28
+
+    @pytest.mark.parametrize("core", ["pure", "accel"])
+    def test_a_complete_resume_and_a_fleet_coordinator_load_no_simulator(
+        self, core, tmp_path, capsys
+    ):
+        """A ``fuzz --resume`` over a complete journal restores every
+        outcome, and the coordinator of a remote fleet ships every job
+        away: neither runs one, so neither loads what running one needs."""
+        if core == "accel":
+            pytest.importorskip("repro._accel._ccore")
+        journal = str(tmp_path / "j.jsonl")
+        fuzz = [*self.FUZZ, "--backend", "serial", "--journal", journal]
+        assert main(fuzz) == 0
+        digest = re.search("^digest=.+$", capsys.readouterr().out, re.M)[0]
+        script = textwrap.dedent(f"""
+            import sys
+            from repro.__main__ import main
+
+            def loaded(*prefixes):
+                return sorted(
+                    name for name in sys.modules
+                    if any(name == p or name.startswith(p + ".")
+                           for p in prefixes)
+                )
+
+            assert main({fuzz!r} + ["--resume"]) == 0
+            assert loaded(*{self.SIMULATOR!r}) == []
+            ours = loaded("repro")
+            assert len(ours) <= {self.MAX_REPRO_MODULES_ON_RESUME}, ours
+            fleet = ["--backend", "remote", "--workers", "2"]
+            assert main({list(self.FUZZ)!r} + fleet) == 0
+            assert loaded(*{self.SIMULATOR!r}) == []
+        """)
+        proc = run_python(SRC, core, "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(digest + "\n") == 2
+        assert "(serial) ==" in proc.stdout and "(remote) ==" in proc.stdout
 
     def test_sweeps_that_judge_the_relation_leave_networkx_unimported(self):
         script = textwrap.dedent(f"""

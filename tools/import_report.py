@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """What each command imports (informational; CI prints it, nothing gates on it).
 
-For ``version``, ``fuzz``, ``fuzz --resume``, ``worker`` and ``sweep
+For ``version``, ``fuzz``, ``fuzz --resume`` (on the default backend,
+whose runner imports the simulator up front, and on ``serial``, which
+runs nothing when every scenario is restored), ``worker`` and ``sweep
 e7``: how many ``repro.*`` modules and modules in all the process has
 loaded when the command returns, and the ten largest ``-X importtime``
 self-times — so an import regression shows in the log before it shows in
@@ -69,6 +71,10 @@ def main() -> int:
         journaled = FUZZ + ["--journal", os.path.join(scratch, "fuzz.jsonl")]
         report("fuzz", cli(journaled))
         report("fuzz --resume", cli(journaled + ["--resume"]))
+        report(
+            "fuzz --backend serial --resume",
+            cli(journaled + ["--backend", "serial", "--resume"]),
+        )
     report("worker (before its first job)", WORKER)
     report("sweep e7", cli(["sweep", "e7", "--seeds", "2", "--param", "n=6"]))
     return 0
