@@ -27,7 +27,7 @@ pure function of its spec, so *nothing* in this layer — backend choice,
 chunking, shard stepping, a kill and resume, sink attachment — can change
 a result, only when and where it is computed. The tests pin that down as
 bit-identical digests across every axis. A lazy namespace
-(:mod:`repro._lazy`): ``repro.exec.remote`` — sockets, subprocesses, the
+(:mod:`repro._lazy`): ``repro.exec.remote`` — sockets, worker processes, the
 detectors — loads when one of its four names is first read, not before.
 """
 
@@ -49,7 +49,6 @@ __getattr__, __dir__ = lazy_namespace(globals(), {
     "run_job": "job",
     "shard_form": "job",
     "Journal": "journal",
-    "partition_jobs": "journal",
     "RemoteExecutor": "remote",
     "RemoteStats": "remote",
     "parse_worker_spec": "remote",
@@ -79,6 +78,5 @@ __all__ = [
     "ResultSink",
     "CollectSink",
     "Journal",
-    "partition_jobs",
     "run_jobs",
 ]

@@ -8,11 +8,11 @@ and fuzz subsystems, now shared by everything that fans out work:
 * :class:`ParallelExecutor` — a ``multiprocessing`` pool; jobs ship to
   workers by pickling and results stream back in planned order.
 * :class:`~repro.exec.remote.RemoteExecutor` — multi-host dispatch over
-  TCP: the plan is partitioned with
-  :func:`~repro.exec.journal.partition_jobs`, each share shipped to a
-  worker process (``python -m repro worker``), and completed results
-  streamed back as journal-shaped lines while the coordinator watches
-  the workers with the repo's own failure detectors.
+  TCP: worker processes (forked from this one with ``spawn=N``, or
+  ``python -m repro worker`` started elsewhere) draw jobs from one queue
+  in plan order, a bounded window at a time, and stream completed
+  results back as journal-shaped lines while the coordinator watches
+  them with the repo's own failure detectors.
 * :class:`InprocExecutor` — in this process. Jobs that advertise
   a shard form (see :mod:`repro.exec.job`) are handed, as one batch, to
   a :class:`~repro.sim.multiworld.ShardedRunner`, which by default runs
@@ -74,6 +74,28 @@ class SerialExecutor(Executor):
             on_result(index, self._run(job))
 
 
+def process_context():
+    """The ``multiprocessing`` context of every local fan-out: the
+    parallel pool and the remote backend's ``spawn=N`` fleet.
+
+    Fork on Linux only: it is cheap there, and a child inherits this
+    process's imported modules and ``sys.path``, while macOS defaults to
+    spawn for a reason (forked children can abort in system frameworks).
+    Results are identical either way — every job derives all state from
+    its own spec. The standard streams are flushed first, because a
+    forked child flushes its copy of them as it exits: output still
+    buffered here would otherwise be printed once per child as well.
+    """
+    import multiprocessing
+
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    return multiprocessing.get_context(
+        "fork" if sys.platform == "linux" else None
+    )
+
+
 class ParallelExecutor(Executor):
     """A ``multiprocessing`` pool of worker processes.
 
@@ -94,15 +116,7 @@ class ParallelExecutor(Executor):
     def submit(self, pending: Pending, on_result: OnResult) -> None:
         if not pending:
             return
-        import multiprocessing
-
-        # Prefer fork only on Linux: it is cheap there, while macOS
-        # defaults to spawn for a reason (forked children can abort in
-        # system frameworks). Results are identical either way — every
-        # job derives all state from its own pickled spec.
-        ctx = multiprocessing.get_context(
-            "fork" if sys.platform == "linux" else None
-        )
+        ctx = process_context()
         chunk = self.chunksize or max(1, len(pending) // (4 * self.workers))
         jobs = [job for _, job in pending]
         with ctx.Pool(processes=self.workers) as pool:
@@ -188,8 +202,8 @@ def make_executor(
     """Build a registered executor by name.
 
     ``remote_workers`` configures the ``"remote"`` backend's fleet (see
-    :func:`~repro.exec.remote.parse_worker_spec`): an integer spawns that
-    many local worker subprocesses; a ``"host:port,host:port"`` string
+    :func:`~repro.exec.remote.parse_worker_spec`): an integer starts that
+    many local worker processes; a ``"host:port,host:port"`` string
     dials out to workers already listening. It is rejected for every
     other backend rather than silently ignored, as is ``run`` (see
     :class:`SerialExecutor`) for every backend but ``"serial"``.

@@ -41,8 +41,9 @@ header's ``core`` field is informational and names the event core that
 created the file: an appending resume keeps the header it found.
 
 Multi-host runs go through the ``remote`` backend
-(:mod:`repro.exec.remote`), which ships each worker the strided share
-:func:`partition_jobs` assigns it and streams journal-shaped lines back.
+(:mod:`repro.exec.remote`), whose workers stream journal-shaped lines
+back to a coordinator that records them here as they land, in arrival
+order — the same file a single-host run writes.
 """
 
 from __future__ import annotations
@@ -385,28 +386,3 @@ class Journal:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-def partition_jobs(
-    jobs: Sequence[JobSpec], worker_id: int, n_workers: int
-) -> list[tuple[int, JobSpec]]:
-    """Worker ``worker_id``'s strided share of the plan, with indices —
-    the ``remote`` backend's share function.
-
-    Strided (round-robin) assignment keeps every worker's finished
-    results spread across the whole index range, so the in-order
-    streaming prefix at the coordinator grows steadily instead of
-    stalling on one worker's contiguous block. Deterministic: the
-    partition depends only on ``(len(jobs), worker_id, n_workers)``.
-    """
-    if n_workers < 1:
-        raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
-    if not 0 <= worker_id < n_workers:
-        raise SimulationError(
-            f"worker_id must be in [0, {n_workers}), got {worker_id}"
-        )
-    return [
-        (index, job)
-        for index, job in enumerate(jobs)
-        if index % n_workers == worker_id
-    ]

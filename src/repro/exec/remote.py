@@ -18,10 +18,10 @@ of their specs, so duplicates are bit-identical and safe to reconcile
 Topology and protocol::
 
     coordinator (RemoteExecutor.submit)          worker (run_worker)
-        bind + accept / dial out  ◀── TCP ──▶  --connect / --listen
+        bind + accept / dial out  ◀── TCP ──▶  connect= / listen=
         ── welcome {version, heartbeat_interval} ──▶
         ◀── hello {version, name, pid} ──           (worker speaks first)
-        ── assign {jobs: [[index, pickled spec], ...]} ──▶
+        ── assign {jobs: [[index, pickled spec], ...]} ──▶   (per top-up)
         ◀── result {index, job: sha256, data: b64} ──   (streamed per job)
         ◀── heartbeat {n} ──                (background thread, interval)
         ── shutdown ──▶
@@ -42,22 +42,32 @@ bytes, so every worker must run the same Python and pickle protocol as
 the coordinator, or semantically identical results can differ byte-wise
 and be refused as disagreement.
 
-Partitioning: the coordinator splits the pending plan with
-:func:`~repro.exec.journal.partition_jobs` (strided, so every worker's
-finished results spread across the index range and the in-order
-streaming prefix grows steadily), ships each share, and streams
-completions back the moment they land.
+Top-up dispatch: the pending plan is one queue in plan order. Each
+worker holds a bounded window of outstanding jobs (:func:`_window`,
+derived from the plan and fleet sizes), taken from the head of the
+queue, and a worker whose window has drained to half is refilled from
+there as its results land. So the work a worker gets follows how fast
+it actually is, the in-order streaming prefix never waits on more than
+a window, and when the queue runs dry no worker is left holding more
+than a window while the rest of the fleet idles. A worker declared failed has its
+unfinished jobs put back at the front of the queue, from where the
+survivors' next top-ups take them.
 
 Deployment shapes (``spawn`` / ``accept`` / ``hosts``):
 
-* ``spawn=N`` — the coordinator listens on loopback and spawns N local
-  ``python -m repro worker --connect host:port`` subprocesses. The CLI's
-  ``--backend remote --workers 3`` quickstart, and the CI smoke's shape.
+* ``spawn=N`` — the coordinator listens on loopback and starts N local
+  worker processes with the context the parallel pool uses
+  (:func:`~repro.exec.executors.process_context`: fork on Linux), each
+  running :func:`run_worker` with ``connect=`` its address. A forked
+  worker inherits the coordinator's imported modules and ``sys.path``
+  instead of booting an interpreter of its own, and closes its copy of
+  the listening socket first. The CLI's ``--backend remote --workers
+  3`` quickstart, and the CI smoke's shape.
 * ``accept=N`` — the coordinator listens on ``listen`` and waits for N
-  workers started elsewhere with ``--connect`` to dial in (the
-  firewall-friendly direction for a real fleet).
-* ``hosts=("h1:7700", ...)`` — workers started with ``--listen`` on each
-  host; the coordinator dials out.
+  workers started elsewhere with ``python -m repro worker --connect``
+  to dial in (the firewall-friendly direction for a real fleet).
+* ``hosts=("h1:7700", ...)`` — workers started with ``python -m repro
+  worker --listen`` on each host; the coordinator dials out.
 """
 
 from __future__ import annotations
@@ -67,27 +77,24 @@ import json
 import os
 import selectors
 import socket
-import subprocess
 import sys
 import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
-import repro
 from repro.detectors.base import ClockSource, MonotonicClock, PeerMonitor
 from repro.detectors.heartbeat import HeartbeatMonitor
 from repro.detectors.phi_accrual import PhiAccrualMonitor
 from repro.errors import ReproError, SimulationError
-from repro.exec.executors import Executor, OnResult, Pending
+from repro.exec.executors import Executor, OnResult, Pending, process_context
 from repro.exec.job import JobSpec, job_digest, run_job
 
 # The journal's pickle+base64 armour, reused on the wire on purpose: a
 # result frame carries exactly the payload a journal line records.
-from repro.exec.journal import _decode, _encode, partition_jobs
+from repro.exec.journal import _decode, _encode
 
 PROTOCOL_VERSION = 1
 """Wire protocol version; hello/welcome frames must agree on it."""
@@ -179,6 +186,14 @@ def _send_frame(
         sock.sendall(payload)
 
 
+def _no_delay(sock: socket.socket) -> None:
+    """Send each frame the moment it is written. Results and top-ups are
+    small frames each way every few jobs; under Nagle's algorithm each
+    would wait for the peer's delayed acknowledgement (tens of
+    milliseconds on Linux) before leaving."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class _Channel:
     """Coordinator-side framed connection: non-blocking reads + buffering.
 
@@ -194,6 +209,7 @@ class _Channel:
         self.open = True
         self._buf = bytearray()
         sock.setblocking(False)
+        _no_delay(sock)
 
     def drain(self) -> list[dict]:
         while self.open:
@@ -310,6 +326,7 @@ def _readable(sock: socket.socket) -> bool:
 
 
 def _serve(sock: socket.socket, name: str) -> int:
+    _no_delay(sock)
     _send_frame(
         sock,
         {
@@ -431,6 +448,42 @@ def run_worker(
             pass
 
 
+def _spawned_worker(address: str, listener: socket.socket | None) -> None:
+    """Body of a ``spawn=N`` worker process: :func:`run_worker` dialling
+    the coordinator that started it.
+
+    ``listener`` is the forked child's copy of the coordinator's
+    listening socket (``None`` where the child did not inherit one);
+    closing it first means the port is released when the coordinator
+    closes its own, whatever the child is doing.
+    """
+    if listener is not None:
+        listener.close()
+    try:
+        code = run_worker(connect=address)
+    except OSError as exc:
+        # The coordinator closed the connection mid-job, as it does when
+        # the run ends on an error: the message ``python -m repro
+        # worker`` prints, not a traceback.
+        print(f"worker: lost the coordinator: {exc}", file=sys.stderr)
+        code = 1
+    sys.exit(code)
+
+
+def _window(jobs: int, workers: int) -> int:
+    """How many outstanding jobs a worker holds: a sixteenth of its fair
+    share of the plan, between 2 and 16.
+
+    At least 2 so a worker has its next job in hand while the refill for
+    the one it just finished is in flight; a worker is refilled once
+    half its window has drained, so refills go out a few jobs per frame.
+    At most 16, and small against the share, so that when the queue runs
+    dry no worker is left holding more than a sliver of the plan while
+    the rest of the fleet idles.
+    """
+    return max(2, min(16, -(-jobs // (16 * workers))))
+
+
 # ----------------------------------------------------------------------
 # Coordinator: the "remote" executor
 # ----------------------------------------------------------------------
@@ -461,7 +514,7 @@ class _WorkerSession:
 
     def send_assign(self, assigned: Sequence[tuple[int, JobSpec]]) -> None:
         # A failed send just closes the channel: the worker's silence
-        # will trip the detector and its share will be reassigned.
+        # will trip the detector and its jobs will be reassigned.
         self.channel.send(
             {
                 "kind": "assign",
@@ -471,20 +524,21 @@ class _WorkerSession:
 
 
 class RemoteExecutor(Executor):
-    """Ships job partitions to worker processes over TCP; fault tolerant.
+    """Ships jobs to worker processes over TCP; fault tolerant.
 
-    The plan is split with :func:`~repro.exec.journal.partition_jobs`,
-    one strided share per worker; results stream back as they complete
-    and reach ``on_result`` in arrival order (the execution core launders
-    them into planned order, exactly as for every other executor).
-    Workers are watched with the repo's own failure detectors on
-    wall-clock time; a worker declared failed has its unfinished indices
-    reassigned to survivors, and late results from falsely-suspected
-    workers are accepted as agreeing duplicates. See the module
-    docstring for the wire protocol and deployment shapes.
+    Workers are topped up from one queue in plan order, each holding a
+    bounded window of outstanding jobs; results stream back as they
+    complete and reach ``on_result`` in arrival order (the execution core
+    launders them into planned order, exactly as for every other
+    executor). Workers are watched with the repo's own failure detectors
+    on wall-clock time; a worker declared failed has its unfinished
+    indices put back at the front of the queue for the survivors, and
+    late results from falsely-suspected workers are accepted as agreeing
+    duplicates. See the module docstring for the wire protocol and
+    deployment shapes.
 
     Args:
-        spawn: spawn this many local worker subprocesses (loopback).
+        spawn: start this many local worker processes (loopback).
         hosts: dial out to workers listening at these ``host:port``s.
         accept: await this many workers dialling in to ``listen``.
         listen: coordinator bind address for spawn/accept modes.
@@ -550,25 +604,15 @@ class RemoteExecutor(Executor):
         self.clock = clock
         self.chaos = chaos
         self.stats = RemoteStats()
-        self.processes: list[subprocess.Popen] = []
+        self.processes: list = []
+        """The ``multiprocessing`` processes ``spawn=N`` started for the
+        most recent ``submit``, in start order."""
         self.monitor: PeerMonitor | None = None
         """The failure detector of the most recent ``submit``; its
         inherited :class:`~repro.detectors.SuspicionLog` records every
         worker suspicion for post-run accounting."""
 
     # -- connection setup ----------------------------------------------
-
-    def _child_env(self) -> dict[str, str]:
-        """Spawn env: make sure the repro package itself is importable."""
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        parts = [
-            p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
-        ]
-        if src not in parts:
-            parts.insert(0, src)
-        env["PYTHONPATH"] = os.pathsep.join(parts)
-        return env
 
     def _handshake(self, sock: socket.socket, deadline: float) -> dict:
         sock.settimeout(max(deadline - time.monotonic(), 0.1))
@@ -594,7 +638,7 @@ class RemoteExecutor(Executor):
 
     def _connect_workers(self) -> list[_WorkerSession]:
         deadline = time.monotonic() + self.connect_timeout
-        socks: list[tuple[socket.socket, subprocess.Popen | None]] = []
+        socks: list[socket.socket] = []
         if self.hosts:
             for addr in self.hosts:
                 host, port = _parse_hostport(addr)
@@ -603,14 +647,14 @@ class RemoteExecutor(Executor):
                         (host, port), timeout=self.connect_timeout
                     )
                 except OSError as exc:
-                    for open_sock, _ in socks:
+                    for open_sock in socks:
                         open_sock.close()
                     raise SimulationError(
                         f"cannot reach worker at {addr}: {exc} (start it "
                         "with: python -m repro worker --listen "
                         f"{addr})"
                     ) from exc
-                socks.append((sock, None))
+                socks.append(sock)
         else:
             count = self.spawn or self.accept
             host, port = _parse_hostport(self.listen)
@@ -618,18 +662,20 @@ class RemoteExecutor(Executor):
             bound_port = server.getsockname()[1]
             try:
                 if self.spawn:
+                    # Forking is safe: the coordinator runs no thread of
+                    # its own (heartbeat threads start in the workers).
+                    ctx = process_context()
+                    forked = ctx.get_start_method() == "fork"
                     for _ in range(self.spawn):
-                        proc = subprocess.Popen(
-                            [
-                                sys.executable,
-                                "-m",
-                                "repro",
-                                "worker",
-                                "--connect",
+                        proc = ctx.Process(
+                            target=_spawned_worker,
+                            args=(
                                 f"{host}:{bound_port}",
-                            ],
-                            env=self._child_env(),
+                                server if forked else None,
+                            ),
+                            daemon=True,
                         )
+                        proc.start()
                         self.processes.append(proc)
                         self.stats.spawned += 1
                 for _ in range(count):
@@ -639,22 +685,22 @@ class RemoteExecutor(Executor):
                     try:
                         sock, _ = server.accept()
                     except TimeoutError as exc:
-                        for open_sock, _ in socks:
+                        for open_sock in socks:
                             open_sock.close()
                         raise SimulationError(
                             f"only {len(socks)} of {count} workers "
                             f"connected within {self.connect_timeout}s"
                         ) from exc
-                    socks.append((sock, None))
+                    socks.append(sock)
             finally:
                 server.close()
         sessions = []
         by_pid = {proc.pid: proc for proc in self.processes}
         try:
-            for peer, (sock, proc) in enumerate(socks):
+            for peer, sock in enumerate(socks):
                 hello = self._handshake(sock, deadline)
                 name = str(hello.get("name", f"worker-{peer}"))
-                proc = proc or by_pid.get(hello.get("pid"))
+                proc = by_pid.get(hello.get("pid"))
                 sessions.append(
                     _WorkerSession(peer, name, _Channel(sock), proc=proc)
                 )
@@ -662,7 +708,7 @@ class RemoteExecutor(Executor):
             # A mid-loop handshake failure (version mismatch, timeout)
             # must not strand the fleet: close every socket, handshaken
             # or not; submit's finally reaps any spawned processes.
-            for sock, _ in socks:
+            for sock in socks:
                 try:
                     sock.close()
                 except OSError:
@@ -687,9 +733,12 @@ class RemoteExecutor(Executor):
         self,
         session: _WorkerSession,
         sessions: list[_WorkerSession],
+        queue: deque[tuple[int, JobSpec]],
         done: dict[int, str],
+        window: int,
     ) -> None:
-        """The detector's verdict: reassign the worker's unfinished share."""
+        """The detector's verdict: requeue the worker's unfinished jobs
+        at the front of the queue and top up the survivors."""
         if session.failed:
             return
         session.failed = True
@@ -700,18 +749,39 @@ class RemoteExecutor(Executor):
             if index not in done
         ]
         session.outstanding.clear()
-        survivors = [s for s in sessions if not s.failed]
-        if not orphans or not survivors:
+        if not orphans or all(s.failed for s in sessions):
             return
         self.stats.reassigned += len(orphans)
-        batches: dict[int, list[tuple[int, JobSpec]]] = {}
-        for k, (index, job) in enumerate(orphans):
-            target = survivors[k % len(survivors)]
-            target.outstanding[index] = job
-            batches.setdefault(target.peer, []).append((index, job))
-        by_peer = {s.peer: s for s in survivors}
-        for peer, batch in batches.items():
-            by_peer[peer].send_assign(batch)
+        queue.extendleft(reversed(orphans))
+        self._top_up(sessions, queue, done, window)
+
+    def _top_up(
+        self,
+        sessions: list[_WorkerSession],
+        queue: deque[tuple[int, JobSpec]],
+        done: dict[int, str],
+        window: int,
+    ) -> None:
+        """Refill, from the head of the queue, every live worker whose
+        window has drained to half, until it holds a full window again
+        or the queue is empty."""
+        for session in sessions:
+            if (
+                session.failed
+                or not session.channel.open
+                or len(session.outstanding) > window // 2
+            ):
+                continue
+            batch = []
+            while queue and len(session.outstanding) < window:
+                index, job = queue.popleft()
+                # A requeued job that a falsely-suspected worker has
+                # finished after all is not dealt again.
+                if index not in done:
+                    session.outstanding[index] = job
+                    batch.append((index, job))
+            if batch:
+                session.send_assign(batch)
 
     # -- the dispatch loop ---------------------------------------------
 
@@ -793,13 +863,10 @@ class RemoteExecutor(Executor):
         pending: list[tuple[int, JobSpec]],
         on_result: OnResult,
     ) -> None:
-        order = [job for _, job in pending]
-        for w, session in enumerate(sessions):
-            share = partition_jobs(order, w, len(sessions))
-            assigned = [(pending[local][0], job) for local, job in share]
-            session.outstanding = dict(assigned)
-            if assigned:
-                session.send_assign(assigned)
+        queue = deque(pending)
+        window = _window(len(pending), len(sessions))
+        done: dict[int, str] = {}
+        self._top_up(sessions, queue, done, window)
 
         monitor = self._make_monitor()
         self.monitor = monitor
@@ -807,7 +874,6 @@ class RemoteExecutor(Executor):
             monitor.watch(session.peer)
         by_peer = {session.peer: session for session in sessions}
         expected = {index: job_digest(job) for index, job in pending}
-        done: dict[int, str] = {}
         selector = selectors.DefaultSelector()
         for session in sessions:
             selector.register(
@@ -825,8 +891,12 @@ class RemoteExecutor(Executor):
                         )
                     if not session.channel.open:
                         selector.unregister(session.channel.sock)
+                if queue:
+                    self._top_up(sessions, queue, done, window)
                 for peer in monitor.check():
-                    self._declare_failed(by_peer[peer], sessions, done)
+                    self._declare_failed(
+                        by_peer[peer], sessions, queue, done, window
+                    )
                 if len(done) < len(pending) and all(
                     s.failed for s in sessions
                 ):
@@ -851,21 +921,21 @@ class RemoteExecutor(Executor):
             # graceful-exit grace period, terminate it outright.
             if id(proc) not in told:
                 proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=5)
+            if proc.exitcode is None:
                 proc.kill()
-                proc.wait()
+                proc.join()
 
     def submit(self, pending: Pending, on_result: OnResult) -> None:
         if not pending:
             return
         self.stats = RemoteStats()
+        self.processes = []
         sessions: list[_WorkerSession] = []
         try:
             sessions = self._connect_workers()
             self._dispatch(sessions, list(pending), on_result)
         finally:
             # Runs even when _connect_workers raises: sessions is then
-            # empty but spawned subprocesses still need killing/reaping.
+            # empty but spawned processes still need killing/reaping.
             self._cleanup(sessions)

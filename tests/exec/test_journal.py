@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import SimulationError
-from repro.exec import Journal, JobSpec, partition_jobs, plan_digest, run_jobs
+from repro.exec import Journal, JobSpec, plan_digest, run_jobs
 
 SQUARE = "toykinds:square"
 
@@ -239,26 +239,6 @@ class TestJournalRoundTrip:
         with pytest.raises(SimulationError, match="cannot write journal"):
             Journal(missing).begin(jobs)
         assert not (tmp_path / "no").exists()
-
-
-class TestPartition:
-    def test_strided_assignment_covers_exactly_once(self):
-        jobs = _plan(7)
-        shares = [partition_jobs(jobs, w, 3) for w in range(3)]
-        indices = sorted(i for share in shares for i, _ in share)
-        assert indices == list(range(7))
-        assert [i for i, _ in shares[0]] == [0, 3, 6]
-        assert [i for i, _ in shares[1]] == [1, 4]
-
-    def test_single_worker_owns_everything(self):
-        jobs = _plan(4)
-        assert partition_jobs(jobs, 0, 1) == list(enumerate(jobs))
-
-    def test_bad_worker_ids_rejected(self):
-        with pytest.raises(SimulationError):
-            partition_jobs(_plan(3), 3, 3)
-        with pytest.raises(SimulationError):
-            partition_jobs(_plan(3), 0, 0)
 
 
 class TestPublicEntriesApi:

@@ -1,16 +1,26 @@
 """Tests for the remote executor: dispatch, failure detection, recovery.
 
 The in-thread deployment shapes (``accept``/``hosts`` with
-:func:`run_worker` on a thread) execute jobs in this process, so the
-toykind entrypoints resolve via pytest's path; the spawn-mode tests run
-real ``python -m repro worker`` subprocesses and use the ``worker_path``
-fixture to make toykinds importable there.
+:func:`run_worker` on a thread) execute jobs in this process, and the
+``spawn=N`` workers are processes started from it (forked on Linux), so
+in both the toykind entrypoints resolve via pytest's own path. The
+entrypoint tests run the real ``python -m repro worker`` command as a
+subprocess in both directions (``--listen`` with ``hosts=``,
+``--connect`` with ``accept=``) and use the ``worker_path`` fixture to
+make ``repro`` and toykinds importable there; so do the fork-hygiene
+tests that run the ``fuzz`` command itself.
 """
 
+import multiprocessing
 import os
+import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +33,7 @@ from repro.exec.remote import (
     RemoteExecutor,
     _dial,
     _parse_hostport,
+    _window,
     _WorkerSession,
     parse_worker_spec,
     run_worker,
@@ -33,6 +44,7 @@ SLOW = "toykinds:slow_square"
 BOOM = "toykinds:boom"
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+SRC_DIR = str(Path(TESTS_DIR).parents[1] / "src")
 
 
 def _plan(n=6, kind=SQUARE):
@@ -49,10 +61,18 @@ def _free_port() -> int:
 
 @pytest.fixture
 def worker_path(monkeypatch):
-    """Make the toykind entrypoints importable in spawned workers."""
+    """Make ``repro`` and the toykind entrypoints importable in
+    ``python -m repro ...`` subprocesses."""
     existing = os.environ.get("PYTHONPATH", "")
-    pieces = [TESTS_DIR] + ([existing] if existing else [])
+    pieces = [SRC_DIR, TESTS_DIR] + ([existing] if existing else [])
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(pieces))
+
+
+def _repro(*argv: str, **kwargs) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs,
+    )
 
 
 def _thread_worker(**kwargs) -> threading.Thread:
@@ -190,17 +210,15 @@ class TestInThreadWorkers:
 
 
 class TestSpawnedWorkers:
-    def test_spawn_mode_matches_serial(self, worker_path):
+    def test_spawn_mode_matches_serial(self):
         jobs = _plan(10)
         executor = RemoteExecutor(spawn=2, heartbeat_interval=0.1)
         assert run_jobs(jobs, executor=executor) == run_jobs(jobs)
         assert executor.stats.spawned == 2
         for proc in executor.processes:
-            assert proc.returncode == 0
+            assert proc.exitcode == 0
 
-    def test_killed_worker_detected_and_share_reassigned(
-        self, worker_path
-    ):
+    def test_killed_worker_detected_and_share_reassigned(self):
         jobs = _plan(9, kind=SLOW)
         killed = []
 
@@ -228,7 +246,7 @@ class TestSpawnedWorkers:
         ((_, observer, _target),) = executor.monitor.suspicions
         assert observer == HeartbeatMonitor.COORDINATOR
 
-    def test_killed_worker_detected_by_phi_accrual(self, worker_path):
+    def test_killed_worker_detected_by_phi_accrual(self):
         jobs = _plan(9, kind=SLOW)
         killed = []
 
@@ -250,9 +268,7 @@ class TestSpawnedWorkers:
         assert len(executor.stats.failed) == 1
         assert executor.stats.reassigned > 0
 
-    def test_connect_failure_reaps_spawned_workers(
-        self, worker_path, monkeypatch
-    ):
+    def test_connect_failure_reaps_spawned_workers(self, monkeypatch):
         # Regression: a handshake failure must still kill and reap the
         # spawned subprocesses instead of leaking them past submit().
         def bad_handshake(self, sock, deadline):
@@ -266,9 +282,9 @@ class TestSpawnedWorkers:
             run_jobs(_plan(3), executor=executor)
         assert executor.stats.spawned == 2
         for proc in executor.processes:
-            assert proc.returncode is not None  # terminated and reaped
+            assert proc.exitcode is not None  # terminated and reaped
 
-    def test_all_workers_failing_is_an_error(self, worker_path):
+    def test_all_workers_failing_is_an_error(self):
         jobs = _plan(6, kind=SLOW)
 
         def chaos(executor, n_done):
@@ -283,6 +299,239 @@ class TestSpawnedWorkers:
         )
         with pytest.raises(SimulationError, match="all 2 remote workers"):
             run_jobs(jobs, executor=executor)
+
+    def test_many_top_ups_across_more_workers_than_cores(self):
+        # 4 workers and a 5-job window over 300 jobs: each worker is
+        # refilled dozens of times, on a machine with fewer cores than
+        # workers; every job lands exactly once, none twice.
+        jobs = _plan(300)
+        executor = RemoteExecutor(spawn=4, heartbeat_interval=0.1)
+        assert run_jobs(jobs, executor=executor) == [
+            s * s for s in range(300)
+        ]
+        assert executor.stats.results == 300
+        assert executor.stats.duplicates == 0
+        assert executor.stats.failed == []
+
+    def test_each_submit_reports_its_own_fleet(self):
+        # Regression: processes grew across submits while stats was
+        # reset, so a chaos hook's processes[0] named a worker of an
+        # earlier batch, long dead.
+        executor = RemoteExecutor(spawn=2, heartbeat_interval=0.1)
+        first = run_jobs(_plan(4), executor=executor)
+        earlier = list(executor.processes)
+        second = run_jobs(_plan(4), executor=executor)
+        assert first == second == [0, 1, 4, 9]
+        assert executor.stats.spawned == len(executor.processes) == 2
+        assert not set(executor.processes) & set(earlier)
+        assert all(proc.exitcode == 0 for proc in executor.processes)
+
+
+class _StubChannel:
+    """Records the frames a session sends instead of writing a socket."""
+
+    open = True
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, obj):
+        self.sent.append(obj)
+        return True
+
+    def assigned(self):
+        """Indices of every job assigned so far, frame by frame."""
+        return [[index for index, _ in f["jobs"]] for f in self.sent]
+
+
+def _finish(session, index, done):
+    """What a landed result does to the dispatch state."""
+    session.outstanding.pop(index)
+    done[index] = "digest"
+
+
+class TestTopUp:
+    """The dispatch queue: windows, refills and requeues, without wires."""
+
+    def _fleet(self, jobs=10, workers=2):
+        executor = RemoteExecutor(spawn=workers)
+        sessions = [
+            _WorkerSession(peer, f"w{peer}", _StubChannel())
+            for peer in range(workers)
+        ]
+        return executor, sessions, deque(enumerate(_plan(jobs)))
+
+    def test_window_follows_plan_and_fleet_size(self):
+        assert _window(1000, 2) == 16
+        assert _window(200, 2) == 7
+        assert _window(6, 3) == 2
+        assert _window(10**6, 64) == 16
+
+    def test_first_windows_are_taken_in_plan_order(self):
+        executor, sessions, queue = self._fleet()
+        executor._top_up(sessions, queue, {}, window=4)
+        assert sessions[0].channel.assigned() == [[0, 1, 2, 3]]
+        assert sessions[1].channel.assigned() == [[4, 5, 6, 7]]
+        assert [index for index, _ in queue] == [8, 9]
+
+    def test_a_worker_is_refilled_once_half_its_window_drained(self):
+        executor, sessions, queue = self._fleet(jobs=12)
+        done = {}
+        executor._top_up(sessions, queue, done, window=4)
+        _finish(sessions[0], 0, done)
+        executor._top_up(sessions, queue, done, window=4)
+        assert len(sessions[0].channel.sent) == 1  # 3 left: not yet
+        _finish(sessions[0], 1, done)
+        executor._top_up(sessions, queue, done, window=4)
+        assert sessions[0].channel.assigned()[-1] == [8, 9]
+        assert sorted(sessions[0].outstanding) == [2, 3, 8, 9]
+        assert len(sessions[1].channel.sent) == 1
+
+    def test_a_failed_workers_jobs_go_back_to_the_front(self):
+        executor, sessions, queue = self._fleet(jobs=12)
+        done = {}
+        executor._top_up(sessions, queue, done, window=4)
+        _finish(sessions[0], 0, done)
+        executor._declare_failed(sessions[0], sessions, queue, done, 4)
+        assert executor.stats.failed == ["w0"]
+        assert executor.stats.reassigned == 3
+        # The survivor's window is full: the orphans wait at the front.
+        assert [index for index, _ in queue] == [1, 2, 3, 8, 9, 10, 11]
+        for index in (4, 5):
+            _finish(sessions[1], index, done)
+        # A falsely-suspected worker finishes job 2 after all; it is
+        # not dealt again.
+        done[2] = "digest"
+        executor._top_up(sessions, queue, done, window=4)
+        assert sessions[1].channel.assigned()[-1] == [1, 3]
+        assert sessions[0].channel.assigned() == [[0, 1, 2, 3]]
+
+    def test_a_failure_with_no_survivor_requeues_nothing(self):
+        executor, sessions, queue = self._fleet(workers=1)
+        executor._top_up(sessions, queue, {}, window=4)
+        executor._declare_failed(sessions[0], sessions, queue, {}, 4)
+        assert executor.stats.reassigned == 0
+        assert [index for index, _ in queue] == [4, 5, 6, 7, 8, 9]
+
+
+class TestWorkerCommand:
+    """The real ``python -m repro worker`` entrypoint, as a subprocess:
+    what ``hosts=`` and ``accept=`` fleets run on other machines."""
+
+    def test_listen_worker_serves_a_hosts_fleet(self, worker_path):
+        port = _free_port()
+        worker = _repro("worker", "--listen", f"127.0.0.1:{port}")
+        jobs = _plan(7)
+        try:
+            # Nothing announces that the worker has bound its port, and
+            # a probe connection would be taken for the coordinator:
+            # retry the dial until it is there.
+            deadline = time.monotonic() + 20
+            while True:
+                executor = RemoteExecutor(
+                    hosts=(f"127.0.0.1:{port}",), heartbeat_interval=0.1
+                )
+                try:
+                    results = run_jobs(jobs, executor=executor)
+                    break
+                except SimulationError as exc:
+                    if "cannot reach worker" not in str(exc):
+                        raise
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.05)
+            assert results == run_jobs(jobs)
+            assert worker.wait(timeout=10) == 0, worker.stderr.read()
+        finally:
+            worker.kill()
+            worker.communicate()
+        assert executor.stats.workers == 1
+        assert executor.stats.spawned == 0
+
+    def test_connect_worker_dials_an_accepting_coordinator(
+        self, worker_path
+    ):
+        port = _free_port()
+        worker = _repro("worker", "--connect", f"127.0.0.1:{port}")
+        jobs = _plan(7)
+        try:
+            executor = RemoteExecutor(
+                accept=1, listen=f"127.0.0.1:{port}", heartbeat_interval=0.1
+            )
+            assert run_jobs(jobs, executor=executor) == run_jobs(jobs)
+            assert worker.wait(timeout=10) == 0, worker.stderr.read()
+        finally:
+            worker.kill()
+            worker.communicate()
+        assert executor.stats.workers == 1
+        assert executor.stats.failed == []
+
+
+class TestForkHygiene:
+    """A forked worker starts with a copy of everything the coordinator
+    holds — buffered output, open files, the listening socket — and must
+    leave all of it alone."""
+
+    FUZZ = ("fuzz", "--seed", "0", "--count", "24")
+    FLEET = ("--backend", "remote", "--workers", "2")
+
+    def _run(self, *argv, cwd):
+        proc = _repro(*argv, cwd=cwd)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        return out
+
+    @staticmethod
+    def _digest(out):
+        return re.search(r"^digest=(\S+)$", out, re.M)[1]
+
+    def test_stream_prints_each_scenario_once(self, worker_path, tmp_path):
+        out = self._run(*self.FUZZ, *self.FLEET, "--stream", cwd=tmp_path)
+        lines = re.findall(r"^\[scenario (\d+)/24\]", out, re.M)
+        assert lines == [str(i) for i in range(1, 25)]
+        assert out.count("== fuzz seed=0") == 1
+        serial = self._run(*self.FUZZ, "--backend", "serial", cwd=tmp_path)
+        assert self._digest(out) == self._digest(serial)
+
+    def test_journal_lines_written_once_and_resumed(
+        self, worker_path, tmp_path
+    ):
+        journal = tmp_path / "j.jsonl"
+        journaled = (*self.FUZZ, *self.FLEET, "--journal", str(journal))
+        out = self._run(*journaled, cwd=tmp_path)
+        lines = journal.read_text().splitlines()
+        indices = [
+            int(m[1]) for m in map(re.compile(r'"index": (\d+)').search,
+                                   lines) if m
+        ]
+        assert sorted(indices) == list(range(24))
+        assert len(lines) == 1 + 24  # the header and one line per job
+        resumed = self._run(*journaled, "--resume", cwd=tmp_path)
+        assert self._digest(resumed) == self._digest(out)
+        assert journal.read_text().splitlines() == lines
+
+    def test_no_child_survives_and_the_port_is_released(self):
+        port = _free_port()
+        rebound = []
+
+        def chaos(executor, n_done):
+            # Mid-run, workers alive: the coordinator has closed its
+            # listener, and so has every forked copy of it.
+            if n_done == 1:
+                with socket.create_server(("127.0.0.1", port)):
+                    rebound.append(True)
+
+        executor = RemoteExecutor(
+            spawn=2, listen=f"127.0.0.1:{port}", heartbeat_interval=0.1,
+            chaos=chaos,
+        )
+        assert run_jobs(_plan(6), executor=executor) == [
+            s * s for s in range(6)
+        ]
+        assert rebound == [True]
+        assert multiprocessing.active_children() == []
+        assert [proc.exitcode for proc in executor.processes] == [0, 0]
+        socket.create_server(("127.0.0.1", port)).close()
 
 
 class TestFrameHandling:

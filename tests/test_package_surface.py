@@ -104,7 +104,7 @@ SURFACE = {
         remote:RemoteExecutor remote:RemoteStats remote:parse_worker_spec
         remote:run_worker executors:EXEC_BACKENDS executors:effective_backend
         executors:make_executor sink:ResultSink sink:CollectSink
-        journal:Journal journal:partition_jobs core:run_jobs
+        journal:Journal core:run_jobs
     """,
     "repro.apps": """
         ben_or:BenOrProcess ben_or:DECIDE ben_or:decided_values
