@@ -169,6 +169,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.n < 1:
         print("bounds: N must be at least 1", file=sys.stderr)
         return 2
+    if args.t is not None and not 1 <= args.t <= args.n:
+        print(f"bounds: T must be between 1 and N={args.n}", file=sys.stderr)
+        return 2
     ts = [args.t] if args.t is not None else None
     rows = bounds_table([args.n], ts=ts)
     print_table(f"Theorem 7 / Corollary 8 bounds for n={args.n}", rows)

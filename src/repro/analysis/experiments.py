@@ -1,9 +1,10 @@
-"""Experiment drivers E1-E10 (see DESIGN.md section 4).
+"""Experiment drivers E1-E10 (the paper tables; see README.md).
 
 The paper is a theory paper — its "evaluation" is Figure 1 and Theorems
 1-7 / Corollary 8. Each driver below turns one of those claims into a
-measured, seeded, replayable experiment; the benchmarks in ``benchmarks/``
-wrap these drivers and print the tables recorded in ``EXPERIMENTS.md``.
+measured, seeded, replayable experiment; ``python -m repro experiment``
+prints its table, and ``tests/analysis/test_experiments.py`` asserts
+each table's shape at full scale.
 
 Every driver returns plain dataclass rows so callers can render or assert
 on them without re-running anything. Drivers that take a ``seeds``

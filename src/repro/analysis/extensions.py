@@ -7,7 +7,7 @@ knowledge piggybacking push the failed-before relation towards
 transitivity, compared to the plain Section 5 protocol on identical
 schedules? (Spoiler, matching the paper's caution: closer, not closed.)
 
-A1 is the design-choice ablation DESIGN.md calls out: remove the
+A1 is the design-choice ablation of the Section 5 protocol: remove the
 application-message deferral ("takes no other action" clause) and show
 that sFS2d genuinely breaks — the mechanism is load-bearing, not
 ceremonial.
@@ -17,8 +17,9 @@ E14 exercises the analyze-on-append path end to end: a unilateral
 driven into a failed-before cycle early in a long run; streaming monitors
 catch the sFS2b violation at its event index, and ``early_stop`` aborts
 the case there instead of simulating tens of thousands of post-violation
-events. This is the driver the early-stopping sweep mode and
-``benchmarks/bench_e14_streaming.py`` measure.
+events. This is the driver of the early-stopping sweep mode;
+``tests/analysis/test_sweep.py`` pins that it stops at the same event
+index after at least ten times fewer events.
 
 E17 runs the same consensus app (:mod:`repro.apps.ben_or`) under each
 registered failure model — fail-stop crashes, crash-recovery churn,

@@ -1,7 +1,7 @@
 """ASCII table rendering for experiment rows.
 
-Benchmarks print their tables through these helpers so the console output
-(and ``bench_output.txt``) reads like the tables in ``EXPERIMENTS.md``.
+``python -m repro experiment`` and ``bounds`` print their tables through
+these helpers, one paper-style table per call.
 """
 
 from __future__ import annotations

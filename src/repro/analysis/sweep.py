@@ -34,10 +34,10 @@ Quick example::
     print(rows_digest(rows))  # equal to the jobs=1 digest, always
 
 The CLI front-end is ``python -m repro sweep`` (see :mod:`repro.__main__`);
-``examples/large_cluster_sweep.py`` drives an n>=64 configuration sweep
-and ``benchmarks/bench_e12_sweep_scale.py`` times the executors and
-asserts their equivalence (``benchmarks/bench_e16_exec_layer.py`` times
-the journal and streaming machinery).
+``examples/large_cluster_sweep.py`` drives an n>=64 configuration sweep.
+``tests/analysis/test_sweep.py`` asserts the backends' equivalence; the
+``sweep_large_n`` and ``journal_roundtrip`` workloads of
+``benchmarks/record/`` time the sweep path and the journal.
 
 Performance model (methodology and measured numbers: docs/performance.md):
 planning is O(cases); execution is embarrassingly parallel with
@@ -282,8 +282,8 @@ def run_sweep(
       cases advertise no shard form, so the ``inproc`` executor runs
       them whole, one after another (either is preferable to
       ``parallel`` whenever per-case cost is small enough that process
-      spawn/pickle overhead dominates; measured crossover:
-      ``benchmarks/bench_e15_multiworld.py``).
+      spawn/pickle overhead dominates; ``exec.*.us_per_noop_job`` in
+      ``benchmarks/record/`` measures each backend's per-job cost).
     * ``"remote"`` — multi-host dispatch to worker processes configured
       by ``remote_workers`` (see :mod:`repro.exec.remote`); the
       coordinator watches the fleet with the repo's own failure

@@ -25,8 +25,10 @@ first index access rebuilds O(len) state. :class:`HistoryBuilder` is the
 appendable counterpart: it extends the send/recv/crash/failed indices, the
 per-process index lists, and the vector clocks in O(delta) per appended
 event (delta = number of processes, for the vector stamp) and snapshots to
-a fully cache-seeded :class:`History` without recomputing anything. See
-``benchmarks/bench_e13_longrun.py`` and ``docs/performance.md``.
+a fully cache-seeded :class:`History` without recomputing anything:
+``tests/core/test_history_builder.py`` counts zero rebuilds over a
+20k-event recording, and ``history.append.us_per_event`` in
+``benchmarks/record/`` times the append.
 """
 
 from __future__ import annotations

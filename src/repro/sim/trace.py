@@ -11,7 +11,8 @@ send/recv/crash/failed indices and vector clocks grow in O(delta) per event
 and :meth:`TraceRecorder.history` hands out a cache-seeded
 :class:`~repro.core.history.History` without any O(len) recomputation —
 the long-run regime (100k+ events) stays linear end to end
-(``benchmarks/bench_e13_longrun.py``). The time-of-event queries below are
+(``tests/sim/test_trace_clock.py`` counts zero rebuilds on an n=64
+run). The time-of-event queries below are
 index lookups against the same incremental state, not scans.
 
 Quorum sets (Definition 5) are also recorded here, because they are

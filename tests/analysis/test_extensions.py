@@ -1,11 +1,12 @@
-"""Tests for the extension experiments (E11 probe, A1 ablation)."""
+"""Tests for the extension experiments (E11 probe, A1 ablation, E17, the
+monitor scenarios); E11 and A1 run at the scale of their paper tables."""
 
 from repro.analysis.extensions import run_a1, run_e11
 
 
 class TestA1Ablation:
     def test_deferral_is_load_bearing(self):
-        rows = run_a1(seeds=range(4))
+        rows = run_a1(seeds=range(10))
         with_deferral = next(r for r in rows if r.defer_app)
         without = next(r for r in rows if not r.defer_app)
         assert with_deferral.sfs2d_violations == 0
@@ -21,6 +22,18 @@ class TestE11Probe:
             assert row.runs == 4
             assert 0 <= row.inversions
             assert 0 <= row.truncated_logs <= row.runs
+
+    def test_piggybacking_changes_nothing_measurable(self):
+        # The Section 6 finding at table scale: knowledge rides the same
+        # FIFO channels as the confirmations, so both columns match.
+        rows = run_e11(seeds=range(25))
+        plain = next(r for r in rows if r.protocol == "sfs")
+        piggy = next(r for r in rows if r.protocol == "sfs+piggyback")
+        assert piggy.inversions == plain.inversions
+        assert piggy.truncated_logs == plain.truncated_logs
+        assert plain.sfs_conformant == plain.runs
+        assert piggy.sfs_conformant == piggy.runs
+        assert plain.inversions > 0
 
 
 class TestE17FailureModels:

@@ -116,6 +116,24 @@ class TestShrink:
     def test_summary_carries_the_reproducer(self, result):
         assert repr(result.minimal) in result.summary()
 
+    def test_replays_are_the_probe_plus_one_per_attempt(self, monkeypatch):
+        # Shrinking costs one replay per attempt, of a candidate smaller
+        # than the one it would replace, after the probe run.
+        import repro.analysis.shrink as shrink_module
+
+        sizes = []
+
+        def spy(scenario):
+            sizes.append(scenario_size(scenario))
+            return run_scenario(scenario)
+
+        monkeypatch.setattr(shrink_module, "run_scenario", spy)
+        original = _sabotaged_scenario()
+        result = shrink(original)
+        assert len(sizes) == 1 + result.attempts
+        assert sizes[0] == scenario_size(original)
+        assert all(size < sizes[0] for size in sizes[1:])
+
     def test_attempt_budget_is_respected(self):
         tight = shrink(_sabotaged_scenario(), max_attempts=3)
         assert tight.attempts <= 3

@@ -178,6 +178,15 @@ class TestBatchedDelivery:
         scheduler.run()
         assert [d[2] for d in delivered] == msgs
         assert net.messages_delivered == 100
+        # Per-message delivery pays one entry per message, same order.
+        scheduler, per_message_net, per_message = make_net(
+            delay=ConstantDelay(1.0), batch=False
+        )
+        for m in msgs:
+            per_message_net.send(0, 1, m)
+        scheduler.run()
+        assert per_message_net.delivery_entries == 100
+        assert per_message == delivered
 
     def test_batched_order_identical_to_per_message(self):
         def run(batch):

@@ -2,6 +2,8 @@
 
 from repro.core.events import CrashEvent, FailedEvent
 from repro.core.validate import is_valid
+from repro.protocols import SfsProcess
+from repro.sim import build_world
 from repro.sim.trace import TraceRecorder
 
 
@@ -60,3 +62,29 @@ class TestTraceRecorder:
         assert len(trace) == 0
         trace.record_crash(0.0, 0)
         assert len(trace) == 1
+
+
+class TestLargeClusterRun:
+    """Four overlapping detection rounds on n=64: ~15.7k scheduler
+    events, 64-wide vector clocks."""
+
+    @staticmethod
+    def run_rounds():
+        world = build_world(64, lambda: SfsProcess(t=4), seed=3)
+        for i in range(4):
+            world.inject_suspicion(i, i + 1, at=1.0 + 0.1 * i)
+        world.run_to_quiescence()
+        return world
+
+    def test_quiescence_drains_every_nonperiodic_entry(self):
+        world = self.run_rounds()
+        assert world.scheduler.pending_nonperiodic() == 0
+        assert world.scheduler.processed > 10_000
+        assert world.history().detected_pairs()
+
+    def test_history_queries_never_rebuild(self, history_rebuilds):
+        # world.history() is the recorder's cache-seeded snapshot.
+        history = self.run_rounds().history()
+        assert history.detected_pairs()
+        history.happens_before(0, len(history) - 1)
+        assert not history_rebuilds

@@ -38,6 +38,9 @@ class TestBadParametersAreOneLine:
         "demo --n 3 --t 5": (1, "demo failed: n=3 cannot tolerate t=5"),
         "bounds 0": (2, "bounds: N must be at least 1"),
         "bounds -3": (2, "bounds: N must be at least 1"),
+        "bounds 9 0": (2, "bounds: T must be between 1 and N=9"),
+        "bounds 9 -2": (2, "bounds: T must be between 1 and N=9"),
+        "bounds 9 12": (2, "bounds: T must be between 1 and N=9"),
     }
 
     @pytest.mark.parametrize("command", CASES)
@@ -74,6 +77,10 @@ class TestBounds:
         assert main(["bounds", "9", "2"]) == 0
         out = capsys.readouterr().out
         assert "5" in out  # min quorum for (9, 2)
+
+    def test_bounds_t_equal_to_n_is_a_row(self, capsys):
+        assert main(["bounds", "9", "9"]) == 0
+        assert "(no rows)" not in capsys.readouterr().out
 
 
 class TestExperiment:

@@ -1,4 +1,5 @@
-"""The CI docs job, runnable locally: links resolve, examples import."""
+"""The CI docs job, runnable locally: links resolve, named paths exist,
+examples import."""
 
 import os
 import subprocess
@@ -25,7 +26,7 @@ def test_docs_suite_exists():
 def test_profile_core_pins_no_rate():
     """The warn-only ``--check`` against a committed events/s number is
     gone (the gate on the event core is ``benchmarks/record/run.py``):
-    the flag is argparse's usage error and the pin file does not exist."""
+    the flag is argparse's usage error."""
     result = subprocess.run(
         [sys.executable, os.path.join(REPO_ROOT, "tools", "profile_core.py"),
          "--check"],
@@ -35,7 +36,23 @@ def test_profile_core_pins_no_rate():
     )
     assert result.returncode == 2, result.stdout + result.stderr
     assert "unrecognized arguments: --check" in result.stderr
-    assert not os.path.exists(
-        os.path.join(REPO_ROOT, "benchmarks", "results",
-                     "BENCH_profile_core.json")
+
+
+def test_named_path_check_flags_only_missing_repo_paths(tmp_path):
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+    try:
+        import check_docs
+    finally:
+        sys.path.pop(0)
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""See DESIGN.md and tools/no_such_tool.py.\n'
+        "\n"
+        "Still here: README.md, core/history.py, benchmarks/record/run.py,\n"
+        'tests/test_docs.py; not paths: sweep.jsonl, runs/a.jsonl."""\n'
     )
+    problems = check_docs.check_named_paths(str(module))
+    assert [problem.split(": ", 1)[1] for problem in problems] == [
+        "names DESIGN.md, which does not exist",
+        "names tools/no_such_tool.py, which does not exist",
+    ]
