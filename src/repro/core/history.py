@@ -26,8 +26,8 @@ appendable counterpart: it extends the send/recv/crash/failed indices, the
 per-process index lists, and the vector clocks in O(delta) per appended
 event (delta = number of processes, for the vector stamp) and snapshots to
 a fully cache-seeded :class:`History` without recomputing anything:
-``tests/core/test_history_builder.py`` counts zero rebuilds over a
-20k-event recording, and ``history.append.us_per_event`` in
+``tests/sim/test_trace_clock.py`` counts zero rebuilds over an n=64
+run's recording, and ``history.append.us_per_event`` in
 ``benchmarks/record/`` times the append.
 """
 

@@ -38,14 +38,8 @@ def campaign():
 
 
 class TestAdaptiveDeterminism:
-    def test_campaign_at_table_scale_is_clean_and_replays(self):
-        first = run_adaptive_fuzz(seed=0, count=40, batch=10)
-        assert first.report.findings == ()
-        assert first.digest() == run_adaptive_fuzz(
-            seed=0, count=40, batch=10
-        ).digest()
-
     def test_replay_is_bit_identical(self, campaign):
+        assert campaign.report.findings == ()
         again = run_adaptive_fuzz(seed=SEED, count=COUNT, batch=BATCH)
         assert again.digest() == campaign.digest()
         assert again.coverage.digest() == campaign.coverage.digest()

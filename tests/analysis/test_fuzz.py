@@ -467,15 +467,16 @@ class TestExecutionLayer:
     def test_sink_streams_outcomes_in_index_order(self):
         from repro.exec import CollectSink
 
-        sink = CollectSink()
-        report = run_fuzz(
-            seed=4, count=8, sink=sink,
-            runner=ShardedRunner(
-                stepping="round_robin", quantum=3, window=2
-            ),
-        )
+        def runner():
+            return ShardedRunner(stepping="round_robin", quantum=3, window=2)
+
+        sink, streamed, bare = CollectSink(), runner(), runner()
+        report = run_fuzz(seed=4, count=8, sink=sink, runner=streamed)
         assert sink.results == list(report.outcomes)
         assert [o.index for o in sink.results] == list(range(8))
+        # Streaming adds one emit per outcome and no simulation work.
+        assert run_fuzz(seed=4, count=8, runner=bare) == report
+        assert bare.stats == streamed.stats
 
 
 class TestJournalTail:
@@ -620,11 +621,27 @@ class TestFailureModelAxis:
         assert expected_clean(cr) == ("valid", "sFS2c", "recovery")
         assert expected_clean(byz) == ("valid", "sFS2c")
 
+    def test_model_campaign_digest_reproduces(self):
+        config = FuzzConfig(failure_model="crash-recovery")
+        first = run_fuzz(seed=7, count=15, config=config)
+        second = run_fuzz(seed=7, count=15, config=config)
+        assert first.digest() == second.digest()
+
     @pytest.mark.parametrize("model", ["crash-recovery", "byzantine-crash"])
     def test_model_campaign_clean_and_reproducible(self, model):
         config = FuzzConfig(failure_model=model)
-        report = run_fuzz(seed=0, count=40, config=config)
+        runner = ShardedRunner()
+        report = run_fuzz(seed=0, count=40, config=config, runner=runner)
         assert report.findings == ()
         assert report.digest() == run_fuzz(
             seed=0, count=40, config=config
         ).digest()
+        # The model's faults and adversary at most double the work of the
+        # same fail-stop campaign: scheduler events, and recorded events
+        # (what the trace and the monitors pay for).
+        fail_stop = ShardedRunner()
+        baseline = run_fuzz(seed=0, count=40, runner=fail_stop)
+        assert runner.stats.events < 2 * fail_stop.stats.events
+        assert sum(o.events for o in report.outcomes) < 2 * sum(
+            o.events for o in baseline.outcomes
+        )

@@ -1,6 +1,7 @@
 """Unit tests for the streaming conformance monitors (analyze-on-append)."""
 
 import inspect
+import sys
 
 import pytest
 
@@ -39,7 +40,7 @@ from repro.core.failure_models import (
     SFS2cState,
     SFS2dState,
 )
-from repro.core.history import History
+from repro.core.history import History, HistoryBuilder
 from repro.core.messages import Message, MessageMint
 from repro.core.validate import ValidationState
 from repro.errors import SimulationError
@@ -265,6 +266,63 @@ class TestWorldAttachMonitor:
         # The first set is still the one observing, each event once.
         assert world.monitors is monitors
         assert monitors.events_seen == len(world.trace)
+
+
+class TestStreamingCostIsFlat:
+    """Analyze-on-append costs the same per event at any history length.
+
+    Counts the Python lines run to record and judge a window of events,
+    early and late in one long run (a count, so it is deterministic where
+    a timing is not). A monitor or recorder that walked the history would
+    run ~10x the lines in the later window.
+    """
+
+    N = 8
+
+    @classmethod
+    def ring(cls, pairs):
+        """``pairs`` send/receive pairs around a ring: a valid run with no
+        crash whose event mix repeats every ``2 * N`` events."""
+        mints = [MessageMint(p) for p in range(cls.N)]
+        events = []
+        for i in range(pairs):
+            src, dst = i % cls.N, (i + 1) % cls.N
+            msg = mints[src].mint(i)
+            events += [SendEvent(src, dst, msg), RecvEvent(dst, src, msg)]
+        return events
+
+    @staticmethod
+    def lines_to_record(builder, events):
+        lines = 0
+
+        def local(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local)
+        try:
+            for event in events:
+                builder.append(event)
+        finally:
+            sys.settrace(previous)
+        return lines
+
+    def test_lines_per_event_do_not_grow_with_the_history(self):
+        events = self.ring(10_200)
+        builder = HistoryBuilder(self.N)
+        monitors = MonitorSet(self.N)
+        builder.attach_observer(monitors.observe)
+        for event in events[:2_000]:
+            builder.append(event)
+        early = self.lines_to_record(builder, events[2_000:2_400])
+        for event in events[2_400:20_000]:
+            builder.append(event)
+        late = self.lines_to_record(builder, events[20_000:20_400])
+        assert early > 0
+        assert late == early
+        assert monitors.events_seen == len(events) and monitors.ok_so_far
 
 
 class TestRunE14:

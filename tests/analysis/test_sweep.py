@@ -173,13 +173,17 @@ class TestEarlyStop:
         assert rows_digest(serial) == rows_digest(parallel)
 
     def test_early_stop_agrees_with_full_mode_on_index(self):
-        kwargs = dict(seeds=range(3), params={"n": 6})
+        kwargs = dict(seeds=range(5), params={"n": 6})
         full = run_sweep("e14", **kwargs)
         early = run_sweep("e14", early_stop=True, **kwargs)
         assert [r.row.violation_event_index for r in early] == [
             r.row.violation_event_index for r in full
         ]
         assert all(r.row.violated for r in early)
+        assert all(
+            e.row.events_recorded <= f.row.events_recorded
+            for e, f in zip(early, full)
+        )
         # The cycle closes within the first ~40 of ~4k events per run.
         full_events = sum(r.row.events_recorded for r in full)
         early_events = sum(r.row.events_recorded for r in early)

@@ -6,7 +6,6 @@ import os
 import shutil
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,22 +35,6 @@ def simple_exchange(mints):
     return History(
         [send(0, 1, msg), recv(1, 0, msg), crash(0), failed(1, 0)], n=2
     )
-
-
-@pytest.fixture
-def history_rebuilds(monkeypatch):
-    """Counts calls of ``History._build_indices`` / ``_build_vectors``,
-    the O(len) passes a cache-seeded snapshot never needs."""
-    calls: Counter = Counter()
-    for name in ("_build_indices", "_build_vectors"):
-        original = getattr(History, name)
-
-        def spy(self, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self)
-
-        monkeypatch.setattr(History, name, spy)
-    return calls
 
 
 @pytest.fixture

@@ -8,8 +8,6 @@ random event sequences including crash/failed events (and duplicates of
 both, which exercise the ``setdefault`` first-occurrence rule).
 """
 
-import random
-
 import pytest
 
 from hypothesis import given, settings
@@ -211,51 +209,3 @@ class TestObservers:
         builder.attach_observer(lambda *a: order.append("second"))
         builder.append(crash(0))
         assert order == ["first", "second"]
-
-
-def _long_run(count: int, n: int, seed: int) -> list:
-    """A deterministic long-run mix: mostly send/recv, a few crash/failed."""
-    rng = random.Random(seed)
-    mints = [MessageMint(p) for p in range(n)]
-    in_flight: list[tuple[int, int, object]] = []
-    alive = list(range(n))
-    events: list = []
-    while len(events) < count:
-        roll = rng.random()
-        proc = rng.choice(alive)
-        if roll < 0.495 or not in_flight:
-            dst = rng.randrange(n)
-            msg = mints[proc].mint(len(events))
-            in_flight.append((proc, dst, msg))
-            events.append(SendEvent(proc, dst, msg))
-        elif roll < 0.99:
-            src, dst, msg = in_flight.pop(0)
-            events.append(RecvEvent(dst, src, msg))
-        elif roll < 0.995 and len(alive) > 2:
-            victim = alive.pop()
-            events.append(CrashEvent(victim))
-            events.append(FailedEvent(alive[0], victim))
-        else:
-            events.append(FailedEvent(proc, rng.randrange(n)))
-    return events[:count]
-
-
-def test_long_run_recording_and_queries_never_rebuild(history_rebuilds):
-    """Linearity as a count: recording 20k events and querying the
-    snapshot runs no O(len) index or vector-clock pass."""
-    events = _long_run(20_000, n=8, seed=13)
-    builder = HistoryBuilder(8)
-    for event in events:
-        builder.append(event)
-    history = builder.snapshot()
-    assert len(history) == len(events)
-    assert history.detected_pairs()
-    assert history.crashed_processes()
-    history.happens_before(0, len(history) - 1)
-    assert history.indices_of_process(0)
-    assert not history_rebuilds
-    # The from-scratch path is the one that pays, once per cache.
-    scratch = History(events[:1_500], 8)
-    scratch.detected_pairs()
-    scratch.happens_before(0, len(scratch) - 1)
-    assert history_rebuilds == {"_build_indices": 1, "_build_vectors": 1}

@@ -1,6 +1,9 @@
 """Unit tests for trace recording."""
 
+from collections import Counter
+
 from repro.core.events import CrashEvent, FailedEvent
+from repro.core.history import History
 from repro.core.validate import is_valid
 from repro.protocols import SfsProcess
 from repro.sim import build_world
@@ -68,23 +71,33 @@ class TestLargeClusterRun:
     """Four overlapping detection rounds on n=64: ~15.7k scheduler
     events, 64-wide vector clocks."""
 
-    @staticmethod
-    def run_rounds():
+    def test_quiesces_and_queries_never_rebuild(self, monkeypatch):
+        # Linearity as a count: recording the run and querying its
+        # snapshot never calls the O(len) index or vector-clock pass.
+        rebuilds: Counter = Counter()
+        for name in ("_build_indices", "_build_vectors"):
+            original = getattr(History, name)
+
+            def spy(self, _name=name, _original=original):
+                rebuilds[_name] += 1
+                return _original(self)
+
+            monkeypatch.setattr(History, name, spy)
         world = build_world(64, lambda: SfsProcess(t=4), seed=3)
         for i in range(4):
             world.inject_suspicion(i, i + 1, at=1.0 + 0.1 * i)
         world.run_to_quiescence()
-        return world
-
-    def test_quiescence_drains_every_nonperiodic_entry(self):
-        world = self.run_rounds()
         assert world.scheduler.pending_nonperiodic() == 0
         assert world.scheduler.processed > 10_000
-        assert world.history().detected_pairs()
-
-    def test_history_queries_never_rebuild(self, history_rebuilds):
         # world.history() is the recorder's cache-seeded snapshot.
-        history = self.run_rounds().history()
+        history = world.history()
+        assert len(history) == len(world.trace)
         assert history.detected_pairs()
         history.happens_before(0, len(history) - 1)
-        assert not history_rebuilds
+        assert history.indices_of_process(0)
+        assert not rebuilds
+        # The from-scratch path is the one that pays, once per cache.
+        scratch = History(history.events[:1_500], 64)
+        scratch.detected_pairs()
+        scratch.happens_before(0, len(scratch) - 1)
+        assert rebuilds == {"_build_indices": 1, "_build_vectors": 1}

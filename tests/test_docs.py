@@ -38,21 +38,43 @@ def test_profile_core_pins_no_rate():
     assert "unrecognized arguments: --check" in result.stderr
 
 
-def test_named_path_check_flags_only_missing_repo_paths(tmp_path):
+def _check_docs():
     sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
     try:
         import check_docs
     finally:
         sys.path.pop(0)
+    return check_docs
+
+
+def _named(problems):
+    return [problem.split(": ", 1)[1] for problem in problems]
+
+
+def test_named_path_check_flags_only_missing_repo_paths(tmp_path):
     module = tmp_path / "module.py"
     module.write_text(
-        '"""See DESIGN.md and tools/no_such_tool.py.\n'
+        '"""See DESIGN.md, bench_output.txt and tools/no_such_tool.py.\n'
         "\n"
         "Still here: README.md, core/history.py, benchmarks/record/run.py,\n"
-        'tests/test_docs.py; not paths: sweep.jsonl, runs/a.jsonl."""\n'
+        "tests/test_docs.py, pyproject.toml; not paths: history.py,\n"
+        '_ccore.c, sweep.jsonl, runs/a.jsonl."""\n'
     )
-    problems = check_docs.check_named_paths(str(module))
-    assert [problem.split(": ", 1)[1] for problem in problems] == [
+    assert _named(_check_docs().check_named_paths(str(module))) == [
         "names DESIGN.md, which does not exist",
+        "names bench_output.txt, which does not exist",
         "names tools/no_such_tool.py, which does not exist",
+    ]
+
+
+def test_a_path_into_a_deleted_directory_is_dangling(tmp_path, monkeypatch):
+    check_docs = _check_docs()
+    (tmp_path / "src").mkdir()
+    module = tmp_path / "src" / "module.py"
+    module.write_text(
+        '"""Run examples/quickstart.py; see src/module.py."""\n'
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    assert _named(check_docs.check_named_paths(str(module))) == [
+        "names examples/quickstart.py, which does not exist",
     ]

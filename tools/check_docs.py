@@ -13,9 +13,12 @@ Three checks, stdlib only:
    path is a word ending in a file extension that either contains a
    ``/`` and starts with something that exists in the repo root,
    ``src/`` or ``src/repro/`` (``benchmarks/record/run.py``,
-   ``core/history.py``), or is a bare ``*.md`` name, which must exist
-   next to the file naming it or at the repo root. Bare ``*.py`` names
-   and made-up output files (``sweep.jsonl``) are not paths here.
+   ``core/history.py``) or with a top-level directory name
+   (``examples/``, ``tools/``, ...: a path into a deleted directory is
+   gone too), or is a bare doc or config name (``*.md``, ``*.txt``,
+   ``*.toml``, ...), which must exist next to the file naming it or at
+   the repo root. Bare source names (``history.py``, ``_ccore.c``) and
+   made-up output files (``sweep.jsonl``) are not paths here.
    ``docs/performance.md`` and ``CHANGES.md`` are per-PR history that
    names files as they were, so neither is checked.
 3. **Example imports** — every ``examples/*.py`` must import cleanly with
@@ -55,6 +58,12 @@ _PATH = re.compile(
 # Where a named path may live: the repo root, src/ and the package.
 _PATH_ROOTS = ("", "src", os.path.join("src", "repro"))
 NAMED_PATH_DOCS = ("README.md", "docs/architecture.md", "docs/fuzzing.md")
+# Bare names with these extensions are docs and configs, which live next
+# to the file naming them or at the repo root.
+_BARE_CHECKED = (".md", ".txt", ".toml", ".cfg", ".yml", ".yaml", ".sh")
+# A path starting with one of these is repo-relative even when the
+# directory itself is gone.
+_REPO_DIRS = ("benchmarks", "docs", "examples", "src", "tests", "tools")
 
 
 def doc_files() -> list[str]:
@@ -100,7 +109,7 @@ def _dangling(name: str, where: str) -> bool:
     """Whether ``name``, named in a file under directory ``where``, is a
     repo-relative path (see the module docstring) that does not exist."""
     if "/" not in name:
-        if not name.endswith(".md"):
+        if not name.endswith(_BARE_CHECKED):
             return False
         return not any(
             os.path.exists(os.path.join(base, name))
@@ -114,9 +123,9 @@ def _dangling(name: str, where: str) -> bool:
         for root in _PATH_ROOTS
         if os.path.exists(os.path.join(REPO_ROOT, root, first))
     ]
-    return bool(bases) and not any(
-        os.path.exists(os.path.join(base, name)) for base in bases
-    )
+    if not bases:
+        return first in _REPO_DIRS
+    return not any(os.path.exists(os.path.join(base, name)) for base in bases)
 
 
 def _texts(path: str):
