@@ -12,15 +12,16 @@ Commands:
 * ``experiment EID`` — run one experiment driver (e1..e11, a1) at reduced
   scale and print its table.
 * ``sweep EID`` — run a deterministic multi-seed sweep of one seeded
-  experiment, optionally on a process pool (``--jobs``) or a worker
-  fleet (``--backend remote``); all backends print bit-identical rows
-  and the same content digest.
+  experiment, on a process pool over every usable CPU by default
+  (``--jobs`` sets its size) or a worker fleet (``--backend remote``);
+  all backends print bit-identical rows and the same content digest.
   ``--early-stop`` aborts each case at its first streaming-monitor
   violation (supported drivers only, e.g. e14); ``--list`` prints the
   registered sweepable experiments.
 * ``fuzz`` — generate seeded adversarial scenarios (topology, faults,
   adversary schedules, detectors, protocols) and run them, one world at
-  a time, with streaming monitors attached, flagging any scenario whose
+  a time per worker (one worker per usable CPU by default), with
+  streaming monitors attached, flagging any scenario whose
   streaming and batch verdicts disagree or that violates a property its
   configuration must satisfy. Fully reproducible: the same
   ``--seed``/``--count`` print the same digest.
@@ -255,6 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep_table,
     )
     from repro.errors import ReproError, SimulationError
+    from repro.exec.executors import default_backend
 
     if args.list:
         for eid in available_experiments():
@@ -302,10 +304,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("sweep failed: --workers only applies to --backend remote",
               file=sys.stderr)
         return 2
-    if args.jobs < 1 or (args.jobs > 1 and args.backend not in (None, "parallel")):
+    if args.jobs is not None and (
+        args.jobs < 1
+        or (args.jobs > 1 and args.backend not in (None, "parallel"))
+    ):
         print("sweep failed: --jobs takes a worker count >= 1, and more than "
               "one only with --backend parallel", file=sys.stderr)
         return 2
+    backend, jobs = args.backend, args.jobs or 1
+    if backend is None:
+        backend, jobs = default_backend("serial", len(args.seeds), args.jobs)
     sink = None
     if args.stream:
         sink = _StreamSink(
@@ -319,9 +327,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             eid,
             seeds=args.seeds,
             params=params,
-            jobs=args.jobs,
+            jobs=jobs,
             early_stop=args.early_stop,
-            backend=args.backend,
+            backend=backend,
             remote_workers=args.workers,
             journal=args.journal,
             resume=args.resume,
@@ -434,8 +442,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         run_fuzz,
     )
     from repro.errors import ReproError
+    from repro.exec.executors import default_backend, effective_backend
 
-    backend = args.backend or "inproc"
     # Options that configure something this invocation does not use are
     # refused: silently dropping them would imply they applied. Parser
     # defaults are None sentinels, so presence — not value — is what's
@@ -444,14 +452,24 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print("fuzz failed: --batch only applies to --adaptive",
               file=sys.stderr)
         return 2
-    if args.workers is not None and backend != "remote":
+    if args.workers is not None and args.backend != "remote":
         print("fuzz failed: --workers only applies to --backend remote",
               file=sys.stderr)
         return 2
-    if args.jobs is not None and (backend != "parallel" or args.jobs < 1):
+    if args.jobs is not None and (
+        args.jobs < 1 or args.backend not in (None, "parallel")
+    ):
         print("fuzz failed: --jobs takes a worker count >= 1 and only "
-              "applies to --backend parallel", file=sys.stderr)
+              "applies to --backend parallel (or no --backend)",
+              file=sys.stderr)
         return 2
+    batch = args.batch if args.batch is not None else 50
+    # The most scenarios one batch submits: the whole plan, or (adaptive)
+    # one batch of it.
+    at_once = min(batch, args.count) if args.adaptive else args.count
+    backend, jobs = args.backend, args.jobs or 2
+    if backend is None:
+        backend, jobs = default_backend("inproc", at_once, args.jobs)
     sink = None
     if args.stream:
         def render(index, total, job, outcome):
@@ -479,22 +497,21 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             detectors=axis(args.detectors, DEFAULT_CONFIG.detectors),
             failure_model=args.failure_model,
         )
-        # Passed in only to read its stats back for the engine line.
+        # Passed in only to read its stats back for the engine line,
+        # which the in-process engine and the pool both count.
         runner = None
-        if backend == "inproc":
+        if effective_backend(backend, at_once, jobs) in ("inproc", "parallel"):
             from repro.sim.multiworld import ShardedRunner
 
             runner = ShardedRunner()
         common = dict(
             seed=args.seed, count=args.count, config=config, runner=runner,
-            backend=backend, jobs=args.jobs or 2, remote_workers=args.workers,
+            backend=backend, jobs=jobs, remote_workers=args.workers,
             journal=args.journal, resume=args.resume, sink=sink,
         )
         adaptive = None
         if args.adaptive:
-            adaptive = run_adaptive_fuzz(
-                batch=args.batch if args.batch is not None else 50, **common
-            )
+            adaptive = run_adaptive_fuzz(batch=batch, **common)
             report = adaptive.report
         else:
             report = run_fuzz(**common)
@@ -640,7 +657,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sweep = sub.add_parser(
         "sweep",
-        help="deterministic multi-seed sweep (serial or --jobs parallel)",
+        help="deterministic multi-seed sweep (over every usable CPU "
+             "by default)",
     )
     sweep.add_argument(
         "eid", nargs="?", default=None,
@@ -658,8 +676,10 @@ def main(argv: list[str] | None = None) -> int:
              "(3,5,8; a single seed is '7,')",
     )
     sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (<=1 runs serially; rows are identical)",
+        "--jobs", type=int, default=None,
+        help="worker processes for the pool (default without --backend: "
+             "one per usable CPU, at most one per 4 cases; 1 runs serially "
+             "in this process; rows are identical either way)",
     )
     sweep.add_argument(
         "--param", action="append", type=_parse_param, metavar="NAME=VALUE",
@@ -682,10 +702,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_exec_flags(
         sweep,
-        backend_help="execution backend (default: parallel when "
-                     "--jobs > 1, else serial; sweep cases have no shard "
-                     "form, so inproc is the serial loop) — all four "
-                     "are bit-identical",
+        backend_help="execution backend (default: parallel over the "
+                     "usable CPUs (see --jobs) when that comes to more "
+                     "than one worker, else serial; sweep cases have no "
+                     "shard form, so inproc is the serial loop) — all "
+                     "four are bit-identical",
     )
     sweep.set_defaults(fn=_cmd_sweep)
 
@@ -745,7 +766,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     fuzz.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes, --backend parallel only (default: 2)",
+        help="worker processes for the pool: with --backend parallel "
+             "(default: 2) or without --backend (default: one per "
+             "usable CPU, at most one per 4 scenarios of a batch; 1 runs "
+             "in process on inproc)",
     )
     fuzz.add_argument(
         "--stream", action="store_true",
@@ -778,12 +802,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_exec_flags(
         fuzz,
-        backend_help="execution backend (default: inproc, one batch "
-                     "through the multi-world engine, which also prints "
-                     "the engine: line; serial runs scenarios as whole "
-                     "jobs, parallel fans them to --jobs workers, remote "
-                     "to --workers — digests are bit-identical on all "
-                     "four)",
+        backend_help="execution backend (default: parallel over the "
+                     "usable CPUs (see --jobs) when that comes to more "
+                     "than one worker, else inproc, one batch through the "
+                     "multi-world engine; both print the engine: line; "
+                     "serial runs scenarios as whole jobs, remote fans "
+                     "them to --workers — digests are bit-identical on "
+                     "all four)",
     )
     fuzz.set_defaults(fn=_cmd_fuzz)
 

@@ -769,14 +769,18 @@ def _fuzz_executor(
     jobs: int,
     remote_workers: int | str | Sequence[str] | None,
 ) -> Executor:
-    """The executor both fuzz drivers run on (default ``"inproc"``);
-    ``n_jobs`` is the largest number of jobs submitted at once."""
+    """The executor both fuzz drivers run on (default ``"inproc"``) and
+    close when done; ``n_jobs`` is the largest number of jobs submitted
+    at once."""
     if backend is None:
         backend = "inproc"
-    if runner is not None and backend != "inproc":
+    if jobs < 1:
+        raise SimulationError(f"jobs must be >= 1, got {jobs}")
+    if runner is not None and backend not in ("inproc", "parallel"):
         raise SimulationError(
-            "a ShardedRunner only drives the 'inproc' backend; drop "
-            f"runner= or backend={backend!r}"
+            "a ShardedRunner only drives the 'inproc' backend (and counts "
+            f"the 'parallel' pool's shards); drop runner= or "
+            f"backend={backend!r}"
         )
     backend = effective_backend(backend, n_jobs, jobs)
     # make_executor rejects unknown backend names.
@@ -806,7 +810,9 @@ def run_fuzz(
     afterwards or to step them differently; the default is the engine's
     own, one world at a time). ``"serial"`` runs each scenario whole in
     this process, ``"parallel"`` fans them out to a pool of ``jobs``
-    workers, and ``"remote"`` dispatches them to the worker fleet
+    workers (a passed ``runner``'s stats then count the pool's
+    scenarios and scheduler events; its stepping does not apply), and
+    ``"remote"`` dispatches them to the worker fleet
     ``remote_workers`` configures (see
     :mod:`repro.exec.remote`) — the report is identical on every
     backend, stepping policy, quantum, and window, because scenarios
@@ -818,15 +824,16 @@ def run_fuzz(
     """
     if count < 0:
         raise SimulationError(f"count must be >= 0, got {count}")
-    outcomes = run_jobs(
-        [scenario_job(seed, index, config) for index in range(count)],
-        executor=_fuzz_executor(
-            backend, count, runner, jobs, remote_workers
-        ),
-        sink=sink,
-        journal=journal,
-        resume=resume,
-    )
+    with _fuzz_executor(
+        backend, count, runner, jobs, remote_workers
+    ) as executor:
+        outcomes = run_jobs(
+            [scenario_job(seed, index, config) for index in range(count)],
+            executor=executor,
+            sink=sink,
+            journal=journal,
+            resume=resume,
+        )
     return FuzzReport(seed=seed, count=count, outcomes=tuple(outcomes))
 
 
@@ -993,17 +1000,18 @@ def run_adaptive_fuzz(
             for index in range(end, min(count, end + batch))
         ]
 
-    outcomes = run_jobs(
-        executor=_fuzz_executor(
-            backend, min(batch, count), runner, jobs, remote_workers
-        ),
-        sink=sink,
-        journal=journal,
-        resume=resume,
-        unfold=unfold,
-        binding=adaptive_campaign_digest(seed, count, batch, config),
-        total=count,
-    )
+    with _fuzz_executor(
+        backend, min(batch, count), runner, jobs, remote_workers
+    ) as executor:
+        outcomes = run_jobs(
+            executor=executor,
+            sink=sink,
+            journal=journal,
+            resume=resume,
+            unfold=unfold,
+            binding=adaptive_campaign_digest(seed, count, batch, config),
+            total=count,
+        )
     return AdaptiveReport(
         report=FuzzReport(seed=seed, count=count, outcomes=tuple(outcomes)),
         coverage=coverage,

@@ -304,6 +304,8 @@ def run_sweep(
     ``early_stop`` mode alike (a case's abort point is a pure function of
     its seed, never of the executor).
     """
+    if jobs < 1:
+        raise SimulationError(f"jobs must be >= 1, got {jobs}")
     if backend is None:
         backend = "parallel" if jobs > 1 else "serial"
     cases = plan_cases(
@@ -312,19 +314,19 @@ def run_sweep(
     # make_executor rejects unknown backend names; effective_backend
     # keeps the historical jobs<=1 fast path under an explicit
     # backend="parallel".
-    executor = make_executor(
+    with make_executor(
         effective_backend(backend, len(cases), jobs),
         workers=jobs,
         chunksize=chunksize,
         remote_workers=remote_workers,
-    )
-    per_case = run_jobs(
-        [case_to_job(case) for case in cases],
-        executor=executor,
-        sink=sink,
-        journal=journal,
-        resume=resume,
-    )
+    ) as executor:
+        per_case = run_jobs(
+            [case_to_job(case) for case in cases],
+            executor=executor,
+            sink=sink,
+            journal=journal,
+            resume=resume,
+        )
     return [row for rows in per_case for row in rows]
 
 

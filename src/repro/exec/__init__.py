@@ -40,6 +40,7 @@ __getattr__, __dir__ = lazy_namespace(globals(), {
     "InprocExecutor": "executors",
     "ParallelExecutor": "executors",
     "SerialExecutor": "executors",
+    "default_backend": "executors",
     "effective_backend": "executors",
     "make_executor": "executors",
     "JobSpec": "job",
@@ -73,6 +74,7 @@ __all__ = [
     "parse_worker_spec",
     "run_worker",
     "EXEC_BACKENDS",
+    "default_backend",
     "effective_backend",
     "make_executor",
     "ResultSink",

@@ -5,8 +5,10 @@ and fuzz subsystems, now shared by everything that fans out work:
 
 * :class:`SerialExecutor` — each job to completion, in order, in this
   process. The reference implementation the others must match.
-* :class:`ParallelExecutor` — a ``multiprocessing`` pool; jobs ship to
-  workers by pickling and results stream back in planned order.
+* :class:`ParallelExecutor` — a ``multiprocessing`` pool, opened on the
+  first batch and kept until the executor is closed; workers draw small
+  chunks of jobs from one queue and results stream back as they finish
+  (``imap_unordered``).
 * :class:`~repro.exec.remote.RemoteExecutor` — multi-host dispatch over
   TCP: worker processes (forked from this one with ``spawn=N``, or
   ``python -m repro worker`` started elsewhere) draw jobs from one queue
@@ -26,21 +28,42 @@ laundered back into planned order by :func:`repro.exec.core.run_jobs`
 before results reach sinks or callers. Because job runners are pure, the
 executor choice can never change the results — only how fast, and in
 what interleaving, they arrive.
+
+An executor may hold processes across batches (the pool does), so
+whoever builds one closes it: :meth:`Executor.close`, or a ``with``
+block. :func:`default_backend` is the policy the ``fuzz`` and ``sweep``
+commands apply when no backend is named: the pool, one worker per usable
+CPU, whenever there are jobs enough for more than one worker.
 """
 
 from __future__ import annotations
 
+import os
 import sys
-from typing import Any, Callable, Sequence
+import weakref
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import SimulationError
-from repro.exec.job import JobSpec, run_job, shard_form
+from repro.exec.job import JobSpec, paused_cyclic_gc, run_job, shard_form
+
+if TYPE_CHECKING:
+    from repro.sim.multiworld import RunnerStats
 
 OnResult = Callable[[int, Any], None]
 Pending = Sequence[tuple[int, JobSpec]]
 
 EXEC_BACKENDS = ("serial", "parallel", "inproc", "remote")
 """Registered executor names, in reference order."""
+
+FORKS = sys.platform == "linux"
+"""Whether :func:`process_context` forks (see there); only then does
+:func:`default_backend` fan out on its own."""
+
+MIN_JOBS_PER_WORKER = 4
+"""The fewest jobs per worker :func:`default_backend` starts a pool for:
+a pool costs the ``multiprocessing`` import and a fork per worker (15–20
+ms on the 2-vCPU reference guest), more than a few millisecond-long fuzz
+scenarios save (``docs/performance.md`` § PR 30)."""
 
 
 class Executor:
@@ -52,6 +75,16 @@ class Executor:
         """Execute every pending job, calling ``on_result(index, result)``
         exactly once per job, in any order."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release whatever the executor holds across batches (nothing,
+        unless it says otherwise). Idempotent."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 class SerialExecutor(Executor):
@@ -91,39 +124,96 @@ def process_context():
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
-    return multiprocessing.get_context(
-        "fork" if sys.platform == "linux" else None
-    )
+    return multiprocessing.get_context("fork" if FORKS else None)
+
+
+def _run_counted(item: tuple[int, JobSpec]) -> tuple[int, Any, int | None]:
+    """A pool worker's job: ``(index, result, engine events)``.
+
+    A job with a shard form runs it through
+    :func:`~repro.sim.multiworld.run_shard`, as the ``inproc`` executor
+    does, so the pool can report the same scheduler-event count; the
+    result equals :func:`~repro.exec.job.run_job`'s by the shard-form
+    contract. Any other job runs whole and counts ``None``.
+    """
+    index, job = item
+    form = shard_form(job)
+    if form is None:
+        return index, run_job(job), None
+    from repro.sim.multiworld import run_shard
+
+    with paused_cyclic_gc():
+        result, events = run_shard(*form)
+    return index, result, events
 
 
 class ParallelExecutor(Executor):
     """A ``multiprocessing`` pool of worker processes.
 
-    Jobs are pickled to workers and executed by
-    :func:`~repro.exec.job.run_job`; results stream back in planned order
-    (ordered ``imap``), so the first results reach the journal and sinks
-    while later chunks are still computing. ``chunksize`` trades dispatch
-    overhead against streaming granularity exactly as it did in the old
-    sweep pool; the default matches it.
+    The pool opens on the first non-empty :meth:`submit` and serves every
+    later one — an adaptive campaign forks once, not once per batch —
+    until :meth:`close` (or the executor's garbage collection) terminates
+    it. Workers draw chunks of ``chunksize`` jobs from one queue
+    (``imap_unordered``) and each result reaches ``on_result`` as soon as
+    it is back; :func:`~repro.exec.core.run_jobs` restores planned order.
+    By default a batch splits into about sixteen chunks per worker, so
+    a few heavy jobs cannot leave one worker holding a long tail while
+    the others idle.
+
+    Args:
+        workers: pool size, at least 1.
+        chunksize: jobs per dispatch (default: see above).
+        stats: a :class:`~repro.sim.multiworld.RunnerStats` to tally
+            executed shard-form jobs into (``shards`` and ``events``;
+            workers run them one world at a time, as
+            :func:`~repro.sim.multiworld.run_shard` does), so a pool run
+            reports the scheduler-event count an ``inproc`` run would.
     """
 
     name = "parallel"
 
-    def __init__(self, workers: int = 2, chunksize: int | None = None):
-        self.workers = max(workers, 1)
+    def __init__(
+        self,
+        workers: int = 2,
+        chunksize: int | None = None,
+        stats: RunnerStats | None = None,
+    ):
+        if workers < 1:
+            raise SimulationError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
         self.chunksize = chunksize
+        self.stats = stats
+        self._pool = None
+        self._terminate: weakref.finalize | None = None
 
     def submit(self, pending: Pending, on_result: OnResult) -> None:
         if not pending:
             return
-        ctx = process_context()
-        chunk = self.chunksize or max(1, len(pending) // (4 * self.workers))
-        jobs = [job for _, job in pending]
-        with ctx.Pool(processes=self.workers) as pool:
-            for (index, _), result in zip(
-                pending, pool.imap(run_job, jobs, chunksize=chunk)
-            ):
-                on_result(index, result)
+        if self._pool is None:
+            # The first job's shard form imports what running a job needs
+            # (a fuzz job's simulator, say). Imported here, once, it is in
+            # every forked worker instead of imported — and on a checkout
+            # without bytecode, compiled — by each worker at once.
+            shard_form(pending[0][1])
+            self._pool = process_context().Pool(processes=self.workers)
+            # Pool.terminate() also joins the workers and the pool's
+            # threads; a finalizer, so an executor nobody closed still
+            # leaves no worker behind once it is collected.
+            self._terminate = weakref.finalize(self, self._pool.terminate)
+        chunk = self.chunksize or max(1, len(pending) // (16 * self.workers))
+        for index, result, events in self._pool.imap_unordered(
+            _run_counted, pending, chunksize=chunk
+        ):
+            if events is not None and self.stats is not None:
+                self.stats.shards += 1
+                self.stats.events += events
+            on_result(index, result)
+
+    def close(self) -> None:
+        """Terminate the pool, if one was opened."""
+        if self._terminate is not None:
+            self._terminate()
+        self._pool = self._terminate = None
 
 
 class InprocExecutor(Executor):
@@ -191,6 +281,33 @@ def effective_backend(backend: str, n_jobs: int, workers: int) -> str:
     return backend
 
 
+def default_backend(
+    fallback: str, n_jobs: int, workers: int | None = None
+) -> tuple[str, int]:
+    """The ``(backend, workers)`` a CLI campaign runs on when it names no
+    backend: ``fuzz`` (``fallback="inproc"``) and ``sweep``
+    (``"serial"``).
+
+    The pool when there is more than one job and more than one worker:
+    ``workers`` when given (``--jobs``), else one per CPU this process
+    may run on (``os.sched_getaffinity``), at most one per
+    :data:`MIN_JOBS_PER_WORKER` jobs — counted only where
+    :func:`process_context` forks, since a spawned worker re-imports the
+    package. Otherwise ``(fallback, 1)``: the run stays in this process.
+    ``n_jobs`` is the most jobs one batch submits. Results are
+    bit-identical either way; this only decides how many cores a
+    campaign uses.
+    """
+    if workers is None:
+        workers = (
+            min(len(os.sched_getaffinity(0)), n_jobs // MIN_JOBS_PER_WORKER)
+            if FORKS else 1
+        )
+    if n_jobs > 1 and workers > 1:
+        return "parallel", workers
+    return fallback, 1
+
+
 def make_executor(
     backend: str,
     workers: int = 1,
@@ -206,7 +323,9 @@ def make_executor(
     many local worker processes; a ``"host:port,host:port"`` string
     dials out to workers already listening. It is rejected for every
     other backend rather than silently ignored, as is ``run`` (see
-    :class:`SerialExecutor`) for every backend but ``"serial"``.
+    :class:`SerialExecutor`) for every backend but ``"serial"``. A
+    ``runner`` drives ``"inproc"``; ``"parallel"`` tallies its shards
+    into the runner's :class:`~repro.sim.multiworld.RunnerStats`.
     """
     if remote_workers is not None and backend != "remote":
         raise SimulationError(
@@ -221,7 +340,10 @@ def make_executor(
     if backend == "serial":
         return SerialExecutor(run=run)
     if backend == "parallel":
-        return ParallelExecutor(workers=workers, chunksize=chunksize)
+        return ParallelExecutor(
+            workers=workers, chunksize=chunksize,
+            stats=runner.stats if runner is not None else None,
+        )
     if backend == "inproc":
         return InprocExecutor(runner=runner)
     if backend == "remote":

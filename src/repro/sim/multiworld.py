@@ -165,7 +165,9 @@ def run_shard(
 class RunnerStats:
     """What a :class:`ShardedRunner` has done so far — summed over every
     :meth:`~ShardedRunner.run` call, so a runner driven batch by batch
-    (an adaptive campaign) reports the whole campaign."""
+    (an adaptive campaign) reports the whole campaign. A
+    :class:`~repro.exec.executors.ParallelExecutor` given these stats
+    adds its workers' ``shards`` and ``events`` to them."""
 
     shards: int = 0
     events: int = 0

@@ -6,6 +6,7 @@ worker count, and journal resume point may change *where and when* work
 happens, never the report, the coverage map, or any digest.
 """
 
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from repro.analysis.fuzz import (
     scenario_job,
 )
 from repro.errors import SimulationError
-from repro.exec import job_digest
+from repro.exec import CollectSink, job_digest
 from repro.sim.multiworld import ShardedRunner
 
 SEED = 6
@@ -57,6 +58,33 @@ class TestAdaptiveDeterminism:
             backend="parallel", jobs=2,
         )
         assert parallel.digest() == campaign.digest()
+
+    def test_the_pool_outlives_batches_not_the_campaign(self, campaign):
+        # One pool serves every batch (one fork per worker, not one per
+        # batch), and is gone when the campaign returns.
+        class PidSink(CollectSink):
+            pids: set[int]
+
+            def open(self, total):
+                super().open(total)
+                self.pids = set()
+
+            def emit(self, index, job, result):
+                super().emit(index, job, result)
+                self.pids |= {p.pid for p in multiprocessing.active_children()}
+
+        sink = PidSink()
+        runner = ShardedRunner()
+        parallel = run_adaptive_fuzz(
+            seed=SEED, count=COUNT, batch=BATCH,
+            backend="parallel", jobs=2, sink=sink, runner=runner,
+        )
+        assert len(parallel.batches) >= 3
+        assert parallel.digest() == campaign.digest()
+        assert 0 < len(sink.pids) <= 2
+        assert multiprocessing.active_children() == []
+        # The runner's stats count the pool's scenarios, as inproc's do.
+        assert runner.stats.shards == COUNT
 
     def test_stepping_policy_is_unobservable(self, campaign):
         sequential = run_adaptive_fuzz(
@@ -170,6 +198,11 @@ class TestAdaptiveValidation:
     def test_resume_requires_journal(self):
         with pytest.raises(SimulationError, match="journal"):
             run_adaptive_fuzz(seed=0, count=4, resume=True)
+
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_worker_count_below_one_refused(self, jobs):
+        with pytest.raises(SimulationError, match=f"jobs must be >= 1, got {jobs}"):
+            run_adaptive_fuzz(seed=0, count=4, backend="parallel", jobs=jobs)
 
     def test_runner_only_drives_inproc(self):
         with pytest.raises(SimulationError, match="inproc"):

@@ -1,5 +1,6 @@
 """Tests for the deterministic scenario fuzzer."""
 
+import multiprocessing
 import pickle
 from pathlib import Path
 
@@ -457,6 +458,18 @@ class TestExecutionLayer:
         assert executor.runner.stepping == "sequential"
         assert executor.runner.stats.shards == 30
         assert executor.runner.stats.peak_live_shards == 1
+
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_worker_count_below_one_refused(self, jobs):
+        # Both used to return a digest: a pool of max(jobs, 1) workers
+        # degenerated to the serial loop.
+        with pytest.raises(SimulationError, match=f"jobs must be >= 1, got {jobs}"):
+            run_fuzz(seed=0, count=4, backend="parallel", jobs=jobs)
+
+    def test_the_pool_is_gone_when_run_fuzz_returns(self):
+        report = run_fuzz(seed=0, count=30, backend="parallel", jobs=2)
+        assert report.digest() == FUZZ30_FAIL_STOP_DIGEST
+        assert multiprocessing.active_children() == []
 
     def test_parallel_with_one_worker_normalises_to_serial(self):
         # Same guard run_sweep has: a one-worker pool is pure overhead

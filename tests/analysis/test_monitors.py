@@ -44,6 +44,7 @@ from repro.core.history import History, HistoryBuilder
 from repro.core.messages import Message, MessageMint
 from repro.core.validate import ValidationState
 from repro.errors import SimulationError
+from repro.exec.job import paused_cyclic_gc
 from repro.protocols import SfsProcess, UnilateralProcess
 from repro.sim import build_world
 from repro.sim.failures import Fault
@@ -300,13 +301,17 @@ class TestStreamingCostIsFlat:
             lines += event == "line"
             return local
 
+        # The collector is paused: a collection inside the window runs
+        # whatever gc.callbacks are installed (hypothesis installs one),
+        # and their lines would be counted as the monitors'.
         previous = sys.gettrace()
-        sys.settrace(lambda frame, event, arg: local)
-        try:
-            for event in events:
-                builder.append(event)
-        finally:
-            sys.settrace(previous)
+        with paused_cyclic_gc():
+            sys.settrace(lambda frame, event, arg: local)
+            try:
+                for event in events:
+                    builder.append(event)
+            finally:
+                sys.settrace(previous)
         return lines
 
     def test_lines_per_event_do_not_grow_with_the_history(self):

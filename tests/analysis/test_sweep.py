@@ -1,6 +1,7 @@
 """Tests for the deterministic multi-seed sweep runner."""
 
 import gc
+import multiprocessing
 
 import pytest
 
@@ -218,8 +219,16 @@ class TestBackends:
     def test_inproc_bit_identical_to_parallel(self):
         kwargs = dict(seeds=range(4), params={"n": 6})
         parallel = run_sweep("e7", backend="parallel", jobs=2, **kwargs)
+        assert multiprocessing.active_children() == []
         inproc = run_sweep("e7", backend="inproc", **kwargs)
         assert rows_digest(parallel) == rows_digest(inproc)
+
+    @pytest.mark.parametrize("backend", [None, "parallel", "serial"])
+    def test_worker_count_below_one_refused(self, backend):
+        # jobs=0 used to return rows (serial, whatever the backend).
+        with pytest.raises(SimulationError, match="jobs must be >= 1, got 0"):
+            run_sweep("e7", seeds=range(2), params={"n": 6}, jobs=0,
+                      backend=backend)
 
     def test_inproc_early_stop_identical(self):
         kwargs = dict(seeds=range(3), params={"n": 6}, early_stop=True)

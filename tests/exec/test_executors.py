@@ -1,5 +1,8 @@
 """Tests for the executor registry and the run_jobs core."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.errors import SimulationError
@@ -69,16 +72,22 @@ class TestExecutors:
         expected = [s * s for s in range(6)]
         assert run_jobs(jobs, executor=SerialExecutor()) == expected
         assert run_jobs(jobs, executor=InprocExecutor()) == expected
-        assert (
-            run_jobs(jobs, executor=ParallelExecutor(workers=2)) == expected
-        )
+        with ParallelExecutor(workers=2) as executor:
+            assert run_jobs(jobs, executor=executor) == expected
 
     def test_parallel_chunksize_is_invisible(self):
         jobs = _plan(7)
         expected = [s * s for s in range(7)]
         for chunksize in (1, 2, 5, 50):
-            executor = ParallelExecutor(workers=3, chunksize=chunksize)
-            assert run_jobs(jobs, executor=executor) == expected
+            with ParallelExecutor(workers=3, chunksize=chunksize) as executor:
+                assert run_jobs(jobs, executor=executor) == expected
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_parallel_refuses_a_worker_count_below_one(self, workers):
+        # It used to clamp to one worker, so a caller's 0 or -3 ran
+        # silently serial.
+        with pytest.raises(SimulationError, match=f"workers .* {workers}"):
+            make_executor("parallel", workers=workers)
 
     def test_serial_run_override(self):
         seen = []
@@ -176,3 +185,85 @@ class TestRunJobsCore:
 
     def test_default_executor_is_serial(self):
         assert run_jobs(_plan(3)) == [0, 1, 4]
+
+
+class TestPoolLifetime:
+    """One pool per executor: opened by the first batch, reused by every
+    later one, gone once the executor is closed — on every exit path."""
+
+    def test_one_pool_serves_every_batch_until_closed(self):
+        with ParallelExecutor(workers=2, chunksize=1) as executor:
+            pids = set()
+            for start in (0, 10, 20):
+                pids.update(run_jobs(
+                    [JobSpec(kind="toykinds:pid", spec_id="p", seed=s)
+                     for s in range(start, start + 10)],
+                    executor=executor,
+                ))
+            assert os.getpid() not in pids and 0 < len(pids) <= 2
+        assert multiprocessing.active_children() == []
+        executor.close()  # idempotent
+
+    def test_a_job_raising_in_a_worker_leaves_no_worker(self):
+        jobs = _plan(5) + [JobSpec(kind="toykinds:boom", spec_id="b", seed=9)]
+        with pytest.raises(RuntimeError, match="boom on seed 9"):
+            with ParallelExecutor(workers=2) as executor:
+                run_jobs(jobs, executor=executor)
+        assert multiprocessing.active_children() == []
+
+    def test_an_unclosed_executor_is_reaped_when_collected(self):
+        executor = ParallelExecutor(workers=2)
+        assert run_jobs(_plan(4), executor=executor) == [0, 1, 4, 9]
+        assert multiprocessing.active_children()
+        del executor
+        assert multiprocessing.active_children() == []
+
+    def test_the_pool_counts_shard_form_jobs_like_inproc(self):
+        from repro.analysis.fuzz import DEFAULT_CONFIG, scenario_job
+        from repro.sim.multiworld import RunnerStats, ShardedRunner
+
+        jobs = [scenario_job(3, index, DEFAULT_CONFIG) for index in range(6)]
+        runner = ShardedRunner()
+        inproc = run_jobs(jobs, executor=InprocExecutor(runner=runner))
+        stats = RunnerStats()
+        with ParallelExecutor(workers=2, stats=stats) as executor:
+            assert run_jobs(jobs, executor=executor) == inproc
+        assert (stats.shards, stats.events) == (
+            runner.stats.shards, runner.stats.events,
+        )
+        # Jobs without a shard form run whole and count nothing.
+        with ParallelExecutor(workers=2, stats=stats) as executor:
+            run_jobs(_plan(4), executor=executor)
+        assert stats.shards == runner.stats.shards
+
+
+class TestDefaultBackend:
+    def test_the_pool_needs_two_jobs_and_two_workers(self):
+        from repro.exec import default_backend
+
+        assert default_backend("inproc", 8, 3) == ("parallel", 3)
+        assert default_backend("serial", 8, 1) == ("serial", 1)
+        assert default_backend("inproc", 1, 4) == ("inproc", 1)
+        assert default_backend("serial", 0) == ("serial", 1)
+
+    @pytest.mark.parametrize(
+        "cpus, n_jobs, expected",
+        # A pool gets at least MIN_JOBS_PER_WORKER (4) jobs a worker.
+        [({0}, 50, ("inproc", 1)),
+         ({0, 1, 2, 3}, 50, ("parallel", 4)),
+         ({0, 1, 2, 3}, 12, ("parallel", 3)),
+         ({0, 1, 2, 3}, 7, ("inproc", 1)),
+         ({0, 1, 2, 3}, 1, ("inproc", 1))],
+    )
+    def test_workers_default_to_the_usable_cpus(
+        self, monkeypatch, cpus, n_jobs, expected
+    ):
+        from repro.exec import executors
+
+        monkeypatch.setattr(executors, "FORKS", True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        assert executors.default_backend("inproc", n_jobs) == expected
+        # Where the pool would spawn, nothing fans out on its own.
+        monkeypatch.setattr(executors, "FORKS", False)
+        assert executors.default_backend("inproc", n_jobs) == ("inproc", 1)

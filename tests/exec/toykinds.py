@@ -8,6 +8,7 @@ worker processes.
 """
 
 import gc
+import os
 import time
 
 from repro.exec import JobSpec
@@ -33,6 +34,11 @@ def echo_params(job: JobSpec) -> tuple:
 def collector_enabled(job: JobSpec) -> bool:
     """Whether the cyclic collector is on while the job runs."""
     return gc.isenabled()
+
+
+def pid(job: JobSpec) -> int:
+    """The executing process's pid (not pure: lifetime tests only)."""
+    return os.getpid()
 
 
 def boom(job: JobSpec) -> None:

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import hashlib
+import multiprocessing
 import os
 import re
 import subprocess
@@ -350,7 +351,8 @@ class TestFuzzExecLayer:
         serial = capsys.readouterr().out
         digest = [l for l in inproc.splitlines() if "digest=" in l]
         assert digest == [l for l in serial.splitlines() if "digest=" in l]
-        # The engine line is the sharded runner's; serial has none.
+        # The engine line is the default's (the in-process engine or the
+        # pool, whichever this machine picks); serial has none.
         assert any("engine:" in l for l in inproc.splitlines())
         assert not any("engine:" in l for l in serial.splitlines())
 
@@ -402,6 +404,110 @@ class TestFuzzExecLayer:
         ) == 0
         resumed = capsys.readouterr().out
         assert "all 5 scenarios restored from journal" in resumed
+
+
+def _lines(out, *prefixes):
+    return [l for l in out.splitlines() if l.startswith(prefixes)]
+
+
+class TestDefaultBackend:
+    """``fuzz`` and ``sweep`` without ``--backend`` fan out over the CPUs
+    this process may use, and print what the in-process run prints."""
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here"
+    )
+    def test_a_child_pinned_to_one_cpu_runs_in_process(self):
+        def child(pinned):
+            cpu = min(os.sched_getaffinity(0))
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "fuzz", "--seed", "1",
+                 "--count", "12"],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                capture_output=True, text=True, check=True,
+                preexec_fn=(lambda: os.sched_setaffinity(0, {cpu}))
+                if pinned else None,
+            ).stdout
+
+        pinned, free = child(True), child(False)
+        assert "(inproc) ==" in pinned
+        if len(os.sched_getaffinity(0)) > 1:
+            assert "(parallel) ==" in free
+        same = ("digest=", "engine: ")
+        assert _lines(pinned, *same) == _lines(free, *same)
+        assert len(_lines(free, *same)) == 2
+
+    def test_jobs_without_backend_sizes_the_pool(self, capsys):
+        fuzz = ["fuzz", "--seed", "1", "--count", "6"]
+        assert main(fuzz + ["--backend", "inproc"]) == 0
+        inproc = capsys.readouterr().out
+        assert main(fuzz + ["--jobs", "3"]) == 0
+        pooled = capsys.readouterr().out
+        assert "(parallel) ==" in pooled
+        same = ("digest=", "engine: ")
+        assert _lines(pooled, *same) == _lines(inproc, *same)
+        # One worker is no pool: the run stays in process.
+        assert main(fuzz + ["--jobs", "1"]) == 0
+        assert "(inproc) ==" in capsys.readouterr().out
+        sweep = ["sweep", "e7", "--seeds", "3", "--param", "n=6"]
+        assert main(sweep) == 0
+        rows = capsys.readouterr().out
+        assert main(sweep + ["--jobs", "3"]) == 0
+        assert capsys.readouterr().out == rows
+
+    @pytest.mark.parametrize("adaptive", [[], ["--adaptive", "--batch", "3"]])
+    def test_journals_cross_between_the_pool_and_inproc(
+        self, capsys, tmp_path, adaptive
+    ):
+        # A journal either one writes, cut after four lines, resumes on
+        # both to the same digests and the same engine line. (The pool
+        # records results in arrival order, so which four survive the
+        # cut depends on the writer, not on the reader.)
+        path = tmp_path / "fuzz.jsonl"
+        fuzz = ["fuzz", "--seed", "2", "--count", "6", "--journal",
+                str(path), *adaptive]
+        backends = (["--backend", "inproc"], ["--jobs", "2"])
+        same = ("digest=", "coverage=", "engine: ")
+        for writer in backends:
+            path.unlink(missing_ok=True)
+            assert main(fuzz + writer) == 0
+            full = capsys.readouterr().out
+            assert "restored" not in full
+            cut = "\n".join(path.read_text().splitlines()[:5]) + "\n"
+            resumed = []
+            for reader in backends:
+                path.write_text(cut)
+                assert main(fuzz + reader + ["--resume"]) == 0
+                part = capsys.readouterr().out
+                assert "scenarios restored from journal)" in part
+                assert main(fuzz + reader + ["--resume"]) == 0
+                whole = capsys.readouterr().out
+                assert "engine: idle — all 6 scenarios restored" in whole
+                resumed.append([_lines(out, *same) for out in (part, whole)])
+                assert _lines(part, "digest=") == _lines(full, "digest=")
+            assert resumed[0] == resumed[1]
+
+    def test_a_job_raising_in_a_worker_is_one_line_and_no_worker(
+        self, capsys, monkeypatch
+    ):
+        from repro.errors import SimulationError
+        from repro.exec.executors import FORKS
+        from repro.sim import multiworld
+
+        if not FORKS:
+            pytest.skip("workers are spawned: they would not see the patch")
+
+        def boom(spec, collect):
+            raise SimulationError(f"shard exploded in process {os.getpid()}")
+
+        # Forked workers inherit the patch; only a worker runs a shard.
+        monkeypatch.setattr(multiworld, "run_shard", boom)
+        assert main(["fuzz", "--count", "6", "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fuzz failed: shard ") and "exploded" in err
+        assert not err.endswith(f"process {os.getpid()}\n")
+        assert len(err.splitlines()) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestFuzzAdaptive:
@@ -499,11 +605,11 @@ class TestFuzzAdaptive:
     def test_jobs_requires_the_parallel_backend(self, capsys):
         # --jobs had a real default (2), so it was silently dropped on
         # every other backend; detection is by presence now, so the old
-        # default's value is refused too.
+        # default's value is refused too. Without --backend it sizes the
+        # default's pool.
         fuzz = ["fuzz", "--count", "3", "--jobs", "2"]
-        for backend in (None, "serial", "inproc", "remote"):
-            extra = ["--backend", backend] if backend else []
-            assert main(fuzz + extra) == 2, backend
+        for backend in ("serial", "inproc", "remote"):
+            assert main(fuzz + ["--backend", backend]) == 2, backend
             err = capsys.readouterr().err
             assert "--jobs" in err and "--backend parallel" in err
             assert len(err.splitlines()) == 1
@@ -819,7 +925,9 @@ class TestImportBudget:
                     assert main(argv) == 0
                 return re.search("^digest=(.+)$", out.getvalue(), re.M)[1]
 
-            fuzz = list({self.FUZZ!r})
+            # The in-process path; the default fans out to a pool on a
+            # machine with more than one usable CPU.
+            fuzz = list({self.FUZZ!r}) + ["--backend", "inproc"]
             journaled = fuzz + ["--journal", sys.argv[1]]
             assert main(fuzz) == 0
             assert main(journaled) == 0
@@ -828,7 +936,7 @@ class TestImportBudget:
             ours = loaded("repro")
             assert len(ours) <= {self.MAX_REPRO_MODULES}, ours
             # Control: the pool is still wired.
-            pooled = digest(fuzz + ["--backend", "parallel", "--jobs", "2"])
+            pooled = digest(list({self.FUZZ!r}) + ["--jobs", "2"])
             assert pooled == digest(fuzz)
             assert loaded("multiprocessing")
         """)

@@ -102,7 +102,8 @@ SURFACE = {
         job:run_job job:shard_form executors:Executor executors:SerialExecutor
         executors:ParallelExecutor executors:InprocExecutor
         remote:RemoteExecutor remote:RemoteStats remote:parse_worker_spec
-        remote:run_worker executors:EXEC_BACKENDS executors:effective_backend
+        remote:run_worker executors:EXEC_BACKENDS executors:default_backend
+        executors:effective_backend
         executors:make_executor sink:ResultSink sink:CollectSink
         journal:Journal core:run_jobs
     """,

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """What each command imports (informational; CI prints it, nothing gates on it).
 
-For ``version``, ``fuzz``, ``fuzz --resume`` (on the default backend,
-whose runner imports the simulator up front, and on ``serial``, which
-runs nothing when every scenario is restored), ``worker`` and ``sweep
-e7``: how many ``repro.*`` modules and modules in all the process has
+For ``version``, ``fuzz`` in process (``--backend inproc``, the default
+on one CPU) and as the coordinator of a pool (``--jobs 2``, the default
+on more), ``fuzz --resume`` (on ``inproc``, whose runner imports the
+simulator up front, and on ``serial``, which runs nothing when every
+scenario is restored), ``worker`` and ``sweep e7`` (``--backend
+serial``): how many ``repro.*`` modules and modules in all the process has
 loaded when the command returns, and the ten largest ``-X importtime``
 self-times — so an import regression shows in the log before it shows in
 ``setup_s``. The gate is ``tests/test_cli.py::TestImportBudget``; the
@@ -69,14 +71,20 @@ def main() -> int:
     report("version", cli(["version"]))
     with tempfile.TemporaryDirectory() as scratch:
         journaled = FUZZ + ["--journal", os.path.join(scratch, "fuzz.jsonl")]
-        report("fuzz", cli(journaled))
-        report("fuzz --resume", cli(journaled + ["--resume"]))
+        inproc = journaled + ["--backend", "inproc"]
+        report("fuzz --backend inproc", cli(inproc))
+        report("fuzz --jobs 2 (the pool's coordinator)", cli(FUZZ + ["--jobs", "2"]))
+        report("fuzz --backend inproc --resume", cli(inproc + ["--resume"]))
         report(
             "fuzz --backend serial --resume",
             cli(journaled + ["--backend", "serial", "--resume"]),
         )
     report("worker (before its first job)", WORKER)
-    report("sweep e7", cli(["sweep", "e7", "--seeds", "2", "--param", "n=6"]))
+    report(
+        "sweep e7 --backend serial",
+        cli(["sweep", "e7", "--seeds", "2", "--param", "n=6",
+             "--backend", "serial"]),
+    )
     return 0
 
 
